@@ -19,6 +19,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -39,6 +40,7 @@ import (
 	"repro/internal/online"
 	"repro/internal/report"
 	"repro/internal/sla"
+	"repro/internal/spec"
 	"repro/internal/workflows"
 )
 
@@ -73,22 +75,18 @@ func main() {
 	)
 	flag.Parse()
 
-	faults, err := faultConfig(*faultPreset, *faultRate, *taskFail, *recovery, *rebootS, *faultSeed, *preemptRate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	mkt, err := marketModel(*marketPreset, *marketSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
 	opts := options{
 		seed: *seed, table: *table, csvPath: *csvPath, gnuPath: *gnuPath,
 		paranoid: *paranoid, grid: *grid, seeds: *seeds, mdPath: *mdPath,
 		extended: *extended, confPath: *confPath, htmlDir: *htmlDir,
 		texPath: *texPath, traceOut: *traceOut, eventsOut: *evOut,
-		progress: *progress, faults: faults, market: mkt,
+		progress: *progress,
+		// The preset is the base; explicit flags override its fields.
+		faults: spec.Faults{Preset: *faultPreset, CrashRate: *faultRate, PreemptRate: *preemptRate,
+			TaskFailProb: *taskFail, Recovery: *recovery, RebootS: *rebootS, Seed: *faultSeed},
+		// An empty -market is the paper's economics, which takes no
+		// -market-seed.
+		market: spec.Market{Preset: cmp.Or(*marketPreset, "none"), Seed: *marketSeed},
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
@@ -109,68 +107,19 @@ type options struct {
 	htmlDir, texPath    string
 	traceOut, eventsOut string
 	progress            bool
-	faults              *fault.Config
-	market              *market.Model
+	faults              spec.Faults
+	market              spec.Market
 }
 
-// faultConfig assembles the CLI fault model: a preset as the base, with
-// explicit flags overriding its fields.
-func faultConfig(preset string, rate, taskFail float64, recovery string, rebootS float64, seed uint64, preemptRate float64) (*fault.Config, error) {
-	var cfg fault.Config
-	if preset != "" {
-		var err error
-		if cfg, err = fault.Preset(preset); err != nil {
-			return nil, err
-		}
-	}
-	if rate > 0 {
-		cfg.CrashRate = rate
-	}
-	if preemptRate > 0 {
-		cfg.SpotPreemptRate = preemptRate
-	}
-	if taskFail > 0 {
-		cfg.TaskFailProb = taskFail
-	}
-	if recovery != "" {
-		rec, err := fault.ParseRecovery(recovery)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Recovery = rec
-	}
-	if rebootS > 0 {
-		cfg.RebootS = rebootS
-	}
-	cfg.Seed = seed
-	if !cfg.Active() {
-		return nil, nil
-	}
-	return &cfg, nil
-}
-
-// marketModel resolves the -market/-market-seed flags; preset "none" or
-// an empty preset keeps the paper's economics.
-func marketModel(preset string, seed uint64) (*market.Model, error) {
-	if preset == "" {
-		if seed != 0 {
-			return nil, fmt.Errorf("-market-seed requires -market")
-		}
-		return nil, nil
-	}
-	m, err := market.Preset(preset)
-	if err != nil {
-		return nil, err
-	}
-	if m != nil && seed != 0 {
-		mm := *m
-		mm.Seed = seed
-		m = &mm
-	}
-	return m, nil
-}
-
+// run validates the fault and market flags before anything else, then
+// sweeps.
 func run(o options) error {
+	if err := o.faults.Validate(); err != nil {
+		return err
+	}
+	if err := o.market.Validate(); err != nil {
+		return err
+	}
 	cfg := core.Config{Seed: o.seed, Paranoid: o.paranoid}
 	if o.extended {
 		cfg.Workflows = workflows.Extended()
@@ -182,13 +131,13 @@ func run(o options) error {
 			return err
 		}
 	}
-	if o.faults.Active() {
+	if faults := o.faults.Value(); faults != nil {
 		// CLI fault flags override any config-file fault block.
-		cfg.Faults = o.faults
+		cfg.Faults = faults
 	}
-	if o.market != nil {
+	if mkt := o.market.Value(); mkt != nil {
 		// The CLI market preset overrides any config-file market block.
-		cfg.Market = o.market
+		cfg.Market = mkt
 	}
 	var col *obs.Collector
 	if o.traceOut != "" || o.eventsOut != "" {

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 func TestRunAllTables(t *testing.T) {
@@ -131,44 +135,87 @@ func TestRunWritesLaTeX(t *testing.T) {
 	}
 }
 
-func TestFaultConfig(t *testing.T) {
-	if cfg, err := faultConfig("", 0, 0, "", 0, 1, 0); err != nil || cfg != nil {
-		t.Errorf("inactive flags: cfg=%v err=%v, want nil/nil", cfg, err)
+// TestMain lets a test run the command itself: with SWEEP_MAIN set, the
+// test binary is sweep.
+func TestMain(m *testing.M) {
+	if os.Getenv("SWEEP_MAIN") != "" {
+		main()
+		os.Exit(0)
 	}
-	cfg, err := faultConfig("flaky", 0, 0, "retry", 0, 9, 0)
-	if err != nil {
+	os.Exit(m.Run())
+}
+
+// sweep runs the command on a one-cell config with args appended and
+// returns its stdout, stderr and exit code.
+func sweep(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cfgPath := filepath.Join(t.TempDir(), "exp.json")
+	doc := `{"seed": 3, "scenarios": ["Best case"], "strategies": ["OneVMperTask-s"],
+	  "workflows": [{"name": "Sequential"}]}`
+	if err := os.WriteFile(cfgPath, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.CrashRate != 0.05 || cfg.Recovery.String() != "retry" || cfg.Seed != 9 {
-		t.Errorf("preset+override mismatch: %+v", cfg)
+	cmd := exec.Command(os.Args[0], append([]string{"-table", "none", "-config", cfgPath}, args...)...)
+	cmd.Env = append(os.Environ(), "SWEEP_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	var exit *exec.ExitError
+	if err := cmd.Run(); errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := faultConfig("no-such-preset", 0, 0, "", 0, 1, 0); err == nil {
-		t.Error("unknown preset accepted")
+	return out.String(), errOut.String(), code
+}
+
+func TestFaultConfig(t *testing.T) {
+	// The flag defaults inject nothing: no fault model is reported.
+	if stdout, stderr, code := sweep(t); code != 0 || strings.Contains(stdout, "fault model") {
+		t.Errorf("inactive flags: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
-	if _, err := faultConfig("", 0.5, 0, "bogus", 0, 1, 0); err == nil {
-		t.Error("unknown recovery accepted")
+	// The preset is the base; explicit flags override its fields.
+	stdout, stderr, code := sweep(t, "-fault-scenario", "flaky", "-recovery", "retry", "-fault-seed", "9")
+	want := "fault model: faults{crash: 0.05/VM-h, task-fail: 0.01, recovery: retry} (seed 9)"
+	if code != 0 || !strings.Contains(stdout, want) {
+		t.Errorf("preset+override: exit %d, stderr %q, stdout lacks %q:\n%s", code, stderr, want, stdout)
+	}
+	for _, args := range [][]string{
+		{"-fault-scenario", "no-such-preset"},
+		{"-fault-rate", "0.5", "-recovery", "bogus"},
+	} {
+		if _, stderr, code := sweep(t, args...); code != 1 {
+			t.Errorf("%v accepted: exit %d, stderr %q", args, code, stderr)
+		}
+	}
+}
+
+// TestFaultFlagsRejectedUpFront pins the validation order: an invalid
+// fault flag fails with the fault model's own message before anything is
+// swept or printed, as the service answers 422 for the same values.
+func TestFaultFlagsRejectedUpFront(t *testing.T) {
+	for flagValue, want := range map[string]string{
+		"-fault-rate=-1":   "sweep: fault: negative crash rate -1",
+		"-task-fail=1.5":   "sweep: fault: task failure probability 1.5 outside [0, 1]",
+		"-preempt-rate=-2": "sweep: fault: negative spot preemption rate -2",
+		"-reboot=-3":       "sweep: fault: negative reboot lag -3",
+	} {
+		stdout, stderr, code := sweep(t, flagValue)
+		if code != 1 || stdout != "" || !strings.HasPrefix(stderr, want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1, no output, %q", flagValue, code, stdout, stderr, want)
+		}
 	}
 }
 
 func TestRunFaultSweep(t *testing.T) {
-	faults, err := faultConfig("", 0.5, 0.02, "resubmit", 60, 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faults := spec.Faults{CrashRate: 0.5, TaskFailProb: 0.02, Recovery: "resubmit", RebootS: 60, Seed: 7}
 	if err := run(options{seed: 1, table: "none", faults: faults}); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestRunMarketSweep(t *testing.T) {
-	faults, err := faultConfig("", 0, 0, "retry", 0, 7, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkt, err := marketModel("spot-fallback", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faults := spec.Faults{PreemptRate: 1.0, Recovery: "retry", Seed: 7}
+	mkt := spec.Market{Preset: "spot-fallback", Seed: 5}
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "exp.json")
 	doc := `{"seed": 3, "scenarios": ["Best case"],

@@ -19,12 +19,11 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cloud"
 	"repro/internal/fault"
 	"repro/internal/market"
-	"repro/internal/ndwf"
 	"repro/internal/obs"
 	"repro/internal/online"
+	"repro/internal/spec"
 )
 
 // options carries every flag, so tests can drive run() directly.
@@ -70,25 +69,9 @@ func main() {
 	}
 }
 
-// resolveTemplate loads a built-in template by name or a template JSON
-// file by path.
-func resolveTemplate(s string) (ndwf.Template, error) {
-	if tpl, err := ndwf.Named(s); err == nil {
-		return tpl, nil
-	} else if _, statErr := os.Stat(s); statErr != nil {
-		return ndwf.Template{}, err // not a file either: report the name error
-	}
-	f, err := os.Open(s)
-	if err != nil {
-		return ndwf.Template{}, err
-	}
-	defer f.Close()
-	return ndwf.DecodeJSON(f)
-}
-
 // parseMix turns "order:3,montage2:1" into mix entries.
-func parseMix(s string) ([]online.MixEntry, error) {
-	var mix []online.MixEntry
+func parseMix(s string) ([]spec.MixEntry, error) {
+	var mix []spec.MixEntry
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -102,11 +85,7 @@ func parseMix(s string) ([]online.MixEntry, error) {
 				return nil, fmt.Errorf("bad mix weight in %q: %v", part, err)
 			}
 		}
-		tpl, err := resolveTemplate(name)
-		if err != nil {
-			return nil, err
-		}
-		mix = append(mix, online.MixEntry{Template: tpl, Weight: weight})
+		mix = append(mix, spec.MixEntry{Template: spec.TemplateArg(name), Weight: weight})
 	}
 	if len(mix) == 0 {
 		return nil, fmt.Errorf("empty mix %q", s)
@@ -115,56 +94,34 @@ func parseMix(s string) ([]online.MixEntry, error) {
 }
 
 func run(o options, w io.Writer) error {
-	cfg := online.Config{
-		MeanInterarrival: o.interarrival,
-		Instances:        o.n,
-		MinVMs:           o.minVMs,
-		MaxVMs:           o.maxVMs,
-		Deadline:         o.deadline,
-		Seed:             o.seed,
+	sp := spec.Online{
+		InterarrivalS: o.interarrival,
+		Instances:     o.n,
+		Instance:      o.vmType,
+		Region:        spec.Region(o.region),
+		MinVMs:        o.minVMs,
+		MaxVMs:        o.maxVMs,
+		Scaler:        o.scaler,
+		Dispatch:      o.dispatch,
+		DeadlineS:     o.deadline,
+		Market:        spec.Market{Preset: o.market},
+		// The fault preset draws from the simulation seed.
+		Faults: spec.Faults{Preset: o.faults, Seed: o.seed},
+		Seed:   o.seed,
 	}
-	switch {
-	case o.template != "" && o.mix != "":
-		return fmt.Errorf("-template and -mix are exclusive")
-	case o.template != "":
-		tpl, err := resolveTemplate(o.template)
-		if err != nil {
+	if o.template != "" {
+		sp.Template = spec.TemplateArg(o.template)
+	}
+	if o.mix != "" {
+		var err error
+		if sp.Mix, err = parseMix(o.mix); err != nil {
 			return err
 		}
-		cfg.Mix = []online.MixEntry{{Template: tpl, Weight: 1}}
-	case o.mix != "":
-		mix, err := parseMix(o.mix)
-		if err != nil {
-			return err
-		}
-		cfg.Mix = mix
-	default:
-		return fmt.Errorf("one of -template or -mix is required")
 	}
-	var err error
-	if cfg.Type, err = cloud.ParseInstanceType(o.vmType); err != nil {
+	if err := sp.Validate(); err != nil {
 		return err
 	}
-	if cfg.Region, err = cloud.ParseRegion(o.region); err != nil {
-		return err
-	}
-	if cfg.Scaler, err = online.ParseScaler(o.scaler); err != nil {
-		return err
-	}
-	if cfg.Dispatch, err = online.ParseDispatch(o.dispatch); err != nil {
-		return err
-	}
-	if cfg.Market, err = market.Preset(o.market); err != nil {
-		return err
-	}
-	fcfg, err := fault.Preset(o.faults)
-	if err != nil {
-		return err
-	}
-	if fcfg.Active() {
-		fcfg.Seed = o.seed
-		cfg.Faults = &fcfg
-	}
+	cfg := sp.Config()
 	var col obs.Collector
 	if o.traceOut != "" {
 		cfg.Recorder = &col

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,21 +34,15 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/dag"
-	"repro/internal/dax"
-	"repro/internal/fault"
-	"repro/internal/frontier"
 	"repro/internal/market"
 	"repro/internal/metrics"
-	"repro/internal/ndwf"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/sla"
+	"repro/internal/spec"
 	"repro/internal/trace"
 	"repro/internal/validate"
-	"repro/internal/wfio"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -92,23 +87,11 @@ func main() {
 		}
 		return
 	}
-	var faults *fault.Config
-	if *faultRate > 0 || *taskFail > 0 || *preemptRate > 0 {
-		rec, err := fault.ParseRecovery(*recovery)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wfsim:", err)
-			os.Exit(1)
-		}
-		faults = &fault.Config{
-			CrashRate:       *faultRate,
-			SpotPreemptRate: *preemptRate,
-			TaskFailProb:    *taskFail,
-			Recovery:        rec,
-			MaxRetries:      *retries,
-			RebootS:         *rebootS,
-			Seed:            *faultSeed,
-		}
-	}
+	// The fault flags map onto one spec part, validated with the rest of
+	// the problem before anything is scheduled.
+	faults := spec.Faults{CrashRate: *faultRate, PreemptRate: *preemptRate, TaskFailProb: *taskFail,
+		Recovery: *recovery, MaxRetries: *retries, RebootS: *rebootS, Seed: *faultSeed}
+	var err error
 	if *deadline > 0 {
 		strategySet := false
 		flag.Visit(func(f *flag.Flag) {
@@ -120,18 +103,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "wfsim: -market-seed does not apply to SLA mode (presets keep their pinned seeds)")
 			os.Exit(1)
 		}
-		if err := runSLA(*wfArg, *strategy, strategySet, *deadline, *confidence, *samples, *seed, *region, *marketArg, faults, *explain); err != nil {
-			fmt.Fprintln(os.Stderr, "wfsim:", err)
-			os.Exit(1)
-		}
-		return
+		err = runSLA(*wfArg, *strategy, strategySet, *deadline, *confidence, *samples, *seed, *region, *marketArg, faults, *explain)
+	} else {
+		// An empty -market is the paper's economics, which takes no
+		// -market-seed.
+		mkt := spec.Market{Preset: cmp.Or(*marketArg, "none"), Seed: *marketSeed}
+		err = run(*wfArg, *strategy, *scenario, *seed, *region, *boot, *gantt, *svgPath, *csvPath, *traceOut, *evOut, faults, mkt)
 	}
-	mkt, err := marketModel(*marketArg, *marketSeed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wfsim:", err)
-		os.Exit(1)
-	}
-	if err := run(*wfArg, *strategy, *scenario, *seed, *region, *boot, *gantt, *svgPath, *csvPath, *traceOut, *evOut, faults, mkt); err != nil {
 		fmt.Fprintln(os.Stderr, "wfsim:", err)
 		os.Exit(1)
 	}
@@ -145,36 +124,19 @@ func main() {
 // exits non-zero, so scripts can branch on the verdict. With explain the
 // report is followed by the decision audit: one row per candidate in
 // portfolio order with its fate and rationale.
-func runSLA(wfArg, strategy string, strategySet bool, deadline, confidence float64, samples int, seed uint64, regionName, marketArg string, faults *fault.Config, explain bool) error {
-	tpl, err := loadTemplate(wfArg)
-	if err != nil {
-		return err
-	}
-	region, err := cloud.ParseRegion(regionName)
-	if err != nil {
-		return err
-	}
-	markets := []string{"none"}
-	if marketArg != "" {
-		if _, err := market.Preset(marketArg); err != nil {
-			return err
-		}
-		markets = []string{strings.ToLower(marketArg)}
-	}
-	cfg := sla.SearchConfig{
-		Deadline: deadline,
-		Target:   confidence,
-		Config:   sla.Config{Samples: samples, Seed: seed, Faults: faults},
-		Markets:  markets,
-		Opts:     sched.Options{Platform: cloud.NewPlatform(), Region: region},
-	}
+func runSLA(wfArg, strategy string, strategySet bool, deadline, confidence float64, samples int, seed uint64, regionName, marketArg string, faults spec.Faults, explain bool) error {
+	sp := spec.SLA{Template: spec.TemplateArg(wfArg), DeadlineS: deadline, Confidence: confidence,
+		Samples: samples, Seed: seed, Region: spec.Region(regionName), Faults: faults}
 	if strategySet {
-		alg, err := core.StrategyByName(strategy)
-		if err != nil {
-			return err
-		}
-		cfg.Candidates = frontier.Portfolio([]string{alg.Name()}, markets)
+		sp.Strategies = []string{strategy}
 	}
+	if marketArg != "" {
+		sp.Markets = []string{marketArg}
+	}
+	if err := sp.Validate(); err != nil {
+		return err
+	}
+	tpl, cfg := sp.Template.Value(), sp.Search()
 	exp, err := tpl.Expected()
 	if err != nil {
 		return err
@@ -184,73 +146,30 @@ func runSLA(wfArg, strategy string, strategySet bool, deadline, confidence float
 		return searchErr
 	}
 	fmt.Printf("template   %s (%d tasks expected, %d samples, seed %d)\n",
-		tpl.Name, exp.Len(), samples, seed)
-	fmt.Printf("region     %s\n\n", region)
+		tpl.Name, exp.Len(), sp.Samples, seed)
+	fmt.Printf("region     %s\n\n", sp.Region)
 	fmt.Print(sla.Render(sr))
 	if explain {
 		fmt.Println()
 		fmt.Print(sla.RenderExplain(sr))
 	}
 	if searchErr != nil {
-		return fmt.Errorf("deadline %g s not met at P >= %g", deadline, confidence)
+		return fmt.Errorf("deadline %g s not met at P >= %g", deadline, sp.Confidence)
 	}
 	return nil
 }
 
-// loadTemplate resolves SLA-mode -wf arguments: a registry template name
-// ("montage", "montage12", "order") or a template JSON file.
-func loadTemplate(arg string) (ndwf.Template, error) {
-	if tpl, err := core.NamedTemplate(arg); err == nil {
-		return tpl, nil
-	}
-	f, err := os.Open(arg)
-	if err != nil {
-		return ndwf.Template{}, fmt.Errorf("unknown template %q and no such file: %w", arg, err)
-	}
-	defer f.Close()
-	return ndwf.DecodeJSON(f)
-}
-
-// marketModel resolves the -market/-market-seed flags.
-func marketModel(preset string, seed uint64) (*market.Model, error) {
-	if preset == "" {
-		if seed != 0 {
-			return nil, fmt.Errorf("-market-seed requires -market")
-		}
-		return nil, nil
-	}
-	m, err := market.Preset(preset)
-	if err != nil {
-		return nil, err
-	}
-	if m != nil && seed != 0 {
-		mm := *m
-		mm.Seed = seed
-		m = &mm
-	}
-	return m, nil
-}
-
-func run(wfArg, strategy, scenario string, seed uint64, regionName string, boot float64, gantt bool, svgPath, csvPath, traceOut, eventsOut string, faults *fault.Config, mkt *market.Model) error {
-	wf, err := loadWorkflow(wfArg)
-	if err != nil {
+// run is the default mode: -wf names a registry workflow or a wfio/DAX
+// file, and the whole problem is validated before it is scheduled.
+func run(wfArg, strategy, scenario string, seed uint64, regionName string, boot float64, gantt bool, svgPath, csvPath, traceOut, eventsOut string, faultSpec spec.Faults, marketSpec spec.Market) error {
+	sp := spec.Schedule{Workflow: spec.WorkflowArg(wfArg), Scenario: spec.Scenario(scenario),
+		Strategy: spec.Strategy{Label: strategy}, Region: spec.Region(regionName), Seed: seed,
+		Simulate: true, BootS: boot, Faults: faultSpec, Market: marketSpec}
+	if err := sp.Validate(); err != nil {
 		return err
 	}
-	if scenario != "none" {
-		sc, err := workload.ParseScenario(scenario)
-		if err != nil {
-			return err
-		}
-		wf = sc.Apply(wf, seed)
-	}
-	region, err := cloud.ParseRegion(regionName)
-	if err != nil {
-		return err
-	}
-	alg, err := core.StrategyByName(strategy)
-	if err != nil {
-		return err
-	}
+	wf := sp.Scenario.Value().Apply(sp.Workflow.Value(), seed)
+	alg, region, faults, mkt := sp.Strategy.Value(), sp.Region.Value(), sp.Faults.Value(), sp.Market.Value()
 	opts := sched.Options{Platform: cloud.NewPlatform(), Region: region, Market: mkt}
 
 	s, err := alg.Schedule(wf, opts)
@@ -362,21 +281,4 @@ func writeFile(path string, write func(*os.File) error) error {
 	}
 	fmt.Printf("wrote %s\n", path)
 	return nil
-}
-
-func loadWorkflow(arg string) (*dag.Workflow, error) {
-	// Built-in names and generator specs ("montage24", "mapreduce16x8")
-	// resolve through the shared registry; anything else is a file path.
-	if wf, err := core.NamedWorkflow(arg); err == nil {
-		return wf, nil
-	}
-	f, err := os.Open(arg)
-	if err != nil {
-		return nil, fmt.Errorf("unknown workflow %q and no such file: %w", arg, err)
-	}
-	defer f.Close()
-	if strings.HasSuffix(arg, ".xml") || strings.HasSuffix(arg, ".dax") {
-		return dax.Decode(f)
-	}
-	return wfio.Decode(f)
 }

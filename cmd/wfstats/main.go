@@ -1,12 +1,14 @@
 // Command wfstats profiles a workflow: the structural and weight
 // characteristics (width profile, heterogeneity, communication-to-
 // computation ratio) that the paper's Table V keys its strategy
-// recommendations on. It accepts the built-in workflows or JSON/DAX files
-// and can apply any execution-time scenario first.
+// recommendations on. It accepts the registry's workflow names and
+// generator specs ("Montage", "montage24", "mapreduce16x8") or JSON/DAX
+// files, and can apply any execution-time scenario first.
 //
 // Usage:
 //
 //	wfstats -wf Montage -scenario Pareto
+//	wfstats -wf montage24
 //	wfstats -wf my.dax -reduce
 package main
 
@@ -18,10 +20,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
-	"repro/internal/dax"
-	"repro/internal/wfio"
-	"repro/internal/workflows"
-	"repro/internal/workload"
+	"repro/internal/spec"
 )
 
 func main() {
@@ -39,17 +38,14 @@ func main() {
 }
 
 func run(wfArg, scenario string, seed uint64, reduce bool) error {
-	wf, err := load(wfArg)
-	if err != nil {
+	w, sc := spec.WorkflowArg(wfArg), spec.Scenario(scenario)
+	if err := w.Validate(); err != nil {
 		return err
 	}
-	if scenario != "none" {
-		sc, err := workload.ParseScenario(scenario)
-		if err != nil {
-			return err
-		}
-		wf = sc.Apply(wf, seed)
+	if err := sc.Validate(); err != nil {
+		return err
 	}
+	wf := sc.Value().Apply(w.Value(), seed)
 	if reduce {
 		before := len(wf.Edges())
 		wf = wf.TransitiveReduction()
@@ -95,22 +91,4 @@ func widthBar(levels []int) string {
 		fmt.Fprintf(&b, "%d:%s", n, strings.Repeat("#", n))
 	}
 	return b.String()
-}
-
-func load(arg string) (*dag.Workflow, error) {
-	if wf, ok := workflows.Extended()[arg]; ok {
-		return wf, nil
-	}
-	if arg == "Fig1" {
-		return workflows.Fig1SubWorkflow(), nil
-	}
-	f, err := os.Open(arg)
-	if err != nil {
-		return nil, fmt.Errorf("unknown workflow %q and no such file: %w", arg, err)
-	}
-	defer f.Close()
-	if strings.HasSuffix(arg, ".xml") || strings.HasSuffix(arg, ".dax") {
-		return dax.Decode(f)
-	}
-	return wfio.Decode(f)
 }

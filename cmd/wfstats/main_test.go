@@ -39,6 +39,21 @@ func TestRunDAXFile(t *testing.T) {
 	}
 }
 
+// TestRunRegistryNames pins the shared registry: every name another front
+// end accepts — display names in any case and generator specs — profiles
+// here too.
+func TestRunRegistryNames(t *testing.T) {
+	for _, wf := range []string{"montage24", "montage", "mapreduce16x8", "cstem",
+		"sequential20", "layered3x4", "epigenomics6", "inspiral2x5", "cybershake12", "fig1"} {
+		if err := run(wf, "none", 1, false); err != nil {
+			t.Errorf("%s: %v", wf, err)
+		}
+	}
+	if err := run("montage0", "none", 1, false); err == nil {
+		t.Error("bad generator size accepted")
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	if err := run("Ghost", "none", 1, false); err == nil {
 		t.Error("unknown workflow accepted")

@@ -8,6 +8,7 @@ package cloud
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // BTU is the Billing Time Unit: VM rental is charged in whole BTUs. The
@@ -145,10 +146,10 @@ func (r Region) String() string {
 	return regionInfo[r].name
 }
 
-// ParseRegion resolves a region by name.
+// ParseRegion resolves a region by name, case-insensitively.
 func ParseRegion(s string) (Region, error) {
 	for _, r := range Regions() {
-		if s == regionInfo[r].name {
+		if strings.EqualFold(s, regionInfo[r].name) {
 			return r, nil
 		}
 	}

@@ -1,8 +1,9 @@
 // The name registry: one source of truth mapping user-supplied names to
 // catalog strategies and built-in workflows, shared by every front end
-// (cmd/wfsim, cmd/sweep via internal/expconf, cmd/ndflow, and the
-// internal/service daemon), so that a strategy or workflow name accepted
-// anywhere is accepted everywhere.
+// (cmd/wfsim, cmd/sweep via internal/expconf, cmd/wfload, cmd/wfstats,
+// cmd/ndflow, and the internal/service daemon, most of them through
+// internal/spec), so that a strategy or workflow name accepted anywhere is
+// accepted everywhere.
 package core
 
 import (
@@ -108,18 +109,26 @@ func NamedWorkflow(name string) (*dag.Workflow, error) {
 	if err != nil {
 		return nil, err
 	}
+	return GenerateWorkflow(base, a, b)
+}
+
+// GenerateWorkflow builds a parametric generator's workflow: base is a
+// generator name of GeneratorSpecs ("montage", "mapreduce", ...) and a, b
+// its size parameters in the order the grammar spells them ("mapreduce"
+// takes mappers then reducers). Zero sizes select the paper's defaults.
+func GenerateWorkflow(base string, a, b int) (*dag.Workflow, error) {
 	pick := func(v, def int) int {
 		if v > 0 {
 			return v
 		}
 		return def
 	}
-	switch base {
+	switch strings.ToLower(base) {
 	case "montage":
 		return workflows.Montage(pick(a, 6)), nil
 	case "cstem":
-		if a > 0 {
-			return nil, fmt.Errorf("core: workflow %q: cstem takes no size parameter", name)
+		if a > 0 || b > 0 {
+			return nil, fmt.Errorf("core: workflow %q: cstem takes no size parameter", base)
 		}
 		return workflows.CSTEM(), nil
 	case "mapreduce":
@@ -138,7 +147,7 @@ func NamedWorkflow(name string) (*dag.Workflow, error) {
 	valid := append(WorkflowNames(), GeneratorSpecs()...)
 	sort.Strings(valid)
 	return nil, fmt.Errorf("core: unknown workflow %q (valid: %s)",
-		name, strings.Join(valid, ", "))
+		base, strings.Join(valid, ", "))
 }
 
 // TemplateNames returns the built-in non-deterministic template names

@@ -15,31 +15,26 @@
 //	  "sla": {"template": "montage", "deadline_s": 40000, "confidence": 0.95}
 //	}
 //
-// Omitted fields fall back to the paper's defaults.
+// Omitted fields fall back to the paper's defaults. Each block maps onto
+// the internal/spec parts every front end shares; what stays here is the
+// file's own layer: relative paths resolve against the file, and the sla
+// and online blocks inherit the file-level seed, region, platform, fault
+// model and market model.
 package expconf
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/dax"
-	"repro/internal/fault"
-	"repro/internal/frontier"
-	"repro/internal/market"
-	"repro/internal/ndwf"
-	"repro/internal/online"
-	"repro/internal/sched"
 	"repro/internal/sla"
-	"repro/internal/wfio"
-	"repro/internal/workflows"
-	"repro/internal/workload"
+	"repro/internal/spec"
 )
 
 // File is the JSON document shape.
@@ -56,11 +51,16 @@ type File struct {
 	LatencyS float64 `json:"latency_s,omitempty"`
 	// Workers bounds the sweep's concurrency (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// Fault replays every cell under a fault model (nil = perfect cloud).
-	Fault *FaultSpec `json:"fault,omitempty"`
-	// Market prices every lease under a market model (nil = the paper's
-	// flat on-demand per-BTU economics).
-	Market *MarketSpec `json:"market,omitempty"`
+	// Fault replays every cell under a fault model (nil = perfect cloud):
+	// a preset from internal/fault ("calm", "flaky", "hostile", ...) whose
+	// values explicit fields override.
+	Fault *spec.Faults `json:"fault,omitempty"`
+	// Market prices every lease under a market model (nil or {} = the
+	// paper's flat on-demand per-BTU economics): a preset from
+	// internal/market whose values explicit fields override. Overrides
+	// without a preset start from market.Default(); preset "none" takes
+	// no override.
+	Market *spec.Market `json:"market,omitempty"`
 	// SLA adds a deadline-constrained portfolio search over a
 	// non-deterministic template, run by the driver after the grid sweep.
 	SLA *SLASpec `json:"sla,omitempty"`
@@ -73,11 +73,10 @@ type File struct {
 // SLASpec is the "sla" block: find the cheapest strategy × market-preset
 // candidate whose sampled makespan distribution meets the deadline with
 // the required confidence. Exactly one of Template (a registry name like
-// "montage", "montage12", "order") or TemplateFile (ndwf JSON; relative
-// paths resolve against the config file) selects the template. The
-// file-level seed, region, fault model, paranoia and worker budget carry
-// over; Strategies defaults to the full registry and Markets to the
-// paper's economics only ("none").
+// "montage", "montage12", "order") or TemplateFile (ndwf JSON) selects the
+// template. The file-level seed, region, fault model, paranoia and worker
+// budget carry over; Strategies defaults to the full registry and Markets
+// to the paper's economics only ("none").
 type SLASpec struct {
 	Template     string   `json:"template,omitempty"`
 	TemplateFile string   `json:"template_file,omitempty"`
@@ -87,100 +86,6 @@ type SLASpec struct {
 	Seed         uint64   `json:"seed,omitempty"`       // default: file seed
 	Strategies   []string `json:"strategies,omitempty"`
 	Markets      []string `json:"markets,omitempty"`
-}
-
-// resolveSLA turns an SLASpec into a runnable sla.Job, inheriting the
-// file-level sampling seed, region, platform, fault model, paranoia and
-// worker budget already resolved into cfg.
-func resolveSLA(spec *SLASpec, f File, cfg core.Config, baseDir string) (*sla.Job, error) {
-	var tpl ndwf.Template
-	switch {
-	case spec.Template != "" && spec.TemplateFile != "":
-		return nil, fmt.Errorf("expconf: sla block sets both template and template_file")
-	case spec.Template != "":
-		var err error
-		if tpl, err = core.NamedTemplate(spec.Template); err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-	case spec.TemplateFile != "":
-		path := spec.TemplateFile
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(baseDir, path)
-		}
-		fh, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: sla template: %w", err)
-		}
-		defer fh.Close()
-		if tpl, err = ndwf.DecodeJSON(fh); err != nil {
-			return nil, fmt.Errorf("expconf: sla template %s: %w", path, err)
-		}
-	default:
-		return nil, fmt.Errorf("expconf: sla block needs a template or template_file")
-	}
-	if spec.DeadlineS <= 0 {
-		return nil, fmt.Errorf("expconf: sla deadline_s %v must be positive", spec.DeadlineS)
-	}
-	confidence := spec.Confidence
-	if confidence == 0 {
-		confidence = 0.95
-	}
-	if confidence <= 0 || confidence >= 1 {
-		return nil, fmt.Errorf("expconf: sla confidence %v outside (0, 1)", confidence)
-	}
-	samples := spec.Samples
-	if samples == 0 {
-		samples = 200
-	}
-	if samples < 0 {
-		return nil, fmt.Errorf("expconf: sla samples %d must be positive", spec.Samples)
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = f.Seed
-	}
-	var strategies []string
-	for _, name := range spec.Strategies {
-		alg, err := core.StrategyByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-		strategies = append(strategies, alg.Name())
-	}
-	markets := []string{"none"}
-	if len(spec.Markets) > 0 {
-		markets = markets[:0]
-		for _, name := range spec.Markets {
-			if _, err := market.Preset(name); err != nil {
-				return nil, fmt.Errorf("expconf: %w", err)
-			}
-			markets = append(markets, strings.ToLower(name))
-		}
-	}
-	platform := cfg.Platform
-	if platform == nil {
-		platform = cloud.NewPlatform()
-	}
-	job := &sla.Job{
-		Template: tpl,
-		Config: sla.SearchConfig{
-			Deadline: spec.DeadlineS,
-			Target:   confidence,
-			Config: sla.Config{
-				Samples:  samples,
-				Seed:     seed,
-				Workers:  f.Workers,
-				Faults:   cfg.Faults,
-				Paranoid: f.Paranoid,
-			},
-			Markets: markets,
-			Opts:    sched.Options{Platform: platform, Region: cfg.Region},
-		},
-	}
-	if strategies != nil {
-		job.Config.Candidates = frontier.Portfolio(strategies, markets)
-	}
-	return job, nil
 }
 
 // OnlineSpec is the "online" block: an open-loop stream of workflow
@@ -210,265 +115,9 @@ type MixSpec struct {
 	Weight       float64 `json:"weight,omitempty"` // default 1
 }
 
-// templateRef resolves a registry name or a template JSON file.
-func templateRef(name, file, baseDir, what string) (ndwf.Template, error) {
-	switch {
-	case name != "" && file != "":
-		return ndwf.Template{}, fmt.Errorf("expconf: %s sets both template and template_file", what)
-	case name != "":
-		tpl, err := core.NamedTemplate(name)
-		if err != nil {
-			return ndwf.Template{}, fmt.Errorf("expconf: %w", err)
-		}
-		return tpl, nil
-	case file != "":
-		path := file
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(baseDir, path)
-		}
-		fh, err := os.Open(path)
-		if err != nil {
-			return ndwf.Template{}, fmt.Errorf("expconf: %s template: %w", what, err)
-		}
-		defer fh.Close()
-		tpl, err := ndwf.DecodeJSON(fh)
-		if err != nil {
-			return ndwf.Template{}, fmt.Errorf("expconf: %s template %s: %w", what, path, err)
-		}
-		return tpl, nil
-	}
-	return ndwf.Template{}, fmt.Errorf("expconf: %s needs a template or template_file", what)
-}
-
-// resolveOnline turns an OnlineSpec into a runnable online.Config,
-// inheriting the file-level seed, region, platform, fault model and
-// market model already resolved into cfg.
-func resolveOnline(spec *OnlineSpec, f File, cfg core.Config, baseDir string) (*online.Config, error) {
-	out := &online.Config{
-		MeanInterarrival: spec.InterarrivalS,
-		Instances:        spec.Instances,
-		Type:             cloud.Small,
-		Region:           cfg.Region,
-		Platform:         cfg.Platform,
-		MinVMs:           spec.MinVMs,
-		MaxVMs:           spec.MaxVMs,
-		Deadline:         spec.DeadlineS,
-		Market:           cfg.Market,
-		Faults:           cfg.Faults,
-		Seed:             spec.Seed,
-	}
-	if out.MaxVMs == 0 {
-		out.MaxVMs = 32
-	}
-	if out.Seed == 0 {
-		out.Seed = f.Seed
-	}
-	if len(spec.Mix) > 0 {
-		if spec.Template != "" || spec.TemplateFile != "" {
-			return nil, fmt.Errorf("expconf: online block sets both a template and a mix")
-		}
-		for i, ms := range spec.Mix {
-			tpl, err := templateRef(ms.Template, ms.TemplateFile, baseDir, fmt.Sprintf("online mix entry %d", i))
-			if err != nil {
-				return nil, err
-			}
-			w := ms.Weight
-			if w == 0 {
-				w = 1
-			}
-			out.Mix = append(out.Mix, online.MixEntry{Template: tpl, Weight: w})
-		}
-	} else {
-		tpl, err := templateRef(spec.Template, spec.TemplateFile, baseDir, "online block")
-		if err != nil {
-			return nil, err
-		}
-		out.Mix = []online.MixEntry{{Template: tpl, Weight: 1}}
-	}
-	if spec.InstanceType != "" {
-		t, err := cloud.ParseInstanceType(spec.InstanceType)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-		out.Type = t
-	}
-	if spec.Scaler != "" {
-		s, err := online.ParseScaler(spec.Scaler)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-		out.Scaler = s
-	}
-	if spec.Dispatch != "" {
-		d, err := online.ParseDispatch(spec.Dispatch)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-		out.Dispatch = d
-	}
-	return out, nil
-}
-
-// FaultSpec configures the sweep's fault model. Preset names a scenario
-// from internal/fault ("calm", "flaky", "hostile"); explicit fields
-// override the preset's values.
-type FaultSpec struct {
-	Preset       string  `json:"preset,omitempty"`
-	CrashRate    float64 `json:"crash_rate,omitempty"`     // VM crashes per VM-hour
-	PreemptRate  float64 `json:"preempt_rate,omitempty"`   // spot reclamations per spot-VM-hour
-	TaskFailProb float64 `json:"task_fail_prob,omitempty"` // per-attempt failure probability
-	Recovery     string  `json:"recovery,omitempty"`       // retry, resubmit, fail
-	MaxRetries   int     `json:"max_retries,omitempty"`
-	BackoffS     float64 `json:"backoff_s,omitempty"`
-	RebootS      float64 `json:"reboot_s,omitempty"`
-	Seed         uint64  `json:"seed,omitempty"`
-}
-
-// resolveFault turns a FaultSpec into a fault.Config.
-func resolveFault(spec *FaultSpec) (*fault.Config, error) {
-	if spec == nil {
-		return nil, nil
-	}
-	cfg := fault.Config{}
-	if spec.Preset != "" {
-		var err error
-		if cfg, err = fault.Preset(spec.Preset); err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-	}
-	if spec.CrashRate != 0 {
-		cfg.CrashRate = spec.CrashRate
-	}
-	if spec.PreemptRate != 0 {
-		cfg.SpotPreemptRate = spec.PreemptRate
-	}
-	if spec.TaskFailProb != 0 {
-		cfg.TaskFailProb = spec.TaskFailProb
-	}
-	if spec.Recovery != "" {
-		rec, err := fault.ParseRecovery(spec.Recovery)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-		cfg.Recovery = rec
-	}
-	if spec.MaxRetries != 0 {
-		cfg.MaxRetries = spec.MaxRetries
-	}
-	if spec.BackoffS != 0 {
-		cfg.BackoffS = spec.BackoffS
-	}
-	if spec.RebootS != 0 {
-		cfg.RebootS = spec.RebootS
-	}
-	cfg.Seed = spec.Seed
-	if err := cfg.Fill().Validate(); err != nil {
-		return nil, fmt.Errorf("expconf: %w", err)
-	}
-	return &cfg, nil
-}
-
-// MarketSpec configures the sweep's market model. Preset names a scenario
-// from internal/market ("none", "spot", "spot-fallback", "warm", ...);
-// explicit fields override the preset's values. An empty preset starts
-// from market.Default(); preset "none" keeps the paper's economics and
-// rejects overrides.
-type MarketSpec struct {
-	Preset       string  `json:"preset,omitempty"`
-	Market       string  `json:"market,omitempty"`        // ondemand, spot
-	Granularity  string  `json:"granularity,omitempty"`   // btu, min, sec
-	SpotDiscount float64 `json:"spot_discount,omitempty"` // spot base price as a fraction of on-demand
-	Fallback     bool    `json:"fallback,omitempty"`      // replace preempted spot leases on-demand
-	WarmPool     int     `json:"warm_pool,omitempty"`     // leases kept booted from t=0
-	Seed         uint64  `json:"seed,omitempty"`          // cold-start draw stream
-	// TraceFile loads a spot price trace ("t multiplier" lines, see
-	// market.ParseTrace); relative paths resolve against the config file.
-	TraceFile string    `json:"trace_file,omitempty"`
-	Cold      *ColdSpec `json:"cold,omitempty"`
-}
-
-// ColdSpec overrides the cold-start distribution of a MarketSpec.
-type ColdSpec struct {
-	Dist string  `json:"dist,omitempty"` // fixed, uniform, exp ("" = none)
-	Mean float64 `json:"mean,omitempty"`
-	Min  float64 `json:"min,omitempty"`
-	Max  float64 `json:"max,omitempty"`
-}
-
-// resolveMarket turns a MarketSpec into a market.Model.
-func resolveMarket(spec *MarketSpec, baseDir string) (*market.Model, error) {
-	if spec == nil {
-		return nil, nil
-	}
-	base := market.Default()
-	if spec.Preset != "" {
-		var err error
-		if base, err = market.Preset(spec.Preset); err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-	}
-	if base == nil { // preset "none"
-		if *spec != (MarketSpec{Preset: spec.Preset}) {
-			return nil, fmt.Errorf("expconf: market preset %q does not accept overrides", spec.Preset)
-		}
-		return nil, nil
-	}
-	m := *base
-	if spec.Market != "" {
-		k, err := market.ParseKind(spec.Market)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-		m.Market = k
-	}
-	if spec.Granularity != "" {
-		g, err := market.ParseGranularity(spec.Granularity)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-		m.Gran = g
-	}
-	if spec.SpotDiscount != 0 {
-		m.SpotDiscount = spec.SpotDiscount
-	}
-	if spec.Fallback {
-		m.Fallback = true
-	}
-	if spec.WarmPool != 0 {
-		m.WarmPool = spec.WarmPool
-	}
-	if spec.Seed != 0 {
-		m.Seed = spec.Seed
-	}
-	if spec.Cold != nil {
-		m.Cold = market.ColdStart{Dist: spec.Cold.Dist, Mean: spec.Cold.Mean,
-			Min: spec.Cold.Min, Max: spec.Cold.Max}
-	}
-	if spec.TraceFile != "" {
-		path := spec.TraceFile
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(baseDir, path)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: market trace: %w", err)
-		}
-		defer f.Close()
-		tr, err := market.ParseTrace(f)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: market trace %s: %w", path, err)
-		}
-		m.Trace = tr
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("expconf: %w", err)
-	}
-	return &m, nil
-}
-
 // WorkflowSpec names one workflow of the corpus. Exactly one source must
-// be given: a built-in display name (Name alone), a parametric builder, or
-// a file (JSON or DAX, by extension).
+// be given: a built-in display name or generator spec (Name alone), a
+// parametric builder, or a file (JSON or DAX, by extension).
 type WorkflowSpec struct {
 	Name    string `json:"name"`
 	Builder string `json:"builder,omitempty"`
@@ -503,165 +152,114 @@ func LoadFile(path string) (core.Config, error) {
 
 // Resolve turns a parsed document into a runnable core.Config.
 func Resolve(f File, baseDir string) (core.Config, error) {
-	cfg := core.Config{Seed: f.Seed, Paranoid: f.Paranoid, Workers: f.Workers}
-	faults, err := resolveFault(f.Fault)
+	cfg, err := resolve(f, baseDir)
 	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Faults = faults
-	mkt, err := resolveMarket(f.Market, baseDir)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Market = mkt
-	if f.LatencyS < 0 {
-		return core.Config{}, fmt.Errorf("expconf: negative latency %v", f.LatencyS)
-	}
-	if f.LatencyS > 0 {
-		p := cloud.NewPlatform()
-		p.Latency = f.LatencyS
-		cfg.Platform = p
-	}
-
-	if f.Region != "" {
-		region, err := cloud.ParseRegion(f.Region)
-		if err != nil {
-			return core.Config{}, fmt.Errorf("expconf: %w", err)
-		}
-		cfg.Region = region
-	}
-	for _, name := range f.Scenarios {
-		sc, err := workload.ParseScenario(name)
-		if err != nil {
-			return core.Config{}, fmt.Errorf("expconf: %w", err)
-		}
-		cfg.Scenarios = append(cfg.Scenarios, sc)
-	}
-	for _, name := range f.Strategies {
-		alg, err := core.StrategyByName(name)
-		if err != nil {
-			return core.Config{}, fmt.Errorf("expconf: %w", err)
-		}
-		cfg.Strategies = append(cfg.Strategies, alg)
-	}
-	if len(f.Workflows) > 0 {
-		cfg.Workflows = map[string]*dag.Workflow{}
-		for _, spec := range f.Workflows {
-			if spec.Name == "" {
-				return core.Config{}, fmt.Errorf("expconf: workflow spec without name")
-			}
-			if _, dup := cfg.Workflows[spec.Name]; dup {
-				return core.Config{}, fmt.Errorf("expconf: duplicate workflow %q", spec.Name)
-			}
-			wf, err := buildWorkflow(spec, baseDir)
-			if err != nil {
-				return core.Config{}, err
-			}
-			cfg.Workflows[spec.Name] = wf
-			cfg.WorkflowOrder = append(cfg.WorkflowOrder, spec.Name)
-		}
-	}
-	if f.SLA != nil {
-		job, err := resolveSLA(f.SLA, f, cfg, baseDir)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.SLA = job
-	}
-	if f.Online != nil {
-		ocfg, err := resolveOnline(f.Online, f, cfg, baseDir)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Online = ocfg
+		return core.Config{}, fmt.Errorf("expconf: %w", err)
 	}
 	return cfg, nil
 }
 
-// buildWorkflow resolves one spec.
-func buildWorkflow(spec WorkflowSpec, baseDir string) (*dag.Workflow, error) {
-	switch {
-	case spec.File != "" && spec.Builder != "":
-		return nil, fmt.Errorf("expconf: workflow %q sets both file and builder", spec.Name)
-	case spec.File != "":
-		path := spec.File
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(baseDir, path)
+func resolve(f File, baseDir string) (core.Config, error) {
+	path := func(p string) string {
+		if p == "" || filepath.IsAbs(p) {
+			return p
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: workflow %q: %w", spec.Name, err)
-		}
-		defer f.Close()
-		if strings.HasSuffix(path, ".xml") || strings.HasSuffix(path, ".dax") {
-			return dax.Decode(f)
-		}
-		return wfio.Decode(f)
-	case spec.Builder != "":
-		return builtWorkflow(spec)
-	default:
-		// Display names and generator specs ("montage24") share the
-		// registry with the CLI and the service daemon.
-		wf, err := core.NamedWorkflow(spec.Name)
-		if err != nil {
-			return nil, fmt.Errorf("expconf: %w", err)
-		}
-		return wf, nil
+		return filepath.Join(baseDir, p)
 	}
-}
-
-func builtWorkflow(spec WorkflowSpec) (*dag.Workflow, error) {
-	n := spec.N
-	switch spec.Builder {
-	case "montage":
-		if n == 0 {
-			n = 6
+	cfg := core.Config{Seed: f.Seed, Paranoid: f.Paranoid, Workers: f.Workers}
+	if f.Fault != nil {
+		faults := *f.Fault
+		if err := faults.Validate(); err != nil {
+			return cfg, err
 		}
-		return workflows.Montage(n), nil
-	case "cstem":
-		return workflows.CSTEM(), nil
-	case "mapreduce":
-		m, r := spec.M, spec.R
-		if m == 0 {
-			m = 8
-		}
-		if r == 0 {
-			r = 4
-		}
-		return workflows.MapReduce(m, r), nil
-	case "sequential":
-		if n == 0 {
-			n = 10
-		}
-		return workflows.Sequential(n), nil
-	case "layered":
-		m := spec.M
-		if n == 0 {
-			n = 3
-		}
-		if m == 0 {
-			m = 4
-		}
-		return workflows.Layered(n, m), nil
-	case "epigenomics":
-		if n == 0 {
-			n = 4
-		}
-		return workflows.Epigenomics(n), nil
-	case "inspiral":
-		m := spec.M
-		if n == 0 {
-			n = 2
-		}
-		if m == 0 {
-			m = 3
-		}
-		return workflows.Inspiral(n, m), nil
-	case "cybershake":
-		if n == 0 {
-			n = 8
-		}
-		return workflows.CyberShake(n), nil
+		cfg.Faults = faults.Value()
 	}
-	return nil, fmt.Errorf("expconf: unknown builder %q", spec.Builder)
+	if f.Market != nil {
+		mkt := *f.Market
+		mkt.TraceFile = path(mkt.TraceFile)
+		if err := mkt.Validate(); err != nil {
+			return cfg, err
+		}
+		cfg.Market = mkt.Value()
+	}
+	if f.LatencyS < 0 {
+		return cfg, fmt.Errorf("negative latency %v", f.LatencyS)
+	}
+	if f.LatencyS > 0 {
+		cfg.Platform = cloud.NewPlatform()
+		cfg.Platform.Latency = f.LatencyS
+	}
+	region := spec.Region(f.Region)
+	if err := region.Validate(); err != nil {
+		return cfg, err
+	}
+	cfg.Region = region.Value()
+	for _, name := range f.Scenarios {
+		sc := spec.Scenario(name)
+		if err := sc.Validate(); err != nil {
+			return cfg, err
+		}
+		cfg.Scenarios = append(cfg.Scenarios, sc.Value())
+	}
+	for _, name := range f.Strategies {
+		st := spec.Strategy{Label: name}
+		if err := st.Validate(); err != nil {
+			return cfg, err
+		}
+		cfg.Strategies = append(cfg.Strategies, st.Value())
+	}
+	for _, w := range f.Workflows {
+		if w.Name == "" {
+			return cfg, fmt.Errorf("workflow spec without name")
+		}
+		if _, dup := cfg.Workflows[w.Name]; dup {
+			return cfg, fmt.Errorf("duplicate workflow %q", w.Name)
+		}
+		ws := spec.Workflow{File: path(w.File), Builder: w.Builder, N: w.N, M: w.M, R: w.R}
+		if w.File == "" && w.Builder == "" {
+			ws.Name = w.Name // display names and generator specs share the registry
+		}
+		if err := ws.Validate(); err != nil {
+			return cfg, fmt.Errorf("workflow %q: %w", w.Name, err)
+		}
+		if cfg.Workflows == nil {
+			cfg.Workflows = map[string]*dag.Workflow{}
+		}
+		cfg.Workflows[w.Name] = ws.Value()
+		cfg.WorkflowOrder = append(cfg.WorkflowOrder, w.Name)
+	}
+	if b := f.SLA; b != nil {
+		sp := spec.SLA{
+			Template:  spec.Template{Name: b.Template, File: path(b.TemplateFile)},
+			DeadlineS: b.DeadlineS, Confidence: b.Confidence, Samples: b.Samples,
+			Seed: cmp.Or(b.Seed, f.Seed), Region: region,
+			Strategies: b.Strategies, Markets: b.Markets, Debug: f.Paranoid,
+		}
+		if err := sp.Validate(); err != nil {
+			return cfg, fmt.Errorf("sla block: %w", err)
+		}
+		search := sp.Search()
+		search.Workers, search.Faults = f.Workers, cfg.Faults
+		search.Opts.Platform = cmp.Or(cfg.Platform, search.Opts.Platform)
+		cfg.SLA = &sla.Job{Template: sp.Template.Value(), Config: search}
+	}
+	if b := f.Online; b != nil {
+		sp := spec.Online{
+			Template:      spec.Template{Name: b.Template, File: path(b.TemplateFile)},
+			InterarrivalS: b.InterarrivalS, Instances: b.Instances, Instance: b.InstanceType,
+			Region: region, MinVMs: b.MinVMs, MaxVMs: b.MaxVMs, Scaler: b.Scaler,
+			Dispatch: b.Dispatch, DeadlineS: b.DeadlineS, Seed: cmp.Or(b.Seed, f.Seed),
+		}
+		for _, m := range b.Mix {
+			sp.Mix = append(sp.Mix, spec.MixEntry{
+				Template: spec.Template{Name: m.Template, File: path(m.TemplateFile)}, Weight: m.Weight})
+		}
+		if err := sp.Validate(); err != nil {
+			return cfg, fmt.Errorf("online block: %w", err)
+		}
+		ocfg := sp.Config()
+		ocfg.Platform, ocfg.Market, ocfg.Faults = cfg.Platform, cfg.Market, cfg.Faults
+		cfg.Online = &ocfg
+	}
+	return cfg, nil
 }

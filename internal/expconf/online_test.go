@@ -83,6 +83,10 @@ func TestLoadOnlineMixAndDefaults(t *testing.T) {
 	if o.MaxVMs != 32 || o.Type != cloud.Small || o.Seed != 4 {
 		t.Errorf("defaults: %+v", o)
 	}
+	// The scaler default is spelled out: online.Summary names it.
+	if o.Scaler == nil || o.Scaler.Name() != "reactive" || o.Dispatch != online.FIFO {
+		t.Errorf("policy defaults: %v/%v", o.Scaler, o.Dispatch)
+	}
 	if _, err := online.Run(*o); err != nil {
 		t.Error(err)
 	}

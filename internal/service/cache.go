@@ -3,6 +3,8 @@ package service
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/spec"
 )
 
 // cache is a sharded LRU over marshaled response bodies. Sharding keeps
@@ -19,11 +21,11 @@ type cacheShard struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recently used; values are *cacheEntry
-	byKey map[cacheKey]*list.Element
+	byKey map[spec.Key]*list.Element
 }
 
 type cacheEntry struct {
-	key  cacheKey
+	key  spec.Key
 	body []byte
 }
 
@@ -39,19 +41,19 @@ func newCache(capacity int) *cache {
 		c.shards[i] = cacheShard{
 			cap:   per,
 			order: list.New(),
-			byKey: map[cacheKey]*list.Element{},
+			byKey: map[spec.Key]*list.Element{},
 		}
 	}
 	return c
 }
 
-func (c *cache) shard(k cacheKey) *cacheShard {
+func (c *cache) shard(k spec.Key) *cacheShard {
 	return &c.shards[int(k[0])%cacheShards]
 }
 
 // Get returns the cached body for k, marking it most recently used. The
 // returned slice is shared — callers must not mutate it.
-func (c *cache) Get(k cacheKey) ([]byte, bool) {
+func (c *cache) Get(k spec.Key) ([]byte, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -65,7 +67,7 @@ func (c *cache) Get(k cacheKey) ([]byte, bool) {
 
 // Put stores body under k, evicting the least recently used entry of the
 // shard when it is full.
-func (c *cache) Put(k cacheKey, body []byte) {
+func (c *cache) Put(k spec.Key, body []byte) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/cloud"
-	"repro/internal/fault"
-	"repro/internal/workflows"
+	"repro/internal/spec"
 )
 
 // keyInShard fabricates a key routed to a specific shard.
-func keyInShard(shard int, tag byte) cacheKey {
-	var k cacheKey
+func keyInShard(shard int, tag byte) spec.Key {
+	var k spec.Key
 	k[0] = byte(shard)
 	k[1] = tag
 	return k
@@ -58,63 +56,5 @@ func TestCachePutOverwrites(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after overwrite, want 1", c.Len())
-	}
-}
-
-func TestProblemKeySensitivity(t *testing.T) {
-	wf := workflows.PaperMontage()
-	base := problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "none", 0, false)
-
-	same := problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "none", 0, false)
-	if base != same {
-		t.Fatal("identical problems hash differently")
-	}
-
-	variants := map[string]cacheKey{
-		"op":       problemKey("compare", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "none", 0, false),
-		"workflow": problemKey("schedule", workflows.CSTEM(), "Pareto", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "none", 0, false),
-		"scenario": problemKey("schedule", wf, "Best case", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "none", 0, false),
-		"strategy": problemKey("schedule", wf, "Pareto", "CPA-Eager", cloud.USEastVirginia, 42, false, 0, nil, "none", 0, false),
-		"region":   problemKey("schedule", wf, "Pareto", "GAIN", cloud.EUDublin, 42, false, 0, nil, "none", 0, false),
-		"seed":     problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 43, false, 0, nil, "none", 0, false),
-		"simulate": problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, true, 0, nil, "none", 0, false),
-		"boot":     problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, true, 30, nil, "none", 0, false),
-		"faults": problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, true, 0,
-			&fault.Config{CrashRate: 0.5, Recovery: fault.Retry, Seed: 1}, "none", 0, false),
-		"fault-rate": problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, true, 0,
-			&fault.Config{CrashRate: 0.6, Recovery: fault.Retry, Seed: 1}, "none", 0, false),
-		"fault-recovery": problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, true, 0,
-			&fault.Config{CrashRate: 0.5, Recovery: fault.Resubmit, Seed: 1}, "none", 0, false),
-		"fault-seed": problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, true, 0,
-			&fault.Config{CrashRate: 0.5, Recovery: fault.Retry, Seed: 2}, "none", 0, false),
-		"preempt-rate": problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, true, 0,
-			&fault.Config{CrashRate: 0.5, SpotPreemptRate: 0.7, Recovery: fault.Retry, Seed: 1}, "none", 0, false),
-		"market":      problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "spot", 1, false),
-		"market-kind": problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "spot-fallback", 1, false),
-		"market-seed": problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "spot", 2, false),
-		"debug":       problemKey("schedule", wf, "Pareto", "GAIN", cloud.USEastVirginia, 42, false, 0, nil, "none", 0, true),
-	}
-	seen := map[cacheKey]string{base: "base"}
-	for name, k := range variants {
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("variant %q collides with %q", name, prev)
-		}
-		seen[k] = name
-	}
-}
-
-// TestProblemKeyIgnoresNames pins the deliberate normalization: renaming
-// tasks does not change the planning problem.
-func TestProblemKeyIgnoresNames(t *testing.T) {
-	a := workflows.PaperMontage()
-	b := a.Clone()
-	if err := b.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	b.Name = "renamed"
-	ka := problemKey("schedule", a, "Pareto", "GAIN", cloud.USEastVirginia, 1, false, 0, nil, "none", 0, false)
-	kb := problemKey("schedule", b, "Pareto", "GAIN", cloud.USEastVirginia, 1, false, 0, nil, "none", 0, false)
-	if ka != kb {
-		t.Fatal("renaming the workflow changed the cache key")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/provision"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/validate"
 	"repro/internal/workload"
 )
@@ -68,7 +69,41 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// runCached is the shared serve path of the two planning endpoints:
+// problem is a request's validated, keyed spec.
+type problem interface {
+	Validate() error
+	Key() spec.Key
+}
+
+// planner builds a planning endpoint: POST only, a strict decode of the
+// body into a request R (400 on failure), its mapping onto a spec P,
+// validation (422 on failure), then runCached under the spec's key.
+func planner[R any, P problem](s *Server, endpoint string, toSpec func(*R) (P, error),
+	plan func(context.Context, P) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			s.writeError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		var req R
+		if !s.decodeBody(w, r, &req) {
+			return
+		}
+		p, err := toSpec(&req)
+		if err == nil {
+			err = p.Validate()
+		}
+		if err != nil {
+			s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
+			return
+		}
+		s.runCached(w, r, endpoint, p.Key(), func(ctx context.Context) (any, error) {
+			return plan(ctx, p)
+		})
+	}
+}
+
+// runCached is the shared serve path of the planning endpoints:
 // answer from the cache, or admit the planning job to the pool and cache
 // its marshaled result. The endpoint name labels the latency series; the
 // request ID rides into the pool job's start/end events. Each stage marks
@@ -76,7 +111,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 // admission and queue time, then plan covering the worker's planning run —
 // and a cache miss's latency observation carries the trace ID as an
 // exemplar, linking /metrics histogram buckets back to /debug/flight.
-func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint string, key cacheKey,
+func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint string, key spec.Key,
 	plan func(context.Context) (any, error)) {
 	rid := requestID(r.Context())
 	look, _ := obs.StartSpanCtx(r.Context(), "cache_lookup")
@@ -147,82 +182,34 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 	writeCached(w, body, false)
 }
 
-// handleSchedule serves POST /v1/schedule.
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req ScheduleRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	res, herr := resolveSchedule(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	var marketSeed uint64
-	if res.market != nil {
-		marketSeed = res.market.Seed
-	}
-	key := problemKey("schedule", res.structural, res.scenario.String(), res.alg.Name(),
-		res.region, res.seed, res.simulate, res.bootS, res.faults,
-		res.marketName, marketSeed, res.debug)
-	s.runCached(w, r, "schedule", key, func(ctx context.Context) (any, error) {
-		return s.planSchedule(ctx, res)
-	})
-}
-
-// handleCompare serves POST /v1/compare.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req CompareRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	res, herr := resolveCompare(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	key := problemKey("compare", res.structural, res.scenario.String(), "",
-		res.region, res.seed, false, 0, nil, "none", 0, false)
-	s.runCached(w, r, "compare", key, func(ctx context.Context) (any, error) {
-		return s.planCompare(ctx, res)
-	})
-}
-
 // planSchedule runs one strategy (plus the baseline) on one workflow.
-func (s *Server) planSchedule(ctx context.Context, res *resolved) (*ScheduleResponse, error) {
+func (s *Server) planSchedule(ctx context.Context, sp *spec.Schedule) (any, error) {
 	// Apply returns a frozen workflow: an immutable snapshot both the
 	// strategy and the baseline schedule from directly, no clones.
-	wf := res.scenario.Apply(res.structural, res.seed)
-	opts := sched.Options{Platform: cloud.NewPlatform(), Region: res.region, Market: res.market}
+	wf := sp.Scenario.Value().Apply(sp.Workflow.Value(), sp.Seed)
+	alg, wfName := sp.Strategy.Value(), sp.Workflow.Label()
+	opts := sched.Options{Platform: cloud.NewPlatform(), Region: sp.Region.Value(), Market: sp.Market.Value()}
 	span, ctx := obs.StartSpanCtx(ctx, "schedule")
-	span.SetAttr("strategy", res.alg.Name())
-	sch, err := res.alg.Schedule(wf, opts)
+	span.SetAttr("strategy", alg.Name())
+	sch, err := alg.Schedule(wf, opts)
 	if err != nil {
 		span.End()
-		return nil, fmt.Errorf("%s on %s: %w", res.alg.Name(), res.wfName, err)
+		return nil, fmt.Errorf("%s on %s: %w", alg.Name(), wfName, err)
 	}
 	base, err := sched.Baseline().Schedule(wf, opts)
 	span.End()
 	if err != nil {
-		return nil, fmt.Errorf("baseline on %s: %w", res.wfName, err)
+		return nil, fmt.Errorf("baseline on %s: %w", wfName, err)
 	}
-	point := metrics.Compare(res.alg.Name(), sch, base)
+	point := metrics.Compare(alg.Name(), sch, base)
 
 	out := &ScheduleResponse{
-		Workflow:         res.wfName,
+		Workflow:         wfName,
 		Tasks:            wf.Len(),
-		Scenario:         res.scenario.String(),
-		Strategy:         res.alg.Name(),
-		Region:           res.region.String(),
-		Seed:             res.seed,
+		Scenario:         string(sp.Scenario),
+		Strategy:         alg.Name(),
+		Region:           string(sp.Region),
+		Seed:             sp.Seed,
 		Makespan:         sch.Makespan(),
 		Cost:             sch.TotalCost(),
 		IdleTime:         sch.IdleTime(),
@@ -233,8 +220,8 @@ func (s *Server) planSchedule(ctx context.Context, res *resolved) (*ScheduleResp
 		BaselineMakespan: base.Makespan(),
 		BaselineCost:     base.TotalCost(),
 	}
-	if res.marketName != "none" {
-		out.Market = res.marketName
+	if sp.Market.Preset != "none" {
+		out.Market = sp.Market.Preset
 	}
 	for _, vm := range sch.VMs {
 		if len(vm.Slots) == 0 {
@@ -251,7 +238,7 @@ func (s *Server) planSchedule(ctx context.Context, res *resolved) (*ScheduleResp
 		}
 		out.VMs = append(out.VMs, vj)
 	}
-	if res.debug {
+	if sp.Debug {
 		osp, _ := obs.StartSpanCtx(ctx, "oracle")
 		out.Oracle = &OracleJSON{Passed: true}
 		if oerr := validate.PlanSim(sch); oerr != nil {
@@ -261,10 +248,10 @@ func (s *Server) planSchedule(ctx context.Context, res *resolved) (*ScheduleResp
 		osp.SetAttr("passed", fmt.Sprint(out.Oracle.Passed))
 		osp.End()
 	}
-	if res.simulate {
-		simRes, err := sim.Run(sch, sim.Config{BootTime: res.bootS, Faults: res.faults})
+	if sp.Simulate {
+		simRes, err := sim.Run(sch, sim.Config{BootTime: sp.BootS, Faults: sp.Faults.Value()})
 		if err != nil {
-			return nil, fmt.Errorf("simulating %s on %s: %w", res.alg.Name(), res.wfName, err)
+			return nil, fmt.Errorf("simulating %s on %s: %w", alg.Name(), wfName, err)
 		}
 		s.met.recordSim(simRes.Events, simRes.Transfers, simRes.VMCrashes,
 			simRes.TaskFailures, simRes.Retries, simRes.Resubmits)
@@ -272,11 +259,11 @@ func (s *Server) planSchedule(ctx context.Context, res *resolved) (*ScheduleResp
 			Makespan:   simRes.Makespan,
 			RentalCost: simRes.RentalCost,
 			IdleTime:   simRes.IdleTime,
-			BootS:      res.bootS,
+			BootS:      sp.BootS,
 			Events:     simRes.Events,
 			Transfers:  simRes.Transfers,
 		}
-		if res.faults.Active() {
+		if sp.Faults.Value().Active() {
 			rel := metrics.ReliabilityOf(sch, simRes)
 			out.Simulation.Reliability = &ReliabilityJSON{
 				Completed:         rel.Completed,
@@ -304,15 +291,16 @@ func (s *Server) planSchedule(ctx context.Context, res *resolved) (*ScheduleResp
 // request-level parallelism already comes from the service's pool, and
 // nesting a second fan-out per request would oversubscribe the host under
 // load.
-func (s *Server) planCompare(ctx context.Context, res *resolved) (*CompareResponse, error) {
+func (s *Server) planCompare(ctx context.Context, sp *spec.Compare) (any, error) {
 	span, ctx := obs.StartSpanCtx(ctx, "sweep")
 	defer span.End()
+	wfName, sc := sp.Workflow.Label(), sp.Scenario.Value()
 	cfg := core.Config{
-		Seed:          res.seed,
-		Region:        res.region,
-		Workflows:     map[string]*dag.Workflow{res.wfName: res.structural},
-		WorkflowOrder: []string{res.wfName},
-		Scenarios:     []workload.Scenario{res.scenario},
+		Seed:          sp.Seed,
+		Region:        sp.Region.Value(),
+		Workflows:     map[string]*dag.Workflow{wfName: sp.Workflow.Value()},
+		WorkflowOrder: []string{wfName},
+		Scenarios:     []workload.Scenario{sc},
 		Workers:       1,
 		Trace:         obs.TraceFrom(ctx),
 		TraceSpan:     span.ID(),
@@ -321,16 +309,16 @@ func (s *Server) planCompare(ctx context.Context, res *resolved) (*CompareRespon
 	if err != nil {
 		return nil, err
 	}
-	cells := sw.Points(res.wfName, res.scenario)
+	cells := sw.Points(wfName, sc)
 	if len(cells) == 0 {
-		return nil, fmt.Errorf("empty sweep for %s/%s", res.wfName, res.scenario)
+		return nil, fmt.Errorf("empty sweep for %s/%s", wfName, sc)
 	}
 	out := &CompareResponse{
-		Workflow:         res.wfName,
-		Tasks:            res.structural.Len(),
-		Scenario:         res.scenario.String(),
-		Region:           res.region.String(),
-		Seed:             res.seed,
+		Workflow:         wfName,
+		Tasks:            sp.Workflow.Value().Len(),
+		Scenario:         string(sp.Scenario),
+		Region:           string(sp.Region),
+		Seed:             sp.Seed,
 		BaselineMakespan: cells[0].BaselineMakespan,
 		BaselineCost:     cells[0].BaselineCost,
 	}

@@ -1,20 +1,14 @@
 package service
 
 import (
-	"bytes"
+	"cmp"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
-	"net/http"
-	"strings"
+	"fmt"
 
-	"repro/internal/cloud"
-	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/market"
-	"repro/internal/ndwf"
 	"repro/internal/obs"
 	"repro/internal/online"
+	"repro/internal/spec"
 )
 
 // maxOnlineInstances bounds a single request's stream length: the run is
@@ -113,220 +107,51 @@ type OnlineResponse struct {
 	ColdStartS   float64           `json:"cold_start_wait_s,omitempty"`
 }
 
-// resolvedOnline is a fully validated online run.
-type resolvedOnline struct {
-	cfg       online.Config
-	canonical []byte // canonical mix encoding for the cache key
-	marketKey string
-	scaler    string
-	dispatch  string
-}
-
-// onlineTemplate resolves one template source to (template, canonical
-// cache bytes).
-func onlineTemplate(raw json.RawMessage, name, what string) (ndwf.Template, []byte, *httpError) {
+// spec maps the request onto its problem, after the admission caps on
+// the stream length and the pool ceiling.
+func (r *OnlineRequest) spec() (*spec.Online, error) {
 	switch {
-	case len(raw) > 0 && name != "":
-		return ndwf.Template{}, nil, unprocessable("%s: set either template or template_name, not both", what)
-	case len(raw) > 0:
-		tpl, err := ndwf.DecodeJSON(bytes.NewReader(raw))
-		if err != nil {
-			return ndwf.Template{}, nil, unprocessable("%s: invalid template: %v", what, err)
-		}
-		if err := tpl.Validate(); err != nil {
-			return ndwf.Template{}, nil, unprocessable("%s: invalid template: %v", what, err)
-		}
-		var buf bytes.Buffer
-		if err := ndwf.EncodeJSON(&buf, tpl); err != nil {
-			return ndwf.Template{}, nil, unprocessable("%s: invalid template: %v", what, err)
-		}
-		return tpl, buf.Bytes(), nil
-	case name != "":
-		tpl, err := core.NamedTemplate(name)
-		if err != nil {
-			return ndwf.Template{}, nil, unprocessable("%v", err)
-		}
-		return tpl, []byte("name:" + tpl.Name), nil
+	case r.Instances > maxOnlineInstances:
+		return nil, fmt.Errorf("instances %d outside [1, %d]", r.Instances, maxOnlineInstances)
+	case r.MaxVMs > maxOnlinePool:
+		return nil, fmt.Errorf("pool ceiling %d above %d", r.MaxVMs, maxOnlinePool)
 	}
-	return ndwf.Template{}, nil, unprocessable("%s: missing template: set template or template_name", what)
-}
-
-// resolveOnline validates an online request end to end.
-func resolveOnline(req *OnlineRequest) (*resolvedOnline, *httpError) {
-	out := &resolvedOnline{}
-	var canonical bytes.Buffer
-
-	switch {
-	case len(req.Mix) > 0:
-		if len(req.Template) > 0 || req.TemplateName != "" {
-			return nil, unprocessable("set either a template or a mix, not both")
-		}
-		for i, m := range req.Mix {
-			tpl, canon, herr := onlineTemplate(m.Template, m.TemplateName, "mix entry")
-			if herr != nil {
-				return nil, herr
-			}
-			w := m.Weight
-			if w == 0 {
-				w = 1
-			}
-			if w < 0 {
-				return nil, unprocessable("mix entry %d: negative weight %v", i, w)
-			}
-			out.cfg.Mix = append(out.cfg.Mix, online.MixEntry{Template: tpl, Weight: w})
-			canonical.Write(canon)
-			json.NewEncoder(&canonical).Encode(w)
-		}
-	default:
-		tpl, canon, herr := onlineTemplate(req.Template, req.TemplateName, "online")
-		if herr != nil {
-			return nil, herr
-		}
-		out.cfg.Mix = []online.MixEntry{{Template: tpl, Weight: 1}}
-		canonical.Write(canon)
+	o := &spec.Online{
+		Template:      spec.Template{Name: r.TemplateName, Inline: r.Template},
+		InterarrivalS: r.InterarrivalS,
+		Instances:     cmp.Or(r.Instances, defaultOnlineInstances),
+		Instance:      r.Instance,
+		Region:        spec.Region(r.Region),
+		MinVMs:        r.MinVMs,
+		MaxVMs:        r.MaxVMs,
+		Scaler:        r.Scaler,
+		Dispatch:      r.Dispatch,
+		DeadlineS:     r.DeadlineS,
+		Market:        spec.Market{Preset: r.Market},
+		Faults:        spec.Faults{CrashRate: r.FaultRate, PreemptRate: r.PreemptRate, Seed: r.FaultSeed},
+		Seed:          r.Seed,
 	}
-	out.canonical = canonical.Bytes()
-
-	if req.InterarrivalS <= 0 {
-		return nil, unprocessable("interarrival_s must be positive, got %v", req.InterarrivalS)
+	for _, m := range r.Mix {
+		o.Mix = append(o.Mix, spec.MixEntry{Template: spec.Template{Name: m.TemplateName, Inline: m.Template}, Weight: m.Weight})
 	}
-	out.cfg.MeanInterarrival = req.InterarrivalS
-	out.cfg.Instances = req.Instances
-	if out.cfg.Instances == 0 {
-		out.cfg.Instances = defaultOnlineInstances
-	}
-	if out.cfg.Instances < 0 || out.cfg.Instances > maxOnlineInstances {
-		return nil, unprocessable("instances %d outside [1, %d]", req.Instances, maxOnlineInstances)
-	}
-	if req.DeadlineS < 0 {
-		return nil, unprocessable("deadline_s must be non-negative, got %v", req.DeadlineS)
-	}
-	out.cfg.Deadline = req.DeadlineS
-
-	typ := cloud.Small
-	if req.Instance != "" {
-		var err error
-		if typ, err = cloud.ParseInstanceType(req.Instance); err != nil {
-			return nil, unprocessable("%v", err)
-		}
-	}
-	out.cfg.Type = typ
-	region, herr := resolveRegion(req.Region)
-	if herr != nil {
-		return nil, herr
-	}
-	out.cfg.Region = region
-
-	out.cfg.MinVMs = req.MinVMs
-	out.cfg.MaxVMs = req.MaxVMs
-	if out.cfg.MaxVMs == 0 {
-		out.cfg.MaxVMs = 32
-	}
-	if out.cfg.MinVMs < 0 || out.cfg.MaxVMs < 0 || out.cfg.MaxVMs > maxOnlinePool ||
-		out.cfg.MinVMs > out.cfg.MaxVMs {
-		return nil, unprocessable("pool bounds [%d, %d] outside [0, %d]",
-			req.MinVMs, req.MaxVMs, maxOnlinePool)
-	}
-
-	if req.Scaler != "" {
-		scaler, err := online.ParseScaler(req.Scaler)
-		if err != nil {
-			return nil, unprocessable("%v", err)
-		}
-		out.cfg.Scaler = scaler
-	} else {
-		out.cfg.Scaler = online.Reactive{}
-	}
-	out.scaler = out.cfg.Scaler.Name()
-	dispatch, err := online.ParseDispatch(req.Dispatch)
-	if err != nil {
-		return nil, unprocessable("%v", err)
-	}
-	out.cfg.Dispatch = dispatch
-	out.dispatch = dispatch.String()
-
-	out.marketKey = "none"
-	if req.Market != "" {
-		out.marketKey = strings.ToLower(req.Market)
-		m, err := market.Preset(out.marketKey)
-		if err != nil {
-			return nil, unprocessable("%v", err)
-		}
-		out.cfg.Market = m
-	}
-
-	if req.FaultRate != 0 || req.PreemptRate != 0 {
-		cfg := fault.Config{
-			CrashRate:       req.FaultRate,
-			SpotPreemptRate: req.PreemptRate,
-			Seed:            req.FaultSeed,
-		}
-		if err := cfg.Fill().Validate(); err != nil {
-			return nil, unprocessable("%v", err)
-		}
-		out.cfg.Faults = &cfg
-	}
-	out.cfg.Seed = req.Seed
-	return out, nil
-}
-
-// onlineKey hashes one resolved online run into its cache address: the
-// canonical mix bytes plus every parameter the answer depends on.
-func onlineKey(res *resolvedOnline) cacheKey {
-	var h hasher
-	h.str("online")
-	h.u64(uint64(len(res.canonical)))
-	h.buf = append(h.buf, res.canonical...)
-	h.f64(res.cfg.MeanInterarrival)
-	h.u64(uint64(res.cfg.Instances))
-	h.str(res.cfg.Type.String())
-	h.str(res.cfg.Region.String())
-	h.u64(uint64(res.cfg.MinVMs))
-	h.u64(uint64(res.cfg.MaxVMs))
-	h.str(res.scaler)
-	h.str(res.dispatch)
-	h.f64(res.cfg.Deadline)
-	h.str(res.marketKey)
-	h.faults(res.cfg.Faults)
-	h.u64(res.cfg.Seed)
-	return sha256.Sum256(h.buf)
-}
-
-// handleOnline serves POST /v1/online.
-func (s *Server) handleOnline(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req OnlineRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	res, herr := resolveOnline(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	s.runCached(w, r, "online", onlineKey(res), func(ctx context.Context) (any, error) {
-		return s.planOnline(ctx, res)
-	})
+	return o, nil
 }
 
 // planOnline runs the autoscaling harness.
-func (s *Server) planOnline(ctx context.Context, res *resolvedOnline) (*OnlineResponse, error) {
+func (s *Server) planOnline(ctx context.Context, sp *spec.Online) (any, error) {
 	span, _ := obs.StartSpanCtx(ctx, "online_run")
 	defer span.End()
-	rr, err := online.Run(res.cfg)
+	rr, err := online.Run(sp.Config())
 	if err != nil {
 		return nil, err
 	}
 	out := &OnlineResponse{
 		Instances: rr.ResponseTimes.N,
-		Scaler:    res.scaler,
-		Dispatch:  res.dispatch,
-		Instance:  res.cfg.Type.String(),
-		Region:    res.cfg.Region.String(),
-		Seed:      res.cfg.Seed,
+		Scaler:    sp.Scaler,
+		Dispatch:  sp.Dispatch,
+		Instance:  sp.Instance,
+		Region:    string(sp.Region),
+		Seed:      sp.Seed,
 		Response: OnlineSummaryJSON{
 			MeanS:   rr.ResponseTimes.Mean,
 			P50S:    rr.ResponseTimes.Median,
@@ -335,7 +160,7 @@ func (s *Server) planOnline(ctx context.Context, res *resolvedOnline) (*OnlineRe
 			MaxS:    rr.ResponseTimes.Max,
 			StddevS: rr.ResponseTimes.Std,
 		},
-		DeadlineS:    res.cfg.Deadline,
+		DeadlineS:    sp.DeadlineS,
 		PeakVMs:      rr.PeakVMs,
 		VMsRented:    rr.VMsRented,
 		Utilization:  rr.Utilization(),
@@ -345,7 +170,7 @@ func (s *Server) planOnline(ctx context.Context, res *resolvedOnline) (*OnlineRe
 		Preemptions:  rr.Preemptions,
 		ColdStartS:   rr.ColdStartWaitS,
 	}
-	if res.cfg.Deadline > 0 {
+	if sp.DeadlineS > 0 {
 		out.SLAMet = rr.SLAMet
 		out.SLAFraction = float64(rr.SLAMet) / float64(rr.ResponseTimes.N)
 	}

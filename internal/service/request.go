@@ -1,19 +1,10 @@
 package service
 
 import (
-	"fmt"
-	"net/http"
-	"strings"
+	"cmp"
 
-	"repro/internal/cloud"
-	"repro/internal/core"
-	"repro/internal/dag"
-	"repro/internal/fault"
-	"repro/internal/market"
-	"repro/internal/provision"
-	"repro/internal/sched"
+	"repro/internal/spec"
 	"repro/internal/wfio"
-	"repro/internal/workload"
 )
 
 // ScheduleRequest is the body of POST /v1/schedule. Exactly one workflow
@@ -75,6 +66,24 @@ type ScheduleRequest struct {
 	Debug bool `json:"debug,omitempty"`
 }
 
+// spec maps the request onto its problem. An empty market is preset
+// "none", which takes no market_seed.
+func (r *ScheduleRequest) spec() (*spec.Schedule, error) {
+	return &spec.Schedule{
+		Workflow: spec.Workflow{Name: r.WorkflowName, Inline: r.Workflow},
+		Scenario: spec.Scenario(r.Scenario),
+		Strategy: spec.Strategy{Label: r.Strategy, Algorithm: r.Algorithm, Policy: r.Policy, Instance: r.Instance},
+		Region:   spec.Region(r.Region),
+		Seed:     r.Seed,
+		Simulate: r.Simulate,
+		BootS:    r.BootS,
+		Faults: spec.Faults{CrashRate: r.FaultRate, PreemptRate: r.PreemptRate, TaskFailProb: r.TaskFailProb,
+			Recovery: r.Recovery, MaxRetries: r.MaxRetries, Seed: r.FaultSeed},
+		Market: spec.Market{Preset: cmp.Or(r.Market, "none"), Seed: r.MarketSeed},
+		Debug:  r.Debug,
+	}, nil
+}
+
 // CompareRequest is the body of POST /v1/compare: one workflow, one
 // scenario, all 19 catalog strategies.
 type CompareRequest struct {
@@ -83,6 +92,16 @@ type CompareRequest struct {
 	Scenario     string     `json:"scenario,omitempty"`
 	Region       string     `json:"region,omitempty"`
 	Seed         uint64     `json:"seed,omitempty"`
+}
+
+// spec maps the request onto its problem.
+func (r *CompareRequest) spec() (*spec.Compare, error) {
+	return &spec.Compare{
+		Workflow: spec.Workflow{Name: r.WorkflowName, Inline: r.Workflow},
+		Scenario: spec.Scenario(r.Scenario),
+		Region:   spec.Region(r.Region),
+		Seed:     r.Seed,
+	}, nil
 }
 
 // SlotJSON is one task occupation in a VM timeline.
@@ -206,252 +225,4 @@ type CatalogResponse struct {
 	MarketPresets []string `json:"market_presets"`
 	Scalers       []string `json:"scalers"`
 	Dispatches    []string `json:"dispatches"`
-}
-
-// httpError carries the status code a resolution failure maps to.
-type httpError struct {
-	code int
-	msg  string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func unprocessable(format string, args ...any) *httpError {
-	return &httpError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf(format, args...)}
-}
-
-// resolved is a fully validated planning problem.
-type resolved struct {
-	wfName     string
-	structural *dag.Workflow
-	scenario   workload.Scenario
-	alg        sched.Algorithm // nil for compare
-	region     cloud.Region
-	seed       uint64
-	simulate   bool
-	bootS      float64
-	faults     *fault.Config // nil for a perfect-cloud replay
-	market     *market.Model // nil for the paper's economics
-	marketName string        // canonical preset name ("none" when market is nil)
-	debug      bool          // run the differential oracle on the schedule
-}
-
-// resolveWorkflow picks the workflow source.
-func resolveWorkflow(inline *wfio.File, name string) (string, *dag.Workflow, *httpError) {
-	switch {
-	case inline != nil && name != "":
-		return "", nil, unprocessable("set either workflow or workflow_name, not both")
-	case inline != nil:
-		wf, err := wfio.FromFile(*inline)
-		if err != nil {
-			return "", nil, unprocessable("invalid workflow: %v", err)
-		}
-		label := wf.Name
-		if label == "" {
-			label = "custom"
-		}
-		return label, wf, nil
-	case name != "":
-		wf, err := core.NamedWorkflow(name)
-		if err != nil {
-			return "", nil, unprocessable("%v", err)
-		}
-		return name, wf, nil
-	default:
-		return "", nil, unprocessable("missing workflow: set workflow or workflow_name")
-	}
-}
-
-func resolveScenario(s string) (workload.Scenario, *httpError) {
-	if s == "" {
-		return workload.Pareto, nil
-	}
-	sc, err := workload.ParseScenario(s)
-	if err != nil {
-		return 0, unprocessable("%v", err)
-	}
-	return sc, nil
-}
-
-func resolveRegion(s string) (cloud.Region, *httpError) {
-	if s == "" {
-		return cloud.USEastVirginia, nil
-	}
-	region, err := cloud.ParseRegion(s)
-	if err != nil {
-		return 0, unprocessable("%v", err)
-	}
-	return region, nil
-}
-
-// resolveStrategy maps the request's strategy selectors to one catalog or
-// composed algorithm.
-func resolveStrategy(req *ScheduleRequest) (sched.Algorithm, *httpError) {
-	composed := req.Algorithm != "" || req.Policy != "" || req.Instance != ""
-	switch {
-	case req.Strategy != "" && composed:
-		return nil, unprocessable("set either strategy or algorithm/policy/instance, not both")
-	case req.Strategy != "":
-		alg, err := core.StrategyByName(req.Strategy)
-		if err != nil {
-			return nil, unprocessable("%v", err)
-		}
-		return alg, nil
-	case composed:
-		if req.Algorithm == "" {
-			return nil, unprocessable("composed strategy needs an algorithm (HEFT or AllPar)")
-		}
-		kind := provision.OneVMperTask
-		if req.Policy != "" {
-			var err error
-			if kind, err = provision.ParseKind(req.Policy); err != nil {
-				return nil, unprocessable("%v", err)
-			}
-		}
-		typ := cloud.Small
-		if req.Instance != "" {
-			var err error
-			if typ, err = cloud.ParseInstanceType(req.Instance); err != nil {
-				return nil, unprocessable("%v", err)
-			}
-		}
-		switch {
-		case strings.EqualFold(req.Algorithm, "HEFT"):
-			// Table I pairing: HEFT goes with OneVMperTask/StartPar*;
-			// the AllPar policies belong to the level-based algorithm.
-			// (Allowing the mix would also alias another strategy's
-			// label, poisoning the result cache.)
-			if kind == provision.AllParExceed || kind == provision.AllParNotExceed {
-				return nil, unprocessable("HEFT pairs with OneVMperTask or StartPar[Not]Exceed, not %q", kind)
-			}
-			return sched.NewHEFT(kind, typ), nil
-		case strings.EqualFold(req.Algorithm, "AllPar"):
-			if kind != provision.AllParExceed && kind != provision.AllParNotExceed {
-				return nil, unprocessable("AllPar requires an AllPar[Not]Exceed policy, got %q", kind)
-			}
-			return sched.NewAllPar(kind, typ), nil
-		default:
-			return nil, unprocessable("unknown algorithm %q (valid: HEFT, AllPar)", req.Algorithm)
-		}
-	default:
-		return nil, unprocessable("missing strategy: set strategy or algorithm/policy/instance")
-	}
-}
-
-// resolveSchedule validates a schedule request end to end.
-func resolveSchedule(req *ScheduleRequest) (*resolved, *httpError) {
-	name, wf, herr := resolveWorkflow(req.Workflow, req.WorkflowName)
-	if herr != nil {
-		return nil, herr
-	}
-	sc, herr := resolveScenario(req.Scenario)
-	if herr != nil {
-		return nil, herr
-	}
-	alg, herr := resolveStrategy(req)
-	if herr != nil {
-		return nil, herr
-	}
-	region, herr := resolveRegion(req.Region)
-	if herr != nil {
-		return nil, herr
-	}
-	if req.BootS < 0 {
-		return nil, unprocessable("negative boot_s %v", req.BootS)
-	}
-	if req.BootS > 0 && !req.Simulate {
-		return nil, unprocessable("boot_s requires simulate: the planner ignores boot time")
-	}
-	faults, herr := resolveFaults(req)
-	if herr != nil {
-		return nil, herr
-	}
-	mkt, mktName, herr := resolveMarket(req)
-	if herr != nil {
-		return nil, herr
-	}
-	return &resolved{
-		wfName: name, structural: wf, scenario: sc, alg: alg,
-		region: region, seed: req.Seed, simulate: req.Simulate, bootS: req.BootS,
-		faults: faults, market: mkt, marketName: mktName, debug: req.Debug,
-	}, nil
-}
-
-// resolveMarket validates the request's market preset. The market prices
-// the plan itself (not just the replay), so it does not require simulate;
-// the canonical preset name — "none" for the default economics — feeds
-// the cache key, so "Spot" and "spot" address the same entry.
-func resolveMarket(req *ScheduleRequest) (*market.Model, string, *httpError) {
-	name := strings.ToLower(req.Market)
-	if name == "" {
-		name = "none"
-	}
-	m, err := market.Preset(name)
-	if err != nil {
-		return nil, "", unprocessable("%v", err)
-	}
-	if m == nil {
-		if req.MarketSeed != 0 {
-			return nil, "", unprocessable("market_seed requires a market preset")
-		}
-		return nil, name, nil
-	}
-	if req.MarketSeed != 0 {
-		mm := *m
-		mm.Seed = req.MarketSeed
-		m = &mm
-	}
-	return m, name, nil
-}
-
-// resolveFaults validates the request's fault options. Fault injection
-// only affects the simulated replay, so — like boot_s — it requires
-// simulate.
-func resolveFaults(req *ScheduleRequest) (*fault.Config, *httpError) {
-	set := req.FaultRate != 0 || req.TaskFailProb != 0 || req.Recovery != "" ||
-		req.MaxRetries != 0 || req.FaultSeed != 0 || req.PreemptRate != 0
-	if !set {
-		return nil, nil
-	}
-	if !req.Simulate {
-		return nil, unprocessable("fault options require simulate: the planner assumes a perfect cloud")
-	}
-	cfg := fault.Config{
-		CrashRate:       req.FaultRate,
-		SpotPreemptRate: req.PreemptRate,
-		TaskFailProb:    req.TaskFailProb,
-		MaxRetries:      req.MaxRetries,
-		Seed:            req.FaultSeed,
-	}
-	if req.Recovery != "" {
-		rec, err := fault.ParseRecovery(req.Recovery)
-		if err != nil {
-			return nil, unprocessable("%v", err)
-		}
-		cfg.Recovery = rec
-	}
-	if err := cfg.Fill().Validate(); err != nil {
-		return nil, unprocessable("%v", err)
-	}
-	if !cfg.Active() {
-		return nil, nil // recovery/retries/seed alone, with zero rates: a no-op
-	}
-	return &cfg, nil
-}
-
-// resolveCompare validates a compare request.
-func resolveCompare(req *CompareRequest) (*resolved, *httpError) {
-	name, wf, herr := resolveWorkflow(req.Workflow, req.WorkflowName)
-	if herr != nil {
-		return nil, herr
-	}
-	sc, herr := resolveScenario(req.Scenario)
-	if herr != nil {
-		return nil, herr
-	}
-	region, herr := resolveRegion(req.Region)
-	if herr != nil {
-		return nil, herr
-	}
-	return &resolved{wfName: name, structural: wf, scenario: sc, region: region, seed: req.Seed}, nil
 }

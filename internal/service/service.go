@@ -5,10 +5,10 @@
 //   - a fixed-size worker pool (default GOMAXPROCS) draining a bounded
 //     submission queue, with explicit admission control — a full queue
 //     answers 429 + Retry-After instead of accepting unbounded work;
-//   - a sharded LRU result cache keyed by a canonical SHA-256 of the
-//     planning problem (workflow structure, scenario, strategy, region,
-//     seed, simulation knobs), so identical submissions are answered
-//     without re-planning, byte-for-byte identically;
+//   - a sharded LRU result cache keyed by spec.Key, the SHA-256 of the
+//     request's validated internal/spec problem, so submissions that
+//     describe the same problem are answered without re-planning,
+//     byte-for-byte identically;
 //   - per-request timeouts and context cancellation;
 //   - operational introspection via internal/obs: GET /metrics serves the
 //     full labeled series set in Prometheus text format (request/cache/
@@ -120,10 +120,10 @@ func New(cfg Config) *Server {
 		logger: cfg.Logger,
 	}
 	s.met.registerRuntime(s)
-	s.mux.HandleFunc("/v1/schedule", s.handleSchedule)
-	s.mux.HandleFunc("/v1/compare", s.handleCompare)
-	s.mux.HandleFunc("/v1/sla", s.handleSLA)
-	s.mux.HandleFunc("/v1/online", s.handleOnline)
+	s.mux.HandleFunc("/v1/schedule", planner(s, "schedule", (*ScheduleRequest).spec, s.planSchedule))
+	s.mux.HandleFunc("/v1/compare", planner(s, "compare", (*CompareRequest).spec, s.planCompare))
+	s.mux.HandleFunc("/v1/sla", planner(s, "sla", (*SLARequest).spec, s.planSLA))
+	s.mux.HandleFunc("/v1/online", planner(s, "online", (*OnlineRequest).spec, s.planOnline))
 	s.mux.HandleFunc("/v1/catalog", s.handleCatalog)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)

@@ -202,6 +202,7 @@ func TestScheduleValidationErrors(t *testing.T) {
 	}{
 		{"bad json", `{"workflow_name":`, http.StatusBadRequest},
 		{"unknown field", `{"bogus_field":1}`, http.StatusBadRequest},
+		{"expconf-only fault field", `{"workflow_name":"Montage","strategy":"GAIN","simulate":true,"reboot_s":30}`, http.StatusBadRequest},
 		{"unknown strategy", `{"workflow_name":"Montage","strategy":"NoSuchStrategy"}`, http.StatusUnprocessableEntity},
 		{"unknown workflow", `{"workflow_name":"nosuch","strategy":"GAIN"}`, http.StatusUnprocessableEntity},
 		{"missing workflow", `{"strategy":"GAIN"}`, http.StatusUnprocessableEntity},

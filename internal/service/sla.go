@@ -1,32 +1,20 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
-	"net/http"
-	"strings"
+	"fmt"
 
-	"repro/internal/cloud"
-	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/frontier"
-	"repro/internal/market"
-	"repro/internal/ndwf"
 	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/sla"
+	"repro/internal/spec"
 )
 
 // maxSLASamples bounds the per-request sample budget: the search schedules
 // candidates × samples instances, and the service must not let one request
 // monopolize the pool.
 const maxSLASamples = 2000
-
-// defaultSLASamples is the sample budget when the request leaves it unset.
-const defaultSLASamples = 200
 
 // SLARequest is the body of POST /v1/sla: a deadline question over a
 // non-deterministic workflow template. Exactly one template source must be
@@ -163,214 +151,40 @@ type SLAExplainJSON struct {
 	Verdicts      []SLAVerdictJSON `json:"verdicts"`
 }
 
-// resolvedSLA is a fully validated SLA search problem.
-type resolvedSLA struct {
-	tplName   string
-	tpl       ndwf.Template
-	canonical []byte // canonical template encoding for the cache key
-	cfg       sla.SearchConfig
-	region    cloud.Region
-	samples   int
-	seed      uint64
-}
-
-// resolveSLA validates an SLA request end to end.
-func resolveSLA(req *SLARequest) (*resolvedSLA, *httpError) {
-	out := &resolvedSLA{}
-	switch {
-	case len(req.Template) > 0 && req.TemplateName != "":
-		return nil, unprocessable("set either template or template_name, not both")
-	case len(req.Template) > 0:
-		tpl, err := ndwf.DecodeJSON(bytes.NewReader(req.Template))
-		if err != nil {
-			return nil, unprocessable("invalid template: %v", err)
-		}
-		if err := tpl.Validate(); err != nil {
-			return nil, unprocessable("invalid template: %v", err)
-		}
-		out.tpl = tpl
-		out.tplName = tpl.Name
-		if out.tplName == "" {
-			out.tplName = "custom"
-		}
-		// Re-encode for the cache key: two bodies that decode to the same
-		// template (whitespace, field order) hash identically.
-		var buf bytes.Buffer
-		if err := ndwf.EncodeJSON(&buf, tpl); err != nil {
-			return nil, unprocessable("invalid template: %v", err)
-		}
-		out.canonical = buf.Bytes()
-	case req.TemplateName != "":
-		tpl, err := core.NamedTemplate(req.TemplateName)
-		if err != nil {
-			return nil, unprocessable("%v", err)
-		}
-		out.tpl = tpl
-		out.tplName = tpl.Name
-		out.canonical = []byte("name:" + tpl.Name)
-	default:
-		return nil, unprocessable("missing template: set template or template_name")
+// spec maps the request onto its problem, after the admission cap on
+// samples. Unlike /v1/schedule no simulate flag gates the fault fields:
+// the SLA question is inherently about observed outcomes.
+func (r *SLARequest) spec() (*spec.SLA, error) {
+	if r.Samples > maxSLASamples {
+		return nil, fmt.Errorf("samples %d outside [1, %d]", r.Samples, maxSLASamples)
 	}
-
-	if req.DeadlineS <= 0 {
-		return nil, unprocessable("deadline_s must be positive, got %v", req.DeadlineS)
-	}
-	confidence := req.Confidence
-	if confidence == 0 {
-		confidence = 0.95
-	}
-	if confidence < 0 || confidence >= 1 {
-		return nil, unprocessable("confidence %v outside (0, 1)", confidence)
-	}
-	samples := req.Samples
-	if samples == 0 {
-		samples = defaultSLASamples
-	}
-	if samples < 0 || samples > maxSLASamples {
-		return nil, unprocessable("samples %d outside [1, %d]", req.Samples, maxSLASamples)
-	}
-	region, herr := resolveRegion(req.Region)
-	if herr != nil {
-		return nil, herr
-	}
-
-	// Canonicalize the portfolio axes: strategy names through the
-	// case-insensitive registry, market presets lowercased and validated.
-	var strategies []string
-	for _, name := range req.Strategies {
-		alg, err := core.StrategyByName(name)
-		if err != nil {
-			return nil, unprocessable("%v", err)
-		}
-		strategies = append(strategies, alg.Name())
-	}
-	markets := []string{"none"}
-	if len(req.Markets) > 0 {
-		markets = markets[:0]
-		for _, name := range req.Markets {
-			lc := strings.ToLower(name)
-			if _, err := market.Preset(lc); err != nil {
-				return nil, unprocessable("%v", err)
-			}
-			markets = append(markets, lc)
-		}
-	}
-
-	faults, herr := resolveSLAFaults(req)
-	if herr != nil {
-		return nil, herr
-	}
-
-	out.region = region
-	out.samples = samples
-	out.seed = req.Seed
-	out.cfg = sla.SearchConfig{
-		Deadline: req.DeadlineS,
-		Target:   confidence,
-		Config: sla.Config{
-			Samples: samples,
-			Seed:    req.Seed,
-			// One worker: request-level parallelism already comes from the
-			// service pool (see planCompare), and the result is identical
-			// at any worker count anyway.
-			Workers:  1,
-			Faults:   faults,
-			Paranoid: req.Debug,
-		},
-		Candidates: frontier.Portfolio(strategies, markets),
-		Opts:       sched.Options{Platform: cloud.NewPlatform(), Region: region},
-	}
-	return out, nil
-}
-
-// resolveSLAFaults validates the SLA request's fault block. Unlike
-// /v1/schedule there is no simulate gate: SLA sampling replays schedules
-// whenever a fault model is active.
-func resolveSLAFaults(req *SLARequest) (*fault.Config, *httpError) {
-	set := req.FaultRate != 0 || req.TaskFailProb != 0 || req.Recovery != "" ||
-		req.MaxRetries != 0 || req.FaultSeed != 0 || req.PreemptRate != 0
-	if !set {
-		return nil, nil
-	}
-	cfg := fault.Config{
-		CrashRate:       req.FaultRate,
-		SpotPreemptRate: req.PreemptRate,
-		TaskFailProb:    req.TaskFailProb,
-		MaxRetries:      req.MaxRetries,
-		Seed:            req.FaultSeed,
-	}
-	if req.Recovery != "" {
-		rec, err := fault.ParseRecovery(req.Recovery)
-		if err != nil {
-			return nil, unprocessable("%v", err)
-		}
-		cfg.Recovery = rec
-	}
-	if err := cfg.Fill().Validate(); err != nil {
-		return nil, unprocessable("%v", err)
-	}
-	if !cfg.Active() {
-		return nil, nil
-	}
-	return &cfg, nil
-}
-
-// slaKey hashes one resolved SLA search into its cache address: the
-// canonical template bytes plus every parameter the answer depends on.
-func slaKey(res *resolvedSLA) cacheKey {
-	var h hasher
-	h.str("sla")
-	h.u64(uint64(len(res.canonical)))
-	h.buf = append(h.buf, res.canonical...)
-	h.f64(res.cfg.Deadline)
-	h.f64(res.cfg.Target)
-	h.u64(uint64(res.samples))
-	h.u64(res.seed)
-	h.str(res.region.String())
-	h.u64(uint64(len(res.cfg.Candidates)))
-	for _, c := range res.cfg.Candidates {
-		h.str(c.Strategy)
-		h.str(c.Market)
-	}
-	h.faults(res.cfg.Faults)
-	if res.cfg.Paranoid {
-		h.u64(1)
-	} else {
-		h.u64(0)
-	}
-	return sha256.Sum256(h.buf)
-}
-
-// handleSLA serves POST /v1/sla.
-func (s *Server) handleSLA(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req SLARequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	res, herr := resolveSLA(&req)
-	if herr != nil {
-		s.writeError(w, herr.code, "%s", herr.msg)
-		return
-	}
-	s.runCached(w, r, "sla", slaKey(res), func(ctx context.Context) (any, error) {
-		return s.planSLA(ctx, res)
-	})
+	return &spec.SLA{
+		Template:   spec.Template{Name: r.TemplateName, Inline: r.Template},
+		DeadlineS:  r.DeadlineS,
+		Confidence: r.Confidence,
+		Samples:    r.Samples,
+		Seed:       r.Seed,
+		Region:     spec.Region(r.Region),
+		Strategies: r.Strategies,
+		Markets:    r.Markets,
+		Faults: spec.Faults{CrashRate: r.FaultRate, PreemptRate: r.PreemptRate, TaskFailProb: r.TaskFailProb,
+			Recovery: r.Recovery, MaxRetries: r.MaxRetries, Seed: r.FaultSeed},
+		Debug: r.Debug,
+	}, nil
 }
 
 // planSLA runs the deadline-constrained portfolio search.
-func (s *Server) planSLA(ctx context.Context, res *resolvedSLA) (*SLAResponse, error) {
+func (s *Server) planSLA(ctx context.Context, sp *spec.SLA) (any, error) {
 	span, ctx := obs.StartSpanCtx(ctx, "sla_search")
 	defer span.End()
-	// Copy the resolved config before attaching the request trace: the
-	// resolved problem is request state, the trace is this execution's.
-	cfg := res.cfg
+	// One worker: request-level parallelism already comes from the
+	// service pool (see planCompare), and the answer is identical at any
+	// worker count anyway.
+	cfg := sp.Search()
+	cfg.Workers = 1
 	cfg.Trace = obs.TraceFrom(ctx)
 	cfg.TraceParent = span.ID()
-	sr, err := sla.Search(res.tpl, cfg)
+	sr, err := sla.Search(sp.Template.Value(), cfg)
 	met := err == nil
 	if err != nil && !errors.Is(err, sla.ErrNoStrategyMeets) {
 		return nil, err
@@ -378,12 +192,12 @@ func (s *Server) planSLA(ctx context.Context, res *resolvedSLA) (*SLAResponse, e
 	s.met.recordSLA(met, &sr)
 
 	out := &SLAResponse{
-		Template:         res.tplName,
+		Template:         sp.Template.Label(),
 		DeadlineS:        sr.Deadline,
 		Confidence:       sr.Target,
-		Samples:          res.samples,
-		Seed:             res.seed,
-		Region:           res.region.String(),
+		Samples:          sp.Samples,
+		Seed:             sp.Seed,
+		Region:           string(sp.Region),
 		CILevel:          0.95,
 		Met:              met,
 		Candidates:       make([]SLACandidateJSON, 0, len(sr.Results)),

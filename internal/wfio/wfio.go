@@ -41,6 +41,15 @@ type EdgeJSON struct {
 
 // Encode writes the workflow as indented JSON.
 func Encode(w io.Writer, wf *dag.Workflow) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(ToFile(wf))
+}
+
+// ToFile is the inverse of FromFile: the document of a workflow, tasks in
+// TaskID order and edges in the workflow's canonical order, so two
+// documents describing one workflow map to the same File.
+func ToFile(wf *dag.Workflow) File {
 	f := File{Name: wf.Name}
 	for _, t := range wf.Tasks() {
 		f.Tasks = append(f.Tasks, TaskJSON{Name: t.Name, Work: t.Work})
@@ -48,9 +57,7 @@ func Encode(w io.Writer, wf *dag.Workflow) error {
 	for _, e := range wf.Edges() {
 		f.Edges = append(f.Edges, EdgeJSON{From: int(e.From), To: int(e.To), Data: e.Data})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
+	return f
 }
 
 // Decode reads a workflow from JSON and validates it (non-empty, acyclic,
