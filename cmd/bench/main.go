@@ -1,6 +1,6 @@
 // Command bench converts `go test -bench` output into the repository's
-// BENCH_sweep.json performance artifact and gates throughput regressions
-// against a committed baseline.
+// BENCH_sweep.json performance artifact and gates regressions against a
+// committed baseline.
 //
 // It reads standard `go test -bench -benchmem` text on stdin, e.g.
 //
@@ -11,9 +11,10 @@
 // grid is 228 cells: 4 workflows x 3 scenarios x 19 strategies).
 //
 // With -against it additionally loads a previously committed artifact and
-// exits nonzero when the full sweep's throughput (cells/s) or the
-// single-cell SimReplay latency (ns/op) regressed by more than -regress
-// (default 20%) — the CI gate of scripts/bench.sh.
+// exits nonzero when any row of the gate table regressed by more than
+// its tolerance: a row names a benchmark, one of its metrics, the
+// direction in which that metric improves, and the fraction it may
+// worsen by — the CI gate of scripts/bench.sh.
 //
 // With -emit it renders a stored artifact back into `go test -bench` text
 // so benchstat can diff a committed baseline against a fresh run without
@@ -29,6 +30,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,19 +41,39 @@ import (
 	"strings"
 )
 
-// sweepBench is the end-to-end benchmark whose throughput the regression
-// gate watches; sweepCells is its grid size. replayBench is the
-// single-cell simulator replay additionally gated on ns/op — the sweep
-// headline can mask a replay regression hidden behind scheduler wins.
+// sweepBench is the end-to-end sweep benchmark and sweepCells its grid
+// size; onlineBench is the continuous-traffic soak and
+// onlineBenchInstances mirrors onlineSoakInstances in bench_test.go. Both
+// derive a throughput the gate watches.
 const (
-	sweepBench  = "FullParanoidSweep"
-	sweepCells  = 228
-	replayBench = "SimReplay"
-	// onlineBench is the continuous-traffic soak, gated on instances/s;
-	// onlineBenchInstances mirrors onlineSoakInstances in bench_test.go.
+	sweepBench           = "FullParanoidSweep"
+	sweepCells           = 228
 	onlineBench          = "OnlineSoak"
 	onlineBenchInstances = 10_000
 )
+
+// gateRow is one row of the regression gate: a benchmark's metric, the
+// direction in which it improves, and the fractional regression the gate
+// tolerates against the baseline.
+type gateRow struct {
+	bench, metric string
+	higher        bool
+	tol           float64
+}
+
+// gates is the gate table. The sweep headline can mask a replay
+// regression hidden behind scheduler wins, so the single-cell SimReplay
+// latency has its own row; the service rows watch the /v1/schedule cache
+// hit, whose cost must stay far below the planning it saves, and the
+// cold request. Hosted runners are noisy, hence the wide tolerances.
+var gates = []gateRow{
+	{sweepBench, "cells/s", true, 0.20},
+	{"SimReplay", "ns/op", false, 0.20},
+	{onlineBench, "instances/s", true, 0.20},
+	{"ServiceScheduleCached", "ns/op", false, 0.20},
+	{"ServiceScheduleCached", "allocs/op", false, 0.20},
+	{"ServiceScheduleCold", "ns/op", false, 0.20},
+}
 
 // Bench is one measured benchmark.
 type Bench struct {
@@ -65,6 +87,22 @@ type Bench struct {
 	// InstancesPerSec is only set for the online soak benchmark: workflow
 	// instances streamed through the autoscaling harness per second.
 	InstancesPerSec float64 `json:"instances_per_sec,omitempty"`
+}
+
+// value returns the named metric of the benchmark; 0 when it was not
+// measured.
+func (b Bench) value(metric string) float64 {
+	switch metric {
+	case "ns/op":
+		return b.NsPerOp
+	case "allocs/op":
+		return b.AllocsPerOp
+	case "cells/s":
+		return b.CellsPerSec
+	case "instances/s":
+		return b.InstancesPerSec
+	}
+	return 0
 }
 
 // Artifact is the BENCH_sweep.json schema.
@@ -120,8 +158,7 @@ func parse(lines *bufio.Scanner) (map[string]Bench, error) {
 func main() {
 	var (
 		out     = flag.String("out", "", "write the JSON artifact to this path ('-' for stdout)")
-		against = flag.String("against", "", "baseline artifact to gate the full-sweep throughput against")
-		regress = flag.Float64("regress", 0.20, "tolerated fractional throughput regression vs the baseline")
+		against = flag.String("against", "", "baseline artifact to gate the run against")
 		emit    = flag.String("emit", "", "render this stored artifact as `go test -bench` text and exit")
 	)
 	flag.Parse()
@@ -163,16 +200,17 @@ func main() {
 	}
 
 	if *against != "" {
-		if err := gate(art, *against, *regress); err != nil {
+		if err := gate(art, *against); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// gate compares the run's full-sweep throughput — and, when the baseline
-// records it, the single-cell SimReplay latency — against the baseline
-// artifact and errors on a regression beyond the tolerance.
-func gate(art Artifact, path string, tol float64) error {
+// gate checks the run against the baseline artifact, row by row of the
+// gate table, and errors on every regression beyond a row's tolerance. A
+// row whose metric the baseline does not record is skipped, so an older
+// baseline gates what it can; one that records none of them is an error.
+func gate(art Artifact, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -181,56 +219,34 @@ func gate(art Artifact, path string, tol float64) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("bench: parsing baseline %s: %w", path, err)
 	}
-	want, ok := base.Benchmarks[sweepBench]
-	if !ok || want.CellsPerSec <= 0 {
-		return fmt.Errorf("bench: baseline %s has no %s cells/s", path, sweepBench)
+	var errs []error
+	checked := 0
+	for _, g := range gates {
+		want := base.Benchmarks[g.bench].value(g.metric)
+		if want <= 0 {
+			continue
+		}
+		checked++
+		got := art.Benchmarks[g.bench].value(g.metric)
+		if got <= 0 {
+			errs = append(errs, fmt.Errorf("bench: this run has no %s %s to compare", g.bench, g.metric))
+			continue
+		}
+		limit, bound := want*(1+g.tol), "ceiling"
+		if g.higher {
+			limit, bound = want*(1-g.tol), "floor"
+		}
+		fmt.Fprintf(os.Stderr, "bench: %s %.0f %s vs baseline %.0f (%s %.0f)\n",
+			g.bench, got, g.metric, want, bound, limit)
+		if g.higher && got < limit || !g.higher && got > limit {
+			errs = append(errs, fmt.Errorf("bench: %s regressed: %.0f %s past its %s %.0f (baseline %.0f, tolerance %.0f%%)",
+				g.bench, got, g.metric, bound, limit, want, g.tol*100))
+		}
 	}
-	got, ok := art.Benchmarks[sweepBench]
-	if !ok || got.CellsPerSec <= 0 {
-		return fmt.Errorf("bench: this run has no %s cells/s to compare", sweepBench)
+	if checked == 0 {
+		return fmt.Errorf("bench: baseline %s records none of the gated metrics", path)
 	}
-	floor := want.CellsPerSec * (1 - tol)
-	fmt.Fprintf(os.Stderr, "bench: %s %.0f cells/s vs baseline %.0f (floor %.0f)\n",
-		sweepBench, got.CellsPerSec, want.CellsPerSec, floor)
-	if got.CellsPerSec < floor {
-		return fmt.Errorf("bench: %s regressed: %.0f cells/s < %.0f (baseline %.0f - %.0f%%)",
-			sweepBench, got.CellsPerSec, floor, want.CellsPerSec, tol*100)
-	}
-	// SimReplay gates on ns/op (lower is better); an older baseline
-	// without the benchmark skips the check rather than failing it.
-	rwant, ok := base.Benchmarks[replayBench]
-	if !ok || rwant.NsPerOp <= 0 {
-		return nil
-	}
-	rgot, ok := art.Benchmarks[replayBench]
-	if !ok || rgot.NsPerOp <= 0 {
-		return fmt.Errorf("bench: this run has no %s ns/op to compare", replayBench)
-	}
-	ceiling := rwant.NsPerOp * (1 + tol)
-	fmt.Fprintf(os.Stderr, "bench: %s %.0f ns/op vs baseline %.0f (ceiling %.0f)\n",
-		replayBench, rgot.NsPerOp, rwant.NsPerOp, ceiling)
-	if rgot.NsPerOp > ceiling {
-		return fmt.Errorf("bench: %s regressed: %.0f ns/op > %.0f (baseline %.0f + %.0f%%)",
-			replayBench, rgot.NsPerOp, ceiling, rwant.NsPerOp, tol*100)
-	}
-	// OnlineSoak gates on instances/s; an older baseline without the
-	// benchmark skips the check rather than failing it.
-	owant, ok := base.Benchmarks[onlineBench]
-	if !ok || owant.InstancesPerSec <= 0 {
-		return nil
-	}
-	ogot, ok := art.Benchmarks[onlineBench]
-	if !ok || ogot.InstancesPerSec <= 0 {
-		return fmt.Errorf("bench: this run has no %s instances/s to compare", onlineBench)
-	}
-	ofloor := owant.InstancesPerSec * (1 - tol)
-	fmt.Fprintf(os.Stderr, "bench: %s %.0f instances/s vs baseline %.0f (floor %.0f)\n",
-		onlineBench, ogot.InstancesPerSec, owant.InstancesPerSec, ofloor)
-	if ogot.InstancesPerSec < ofloor {
-		return fmt.Errorf("bench: %s regressed: %.0f instances/s < %.0f (baseline %.0f - %.0f%%)",
-			onlineBench, ogot.InstancesPerSec, ofloor, owant.InstancesPerSec, tol*100)
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // emitBenchText renders a stored artifact back into `go test -bench

@@ -15,6 +15,8 @@ BenchmarkFullParanoidSweep-8   	     300	   7600000 ns/op	 1621560 B/op	    9496
 BenchmarkSimReplay-8           	   17000	    150000 ns/op	    3792 B/op	       3 allocs/op
 BenchmarkOnlineSoak-8          	      15	 200000000 ns/op	63958447 B/op	  854785 allocs/op
 BenchmarkHEFTRanks             	 9000000	       280.0 ns/op	     192 B/op	       1 allocs/op
+BenchmarkServiceScheduleCached-8	   30000	     40000 ns/op	   24000 B/op	      80 allocs/op
+BenchmarkServiceScheduleCold-8  	    2400	    500000 ns/op	  190000 B/op	    1100 allocs/op
 PASS
 `
 
@@ -29,7 +31,7 @@ func parsed(t *testing.T, text string) map[string]Bench {
 
 func TestParseDerivesThroughputs(t *testing.T) {
 	out := parsed(t, benchText)
-	if len(out) != 4 {
+	if len(out) != 6 {
 		t.Fatalf("parsed %d benchmarks: %v", len(out), out)
 	}
 	sweep := out[sweepBench]
@@ -79,7 +81,7 @@ func artifactFrom(t *testing.T, text string) Artifact {
 func TestGateAllClausesPassAtBaseline(t *testing.T) {
 	art := artifactFrom(t, benchText)
 	path := writeBaseline(t, art)
-	if err := gate(art, path, 0.20); err != nil {
+	if err := gate(art, path); err != nil {
 		t.Errorf("identical run failed the gate: %v", err)
 	}
 }
@@ -87,40 +89,60 @@ func TestGateAllClausesPassAtBaseline(t *testing.T) {
 func TestGateFailsEachRegression(t *testing.T) {
 	base := artifactFrom(t, benchText)
 	path := writeBaseline(t, base)
-	cases := []struct {
-		name string
-		mut  func(*Bench)
-		pick string
-		want string
-	}{
-		{"sweep throughput", func(b *Bench) { b.CellsPerSec *= 0.5 }, sweepBench, "cells/s"},
-		{"replay latency", func(b *Bench) { b.NsPerOp *= 2 }, replayBench, "ns/op"},
-		{"soak throughput", func(b *Bench) { b.InstancesPerSec *= 0.5 }, onlineBench, "instances/s"},
-	}
-	for _, tc := range cases {
-		run := artifactFrom(t, benchText)
-		b := run.Benchmarks[tc.pick]
-		tc.mut(&b)
-		run.Benchmarks[tc.pick] = b
-		err := gate(run, path, 0.20)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: gate error = %v, want mention of %s", tc.name, err, tc.want)
+	for _, g := range gates {
+		for _, worse := range []float64{1 + 2*g.tol, 1 - 2*g.tol} {
+			if (worse < 1) != g.higher {
+				continue
+			}
+			run := artifactFrom(t, benchText)
+			b := run.Benchmarks[g.bench]
+			scale(&b, g.metric, worse)
+			run.Benchmarks[g.bench] = b
+			err := gate(run, path)
+			if err == nil || !strings.Contains(err.Error(), g.bench+" regressed") || !strings.Contains(err.Error(), g.metric) {
+				t.Errorf("%s %s scaled by %v: gate error = %v", g.bench, g.metric, worse, err)
+			}
+			// Within the tolerance, in the same direction, passes.
+			run = artifactFrom(t, benchText)
+			b = run.Benchmarks[g.bench]
+			scale(&b, g.metric, 1+(worse-1)/4)
+			run.Benchmarks[g.bench] = b
+			if err := gate(run, path); err != nil {
+				t.Errorf("%s %s within tolerance: %v", g.bench, g.metric, err)
+			}
 		}
 	}
 }
 
+// scale multiplies one metric of a benchmark.
+func scale(b *Bench, metric string, f float64) {
+	switch metric {
+	case "ns/op":
+		b.NsPerOp *= f
+	case "allocs/op":
+		b.AllocsPerOp *= f
+	case "cells/s":
+		b.CellsPerSec *= f
+	case "instances/s":
+		b.InstancesPerSec *= f
+	}
+}
+
 func TestGateSkipsMetricsAbsentFromBaseline(t *testing.T) {
-	// An older baseline without SimReplay/OnlineSoak only gates the sweep.
+	// An older baseline without SimReplay/OnlineSoak skips their rows.
 	base := artifactFrom(t, benchText)
-	delete(base.Benchmarks, replayBench)
+	delete(base.Benchmarks, "SimReplay")
 	delete(base.Benchmarks, onlineBench)
 	path := writeBaseline(t, base)
 	run := artifactFrom(t, benchText)
 	b := run.Benchmarks[onlineBench]
 	b.InstancesPerSec = 1 // would fail hard if the clause ran
 	run.Benchmarks[onlineBench] = b
-	if err := gate(run, path, 0.20); err != nil {
+	if err := gate(run, path); err != nil {
 		t.Errorf("gate ran a clause the baseline cannot support: %v", err)
+	}
+	if err := gate(run, writeBaseline(t, Artifact{})); err == nil {
+		t.Error("a baseline recording none of the gated metrics passed")
 	}
 }
 
@@ -129,13 +151,13 @@ func TestGateRejectsRunsMissingGatedMetrics(t *testing.T) {
 	path := writeBaseline(t, base)
 	run := artifactFrom(t, benchText)
 	delete(run.Benchmarks, onlineBench)
-	if err := gate(run, path, 0.20); err == nil {
+	if err := gate(run, path); err == nil {
 		t.Error("run without the soak passed a gating baseline")
 	}
-	if err := gate(Artifact{}, path, 0.20); err == nil {
+	if err := gate(Artifact{}, path); err == nil {
 		t.Error("empty run passed the gate")
 	}
-	if err := gate(base, filepath.Join(t.TempDir(), "missing.json"), 0.20); err == nil {
+	if err := gate(base, filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing baseline file accepted")
 	}
 }

@@ -93,23 +93,31 @@ func GeneratorSpecs() []string {
 // generator's nominal work values until a workload scenario re-weights
 // them.
 func NamedWorkflow(name string) (*dag.Workflow, error) {
+	build, err := ParseWorkflowName(name)
+	if err != nil {
+		return nil, err
+	}
+	return build(), nil
+}
+
+// ParseWorkflowName checks a workflow name against the grammar
+// NamedWorkflow accepts and returns the constructor of the workflow it
+// names, building nothing: a name it accepts builds without error.
+func ParseWorkflowName(name string) (func() *dag.Workflow, error) {
 	if name == "" {
 		return nil, fmt.Errorf("core: empty workflow name")
 	}
-	for dn, wf := range workflows.Extended() {
-		if strings.EqualFold(dn, name) {
-			return wf, nil
-		}
+	if build, ok := workflows.Lookup(name); ok {
+		return build, nil
 	}
 	if strings.EqualFold(name, "Fig1") {
-		return workflows.Fig1SubWorkflow(), nil
+		return workflows.Fig1SubWorkflow, nil
 	}
-
 	base, a, b, err := splitGenerator(strings.ToLower(name))
 	if err != nil {
 		return nil, err
 	}
-	return GenerateWorkflow(base, a, b)
+	return generator(base, a, b)
 }
 
 // GenerateWorkflow builds a parametric generator's workflow: base is a
@@ -117,6 +125,16 @@ func NamedWorkflow(name string) (*dag.Workflow, error) {
 // its size parameters in the order the grammar spells them ("mapreduce"
 // takes mappers then reducers). Zero sizes select the paper's defaults.
 func GenerateWorkflow(base string, a, b int) (*dag.Workflow, error) {
+	build, err := generator(base, a, b)
+	if err != nil {
+		return nil, err
+	}
+	return build(), nil
+}
+
+// generator checks a generator name and its sizes, as GenerateWorkflow
+// takes them, and returns the workflow's constructor.
+func generator(base string, a, b int) (func() *dag.Workflow, error) {
 	pick := func(v, def int) int {
 		if v > 0 {
 			return v
@@ -125,24 +143,34 @@ func GenerateWorkflow(base string, a, b int) (*dag.Workflow, error) {
 	}
 	switch strings.ToLower(base) {
 	case "montage":
-		return workflows.Montage(pick(a, 6)), nil
+		n := pick(a, 6)
+		if n < 2 {
+			return nil, fmt.Errorf("core: workflow %q: montage needs at least 2 images, got %d", base, n)
+		}
+		return func() *dag.Workflow { return workflows.Montage(n) }, nil
 	case "cstem":
 		if a > 0 || b > 0 {
 			return nil, fmt.Errorf("core: workflow %q: cstem takes no size parameter", base)
 		}
-		return workflows.CSTEM(), nil
+		return workflows.CSTEM, nil
 	case "mapreduce":
-		return workflows.MapReduce(pick(a, 8), pick(b, 4)), nil
+		m, r := pick(a, 8), pick(b, 4)
+		return func() *dag.Workflow { return workflows.MapReduce(m, r) }, nil
 	case "sequential":
-		return workflows.Sequential(pick(a, 10)), nil
+		n := pick(a, 10)
+		return func() *dag.Workflow { return workflows.Sequential(n) }, nil
 	case "layered":
-		return workflows.Layered(pick(a, 3), pick(b, 4)), nil
+		d, w := pick(a, 3), pick(b, 4)
+		return func() *dag.Workflow { return workflows.Layered(d, w) }, nil
 	case "epigenomics":
-		return workflows.Epigenomics(pick(a, 4)), nil
+		n := pick(a, 4)
+		return func() *dag.Workflow { return workflows.Epigenomics(n) }, nil
 	case "inspiral":
-		return workflows.Inspiral(pick(a, 2), pick(b, 3)), nil
+		g, w := pick(a, 2), pick(b, 3)
+		return func() *dag.Workflow { return workflows.Inspiral(g, w) }, nil
 	case "cybershake":
-		return workflows.CyberShake(pick(a, 8)), nil
+		n := pick(a, 8)
+		return func() *dag.Workflow { return workflows.CyberShake(n) }, nil
 	}
 	valid := append(WorkflowNames(), GeneratorSpecs()...)
 	sort.Strings(valid)
@@ -177,21 +205,13 @@ func splitGenerator(s string) (base string, a, b int, err error) {
 	if suffix == "" {
 		return base, 0, 0, nil
 	}
-	parts := strings.Split(suffix, "x")
-	if len(parts) > 2 {
+	first, second, two := strings.Cut(suffix, "x")
+	a, aerr := strconv.Atoi(first)
+	if two {
+		b, err = strconv.Atoi(second)
+	}
+	if aerr != nil || err != nil || a <= 0 || two && b <= 0 {
 		return "", 0, 0, fmt.Errorf("core: workflow %q: bad size suffix %q", s, suffix)
-	}
-	nums := make([]int, len(parts))
-	for j, p := range parts {
-		n, perr := strconv.Atoi(p)
-		if perr != nil || n <= 0 {
-			return "", 0, 0, fmt.Errorf("core: workflow %q: bad size suffix %q", s, suffix)
-		}
-		nums[j] = n
-	}
-	a = nums[0]
-	if len(nums) == 2 {
-		b = nums[1]
 	}
 	return base, a, b, nil
 }

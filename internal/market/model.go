@@ -3,7 +3,6 @@ package market
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -192,41 +191,64 @@ var (
 	defaultModel *Model
 )
 
+// presets are the named market scenarios in alphabetical order, each with
+// the constructor of its model. Presets, PresetNames and Preset read it.
+var presets = [...]struct {
+	name  string
+	build func() *Model
+}{
+	{"none", func() *Model { return nil }},
+	{"ondemand-min", func() *Model {
+		return &Model{Gran: PerMinute, Cold: ColdStart{Dist: "uniform", Min: 30, Max: 90}, Seed: 1}
+	}},
+	{"ondemand-sec", func() *Model {
+		return &Model{Gran: PerSecond, Cold: ColdStart{Dist: "fixed", Mean: 45}, Seed: 1}
+	}},
+	{"spot", func() *Model {
+		return &Model{Market: Spot, SpotDiscount: DefaultSpotDiscount,
+			Trace: Synthetic(1, 48, 900, 0.2),
+			Cold:  ColdStart{Dist: "uniform", Min: 30, Max: 120}, Seed: 1}
+	}},
+	{"spot-fallback", func() *Model {
+		return &Model{Market: Spot, SpotDiscount: DefaultSpotDiscount,
+			Trace:    Synthetic(1, 48, 900, 0.2),
+			Cold:     ColdStart{Dist: "uniform", Min: 30, Max: 120},
+			Fallback: true, Seed: 1}
+	}},
+	{"warm", func() *Model {
+		return &Model{Gran: PerMinute, Cold: ColdStart{Dist: "fixed", Mean: 120},
+			WarmPool: 4, Seed: 1}
+	}},
+}
+
 // Presets are named market scenarios for CLIs, experiment configs and the
 // service, mirroring fault.Presets. "none" is the paper's economics (a
 // nil model).
 func Presets() map[string]*Model {
-	return map[string]*Model{
-		"none":         nil,
-		"ondemand-sec": {Gran: PerSecond, Cold: ColdStart{Dist: "fixed", Mean: 45}, Seed: 1},
-		"ondemand-min": {Gran: PerMinute, Cold: ColdStart{Dist: "uniform", Min: 30, Max: 90}, Seed: 1},
-		"spot": {Market: Spot, SpotDiscount: DefaultSpotDiscount,
-			Trace: Synthetic(1, 48, 900, 0.2),
-			Cold:  ColdStart{Dist: "uniform", Min: 30, Max: 120}, Seed: 1},
-		"spot-fallback": {Market: Spot, SpotDiscount: DefaultSpotDiscount,
-			Trace:    Synthetic(1, 48, 900, 0.2),
-			Cold:     ColdStart{Dist: "uniform", Min: 30, Max: 120},
-			Fallback: true, Seed: 1},
-		"warm": {Gran: PerMinute, Cold: ColdStart{Dist: "fixed", Mean: 120},
-			WarmPool: 4, Seed: 1},
+	m := make(map[string]*Model, len(presets))
+	for _, p := range presets {
+		m[p.name] = p.build()
 	}
+	return m
 }
 
 // PresetNames lists the preset scenarios alphabetically.
 func PresetNames() []string {
-	m := Presets()
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Preset resolves a named market scenario; "none" resolves to nil.
+// Preset resolves a named market scenario, case-insensitively, building
+// only that preset's model: a fresh one on every call, nil for "none".
 func Preset(name string) (*Model, error) {
-	if m, ok := Presets()[strings.ToLower(name)]; ok {
-		return m, nil
+	lc := strings.ToLower(name)
+	for _, p := range presets {
+		if p.name == lc {
+			return p.build(), nil
+		}
 	}
 	return nil, fmt.Errorf("market: unknown preset %q (valid: %s)",
 		name, strings.Join(PresetNames(), ", "))

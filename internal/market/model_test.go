@@ -1,6 +1,8 @@
 package market
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -147,5 +149,36 @@ func TestPresets(t *testing.T) {
 	}
 	if d := Default(); d.Validate() != nil || d != Default() {
 		t.Error("Default not a stable valid model")
+	}
+}
+
+// TestPresetMatchesPresets checks that the one-preset lookup and the map
+// read the same table: for every name, Preset builds what Presets holds,
+// a fresh model on every call, and "none" costs nothing.
+func TestPresetMatchesPresets(t *testing.T) {
+	all := Presets()
+	names := PresetNames()
+	if len(names) != len(all) || !sort.StringsAreSorted(names) {
+		t.Fatalf("PresetNames() = %v for %d presets", names, len(all))
+	}
+	for _, name := range names {
+		want, ok := all[name]
+		if !ok {
+			t.Fatalf("PresetNames lists %q, Presets lacks it", name)
+		}
+		a, errA := Preset(name)
+		b, errB := Preset(strings.ToUpper(name))
+		if errA != nil || errB != nil {
+			t.Fatalf("Preset(%q): %v, %v", name, errA, errB)
+		}
+		if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
+			t.Errorf("Preset(%q) differs from Presets()[%q]", name, name)
+		}
+		if a != nil && (a == b || a == want || a.Trace != nil && a.Trace == b.Trace) {
+			t.Errorf("Preset(%q) shares its model with another call", name)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { Preset("none") }); n != 0 {
+		t.Errorf(`Preset("none") allocates %v times`, n)
 	}
 }

@@ -7,9 +7,10 @@ import (
 	"repro/internal/spec"
 )
 
-// cache is a sharded LRU over marshaled response bodies. Sharding keeps
-// lock contention off the hot path under concurrent load: each key's
-// first byte (uniform, it is a SHA-256 prefix) picks one of cacheShards
+// cache is a sharded LRU over compact (json.Marshal) response bodies,
+// which writeCached indents on the way out. Sharding keeps lock
+// contention off the hot path under concurrent load: each key's first
+// byte (uniform, it is a SHA-256 prefix) picks one of cacheShards
 // independently locked segments.
 const cacheShards = 16
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -44,25 +45,19 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeCached emits a response body produced (now or earlier) by the
-// planners, tagging cache status in the X-Cache header.
-func writeCached(w http.ResponseWriter, body []byte, hit bool) {
-	w.Header().Set("Content-Type", "application/json")
-	if hit {
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		w.Header().Set("X-Cache", "MISS")
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(body) //nolint:errcheck
-}
-
-// decodeBody strictly decodes a JSON request body.
+// decodeBody strictly decodes a JSON request body: one JSON value, with
+// nothing but whitespace after it.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return false
 	}
@@ -105,7 +100,9 @@ func planner[R any, P problem](s *Server, endpoint string, toSpec func(*R) (P, e
 
 // runCached is the shared serve path of the planning endpoints:
 // answer from the cache, or admit the planning job to the pool and cache
-// its marshaled result. The endpoint name labels the latency series; the
+// its compact JSON; writeCached indents either on the way out. A hit
+// builds nothing: the spec's workflow, if any, is built by the planning
+// job, on a pool worker. The endpoint name labels the latency series; the
 // request ID rides into the pool job's start/end events. Each stage marks
 // a span on the request trace — cache_lookup, then queue_wait covering
 // admission and queue time, then plan covering the worker's planning run —
@@ -166,12 +163,11 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 		return
 	}
 	s.record(obs.KindQueueAdmit, rid, 0)
-	body, merr := json.MarshalIndent(out, "", "  ")
+	body, merr := json.Marshal(out)
 	if merr != nil {
 		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", merr)
 		return
 	}
-	body = append(body, '\n')
 	s.cache.Put(key, body)
 	dur := time.Since(started).Seconds()
 	if tid := obs.TraceFrom(r.Context()).ID(); !tid.IsZero() {

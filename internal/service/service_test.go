@@ -205,6 +205,7 @@ func TestScheduleValidationErrors(t *testing.T) {
 		{"expconf-only fault field", `{"workflow_name":"Montage","strategy":"GAIN","simulate":true,"reboot_s":30}`, http.StatusBadRequest},
 		{"unknown strategy", `{"workflow_name":"Montage","strategy":"NoSuchStrategy"}`, http.StatusUnprocessableEntity},
 		{"unknown workflow", `{"workflow_name":"nosuch","strategy":"GAIN"}`, http.StatusUnprocessableEntity},
+		{"generator size its builder rejects", `{"workflow_name":"montage1","strategy":"GAIN"}`, http.StatusUnprocessableEntity},
 		{"missing workflow", `{"strategy":"GAIN"}`, http.StatusUnprocessableEntity},
 		{"missing strategy", `{"workflow_name":"Montage"}`, http.StatusUnprocessableEntity},
 		{"both workflow sources", `{"workflow_name":"Montage","workflow":{"tasks":[{"work":1}]},"strategy":"GAIN"}`, http.StatusUnprocessableEntity},

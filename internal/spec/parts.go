@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
@@ -35,45 +36,59 @@ type Workflow struct {
 	File    string
 	Builder string
 	N, M, R int
-	wf      *dag.Workflow
+	// wf returns the workflow. For a Name it builds on first use, so a
+	// request answered from a cache never builds its DAG.
+	wf func() *dag.Workflow
 }
 
 // Validate parses, defaults and checks the part, rewriting it into its
-// canonical spelling.
+// canonical spelling. A registry name is only parsed; the other sources
+// are built here, because their canonical form and their errors need the
+// workflow.
 func (w *Workflow) Validate() error {
 	if sources(w.Name != "", w.Inline != nil, w.File != "", w.Builder != "") != 1 {
 		return errors.New("workflow: set exactly one of a name, an inline document, a file or a builder")
 	}
+	if w.Name != "" {
+		build, err := core.ParseWorkflowName(w.Name)
+		if err == nil {
+			w.wf = sync.OnceValue(build)
+		}
+		return err
+	}
+	var wf *dag.Workflow
 	var err error
 	switch {
-	case w.Name != "":
-		w.wf, err = core.NamedWorkflow(w.Name)
 	case w.Inline != nil:
-		if w.wf, err = wfio.FromFile(*w.Inline); err != nil {
+		if wf, err = wfio.FromFile(*w.Inline); err != nil {
 			return fmt.Errorf("invalid workflow: %w", err)
 		}
 		// Re-encode: documents that differ only in formatting, edge order
 		// or defaulted task names describe one workflow.
-		f := wfio.ToFile(w.wf)
+		f := wfio.ToFile(wf)
 		w.Inline = &f
 	case w.File != "":
 		decode := wfio.Decode
 		if strings.HasSuffix(w.File, ".xml") || strings.HasSuffix(w.File, ".dax") {
 			decode = dax.Decode
 		}
-		w.wf, err = readFile(w.File, decode)
+		wf, err = readFile(w.File, decode)
 	case w.N < 0 || w.M < 0 || w.R < 0:
 		err = fmt.Errorf("workflow: negative size in builder %q", w.Builder)
 	case strings.EqualFold(w.Builder, "mapreduce"):
-		w.wf, err = core.GenerateWorkflow(w.Builder, w.M, w.R)
+		wf, err = core.GenerateWorkflow(w.Builder, w.M, w.R)
 	default:
-		w.wf, err = core.GenerateWorkflow(w.Builder, w.N, w.M)
+		wf, err = core.GenerateWorkflow(w.Builder, w.N, w.M)
+	}
+	if err == nil {
+		w.wf = func() *dag.Workflow { return wf }
 	}
 	return err
 }
 
-// Value returns the workflow a validated part names.
-func (w *Workflow) Value() *dag.Workflow { return w.wf }
+// Value returns the workflow a validated part names, building a registry
+// workflow on first use.
+func (w *Workflow) Value() *dag.Workflow { return w.wf() }
 
 // Label is the name a report gives the workflow: the registry name as
 // spelled, else the document's own name, else "custom".
@@ -81,14 +96,14 @@ func (w *Workflow) Label() string {
 	if w.Name != "" {
 		return w.Name
 	}
-	return cmp.Or(w.wf.Name, "custom")
+	return cmp.Or(w.wf().Name, "custom")
 }
 
 // WorkflowArg maps a command-line workflow argument onto a Workflow: a
 // registry name when the registry knows it or no such file exists, else a
 // file path.
 func WorkflowArg(arg string) Workflow {
-	if isFile(arg, core.NamedWorkflow) {
+	if isFile(arg, core.ParseWorkflowName) {
 		return Workflow{File: arg}
 	}
 	return Workflow{Name: arg}

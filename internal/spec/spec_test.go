@@ -372,6 +372,15 @@ func TestPartsResolve(t *testing.T) {
 	if w := WorkflowArg("no-such-workflow"); w.Name != "no-such-workflow" || w.Validate() == nil {
 		t.Errorf("unknown name and no file: %+v", w)
 	}
+	// A registry name is only parsed: validating even a large generator
+	// builds nothing, and Value builds it once, on first use.
+	big := Workflow{Name: "montage2000"}
+	if n := testing.AllocsPerRun(5, func() { big.Validate() }); n > 10 {
+		t.Errorf("validating %q costs %v allocations; it must not build the workflow", big.Name, n)
+	}
+	if a, b := big.Value(), big.Value(); a != b || a.Len() != 3*2000+6 || big.Label() != "montage2000" {
+		t.Errorf("%q: built twice (%v) or wrong: %d tasks, label %q", big.Name, a != b, a.Len(), big.Label())
+	}
 	for _, c := range []struct {
 		t     Template
 		label string

@@ -99,15 +99,7 @@ func CyberShake(sites int) *dag.Workflow {
 // Extended returns the paper's four workflows plus the three additional
 // Pegasus shapes, keyed by display name — the wider corpus for the
 // boundary-exploration experiments.
-func Extended() map[string]*dag.Workflow {
-	m := Paper()
-	m["Epigenomics"] = Epigenomics(4)
-	m["Inspiral"] = Inspiral(2, 3)
-	m["CyberShake"] = CyberShake(8)
-	return m
-}
+func Extended() map[string]*dag.Workflow { return build(corpus[:]) }
 
 // ExtendedNames lists the extended corpus in presentation order.
-func ExtendedNames() []string {
-	return append(PaperNames(), "Epigenomics", "Inspiral", "CyberShake")
-}
+func ExtendedNames() []string { return names(corpus[:]) }

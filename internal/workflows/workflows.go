@@ -12,6 +12,7 @@ package workflows
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/dag"
 )
@@ -196,21 +197,65 @@ func Fig1SubWorkflow() *dag.Workflow {
 	return w
 }
 
+// named is one workflow of the extended corpus: its display name and the
+// constructor of the paper's parameterization.
+type named struct {
+	name  string
+	build func() *dag.Workflow
+}
+
+// corpus is the extended corpus in presentation order: the paper's four
+// evaluation workflows of Sect. IV-B, then the three additional Pegasus
+// shapes. Paper, Extended, their name lists and Lookup all read it.
+var corpus = [...]named{
+	{"Montage", PaperMontage},
+	{"CSTEM", CSTEM},
+	{"MapReduce", PaperMapReduce},
+	{"Sequential", PaperSequential},
+	{"Epigenomics", func() *dag.Workflow { return Epigenomics(4) }},
+	{"Inspiral", func() *dag.Workflow { return Inspiral(2, 3) }},
+	{"CyberShake", func() *dag.Workflow { return CyberShake(8) }},
+}
+
+// paperCount is the number of the paper's own workflows at the front of
+// corpus.
+const paperCount = 4
+
+// Lookup returns the constructor of the corpus workflow whose display name
+// equals name up to letter case. It builds nothing.
+func Lookup(name string) (build func() *dag.Workflow, ok bool) {
+	for _, n := range corpus {
+		if strings.EqualFold(n.name, name) {
+			return n.build, true
+		}
+	}
+	return nil, false
+}
+
 // Paper returns the four evaluation workflows of Sect. IV-B keyed by the
 // names used throughout the paper's tables and figures.
-func Paper() map[string]*dag.Workflow {
-	return map[string]*dag.Workflow{
-		"Montage":    PaperMontage(),
-		"CSTEM":      CSTEM(),
-		"MapReduce":  PaperMapReduce(),
-		"Sequential": PaperSequential(),
-	}
-}
+func Paper() map[string]*dag.Workflow { return build(corpus[:paperCount]) }
 
 // PaperNames lists the evaluation workflows in the paper's presentation
 // order.
-func PaperNames() []string {
-	return []string{"Montage", "CSTEM", "MapReduce", "Sequential"}
+func PaperNames() []string { return names(corpus[:paperCount]) }
+
+// build constructs every listed workflow, keyed by display name.
+func build(list []named) map[string]*dag.Workflow {
+	m := make(map[string]*dag.Workflow, len(list))
+	for _, n := range list {
+		m[n.name] = n.build()
+	}
+	return m
+}
+
+// names lists the display names in order.
+func names(list []named) []string {
+	out := make([]string, len(list))
+	for i, n := range list {
+		out[i] = n.name
+	}
+	return out
 }
 
 func mustFreeze(w *dag.Workflow) {

@@ -1,6 +1,7 @@
 package workflows
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -184,5 +185,35 @@ func TestAllBuildersProduceValidDAGs(t *testing.T) {
 		if err := build().Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestCorpusTableAgrees checks that every view of the corpus reads the
+// one table: Paper and Extended build what its constructors build, their
+// name lists follow its order, and Lookup finds each entry in any case.
+func TestCorpusTableAgrees(t *testing.T) {
+	ext, extNames := Extended(), ExtendedNames()
+	if len(ext) != len(corpus) || len(extNames) != len(corpus) {
+		t.Fatalf("Extended has %d workflows and %d names, the table %d", len(ext), len(extNames), len(corpus))
+	}
+	paper, paperNames := Paper(), PaperNames()
+	for i, n := range corpus {
+		if extNames[i] != n.name {
+			t.Errorf("ExtendedNames()[%d] = %q, table says %q", i, extNames[i], n.name)
+		}
+		if !reflect.DeepEqual(ext[n.name], n.build()) {
+			t.Errorf("Extended()[%q] differs from its constructor's DAG", n.name)
+		}
+		if i < len(paperNames) && (paperNames[i] != n.name || !reflect.DeepEqual(paper[n.name], n.build())) {
+			t.Errorf("Paper entry %d (%q) differs from the table's %q", i, paperNames[i], n.name)
+		}
+		for _, spelled := range []string{n.name, strings.ToUpper(n.name), strings.ToLower(n.name)} {
+			if b, ok := Lookup(spelled); !ok || !reflect.DeepEqual(b(), n.build()) {
+				t.Errorf("Lookup(%q) = %v", spelled, ok)
+			}
+		}
+	}
+	if _, ok := Lookup("Fig1"); ok {
+		t.Error("Lookup found Fig1, which is not in the corpus")
 	}
 }

@@ -10,9 +10,11 @@
 # Environment:
 #   BENCHTIME  go test -benchtime (default 2s)
 #   OUT        artifact path (default BENCH_sweep.json; '-' for stdout)
-#   AGAINST    baseline artifact; fails on >20% regression of the
-#              full-sweep throughput, the SimReplay ns/op, or the
-#              OnlineSoak instances/s
+#   AGAINST    baseline artifact; fails when any row of cmd/bench's gate
+#              table regresses past its tolerance: the full-sweep cells/s,
+#              the SimReplay ns/op, the OnlineSoak instances/s, the
+#              ServiceScheduleCached ns/op and allocs/op, and the
+#              ServiceScheduleCold ns/op
 #   RAW        also save the raw `go test -bench` text here (benchstat input)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,7 +35,7 @@ if [ -n "$RAW" ]; then
 fi
 
 go test -run '^$' -count 1 -benchmem -benchtime "$BENCHTIME" \
-  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkOnlineSoak)$' . \
+  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak)$' . \
   | tee /dev/stderr | tee "$raw_sink" | go run ./cmd/bench "${args[@]}"
 
 if [ "$OUT" != "-" ]; then
