@@ -264,12 +264,12 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var q eventq.Queue
-		for _, t := range times {
-			q.Push(t, nil)
+		var q eventq.Heap[int32]
+		for j, t := range times {
+			q.Push(t, int32(j))
 		}
 		for {
-			if _, ok := q.Pop(); !ok {
+			if _, _, ok := q.Pop(); !ok {
 				break
 			}
 		}

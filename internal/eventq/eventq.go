@@ -1,22 +1,15 @@
-// Package eventq provides the discrete-event priority queues underlying
-// the simulators in internal/sim and internal/online: binary min-heaps
+// Package eventq provides the discrete-event priority queue underlying
+// the simulators in internal/sim and internal/online: a binary min-heap
 // ordered by event time, with FIFO ordering among simultaneous events so
 // simulation runs are fully deterministic.
 //
-// Two flavors share one heap implementation:
-//
-//   - Heap[T] carries an arbitrary flat payload per event. The hot
-//     simulator (internal/sim) uses it with a small value struct, so
-//     pushing an event allocates nothing and a drained heap holds no
-//     pointers — the whole structure can sit in a reusable scratch arena.
-//   - Queue is the classic callback queue (payload func()), kept for
-//     call sites where closures are the clearer fit (internal/online).
+// Heap[T] carries a flat payload per event. Both simulators use a small
+// value struct that names the event's kind and its subject, and dispatch
+// on the kind in their main loop, so pushing an event allocates nothing
+// beyond the heap's amortized growth. Reset keeps the backing array and
+// zeroes it, so a heap can live in a reusable scratch arena without
+// pinning a finished run's payloads.
 package eventq
-
-import (
-	"sync"
-	"sync/atomic"
-)
 
 // entry is one scheduled heap element.
 type entry[T any] struct {
@@ -37,9 +30,6 @@ type Heap[T any] struct {
 // Len returns the number of pending events.
 func (h *Heap[T]) Len() int { return len(h.heap) }
 
-// Cap returns the heap's backing capacity, in events.
-func (h *Heap[T]) Cap() int { return cap(h.heap) }
-
 // Grow ensures capacity for at least n more events without reallocating.
 func (h *Heap[T]) Grow(n int) {
 	if cap(h.heap)-len(h.heap) < n {
@@ -50,7 +40,7 @@ func (h *Heap[T]) Grow(n int) {
 }
 
 // Reset empties the heap, keeping its backing capacity for reuse. Payloads
-// in the capacity region are zeroed so a pooled heap pins nothing alive.
+// in the capacity region are zeroed so a reused heap pins nothing alive.
 func (h *Heap[T]) Reset() {
 	clear(h.heap[:cap(h.heap)])
 	h.heap = h.heap[:0]
@@ -81,15 +71,6 @@ func (h *Heap[T]) Pop() (float64, T, bool) {
 		h.down(0)
 	}
 	return top.time, top.v, true
-}
-
-// Peek returns the earliest event's time and payload without removing it.
-func (h *Heap[T]) Peek() (float64, T, bool) {
-	if len(h.heap) == 0 {
-		var zero T
-		return 0, zero, false
-	}
-	return h.heap[0].time, h.heap[0].v, true
 }
 
 // less orders by time, then insertion sequence.
@@ -128,82 +109,4 @@ func (h *Heap[T]) down(i int) {
 		h.heap[i], h.heap[smallest] = h.heap[smallest], h.heap[i]
 		i = smallest
 	}
-}
-
-// pool recycles callback queues (and their heap arrays) across simulation
-// runs, so replay-heavy paths do not re-grow a fresh heap per run.
-var pool = sync.Pool{New: func() any { return new(Queue) }}
-
-// capHint tracks the high-water heap capacity released back to the pool.
-// sync.Pool is emptied by the garbage collector, so under allocation
-// pressure a hot sweep would otherwise get a fresh zero-capacity queue
-// back and re-grow it from scratch every few cells; Get pre-grows to the
-// hint so steady-state replay capacity survives pool evictions.
-var capHint atomic.Int64
-
-// Get returns an empty queue, reusing pooled heap capacity when available
-// and pre-growing to the largest capacity ever released, so a hot loop of
-// same-sized simulations never re-grows mid-run. Pair it with Release when
-// the simulation run is over; a queue obtained from Get is
-// indistinguishable from a zero-value Queue apart from capacity.
-func Get() *Queue {
-	q := pool.Get().(*Queue)
-	if hint := int(capHint.Load()); q.h.Cap() < hint {
-		q.h.Grow(hint - q.h.Len())
-	}
-	return q
-}
-
-// Release empties the queue and returns it to the pool, recording its
-// capacity as the pool's pre-grow hint. All payload slots — including the
-// already-popped ones in the capacity region — are cleared, so pooled
-// capacity never pins simulator state alive.
-func Release(q *Queue) {
-	if c := int64(q.h.Cap()); c > capHint.Load() {
-		capHint.Store(c)
-	}
-	q.h.Reset()
-	pool.Put(q)
-}
-
-// Event is a scheduled callback in virtual time.
-type Event struct {
-	Time float64
-	// Fire is invoked when the event is dispatched.
-	Fire func()
-}
-
-// Queue is a min-heap of callback events. The zero value is an empty queue
-// ready for use. Queue is not safe for concurrent use.
-type Queue struct {
-	h Heap[func()]
-}
-
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return q.h.Len() }
-
-// Grow ensures capacity for at least n more events without reallocating.
-func (q *Queue) Grow(n int) { q.h.Grow(n) }
-
-// Push schedules an event. Events pushed with equal times fire in push
-// order.
-func (q *Queue) Push(time float64, fire func()) { q.h.Push(time, fire) }
-
-// Pop removes and returns the earliest event. The boolean is false when the
-// queue is empty.
-func (q *Queue) Pop() (Event, bool) {
-	t, fire, ok := q.h.Pop()
-	if !ok {
-		return Event{}, false
-	}
-	return Event{Time: t, Fire: fire}, true
-}
-
-// Peek returns the earliest event without removing it.
-func (q *Queue) Peek() (Event, bool) {
-	t, fire, ok := q.h.Peek()
-	if !ok {
-		return Event{}, false
-	}
-	return Event{Time: t, Fire: fire}, true
 }

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,109 +10,144 @@ import (
 )
 
 func TestPopOrder(t *testing.T) {
-	var q Queue
+	var h Heap[int]
 	for _, tm := range []float64{5, 1, 3, 2, 4} {
-		q.Push(tm, nil)
+		h.Push(tm, 0)
 	}
 	var got []float64
 	for {
-		e, ok := q.Pop()
+		tm, _, ok := h.Pop()
 		if !ok {
 			break
 		}
-		got = append(got, e.Time)
+		got = append(got, tm)
 	}
 	want := []float64{1, 2, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order = %v, want %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pop order = %v, want %v", got, want)
 	}
 }
 
 func TestEmptyQueue(t *testing.T) {
-	var q Queue
-	if _, ok := q.Pop(); ok {
-		t.Error("Pop on empty queue returned an event")
+	var h Heap[int]
+	if _, _, ok := h.Pop(); ok {
+		t.Error("Pop on empty heap returned an event")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue returned an event")
-	}
-	if q.Len() != 0 {
-		t.Errorf("Len = %d", q.Len())
+	if h.Len() != 0 {
+		t.Errorf("Len = %d", h.Len())
 	}
 }
 
 func TestSimultaneousEventsAreFIFO(t *testing.T) {
-	var q Queue
-	var fired []int
+	var h Heap[int]
 	for i := 0; i < 10; i++ {
-		i := i
-		q.Push(7, func() { fired = append(fired, i) })
+		h.Push(7, i)
 	}
+	var popped []int
 	for {
-		e, ok := q.Pop()
+		_, v, ok := h.Pop()
 		if !ok {
 			break
 		}
-		e.Fire()
+		popped = append(popped, v)
 	}
-	for i := range fired {
-		if fired[i] != i {
-			t.Fatalf("simultaneous events fired out of order: %v", fired)
+	for i := range popped {
+		if popped[i] != i {
+			t.Fatalf("simultaneous events popped out of order: %v", popped)
 		}
-	}
-}
-
-func TestPeekDoesNotRemove(t *testing.T) {
-	var q Queue
-	q.Push(3, nil)
-	if e, ok := q.Peek(); !ok || e.Time != 3 {
-		t.Fatalf("Peek = %v, %v", e, ok)
-	}
-	if q.Len() != 1 {
-		t.Errorf("Len after Peek = %d", q.Len())
 	}
 }
 
 func TestInterleavedPushPop(t *testing.T) {
-	var q Queue
-	q.Push(10, nil)
-	q.Push(20, nil)
-	if e, _ := q.Pop(); e.Time != 10 {
-		t.Fatalf("first pop = %v", e.Time)
+	var h Heap[int]
+	h.Push(10, 0)
+	h.Push(20, 0)
+	if tm, _, _ := h.Pop(); tm != 10 {
+		t.Fatalf("first pop = %v", tm)
 	}
-	q.Push(5, nil)
-	q.Push(15, nil)
-	want := []float64{5, 15, 20}
-	for _, w := range want {
-		e, ok := q.Pop()
-		if !ok || e.Time != w {
-			t.Fatalf("pop = %v, want %v", e.Time, w)
+	h.Push(5, 0)
+	h.Push(15, 0)
+	for _, w := range []float64{5, 15, 20} {
+		tm, _, ok := h.Pop()
+		if !ok || tm != w {
+			t.Fatalf("pop = %v, want %v", tm, w)
 		}
 	}
 }
 
-// Property: popping a random workload yields sorted order.
+// sim.Scratch keeps one heap across replays: Reset must keep the backing
+// array and clear every slot of it, popped ones included, so a finished
+// replay pins nothing; and Grow must pre-size it, so a replay's pushes
+// never reallocate.
+func TestResetKeepsCapacityAndZeroes(t *testing.T) {
+	var h Heap[*int]
+	vals := make([]int, 69)
+	for i := 0; i < 5; i++ {
+		h.Push(float64(i), &vals[i])
+	}
+	h.Grow(64)
+	base, c := &h.heap[:1][0], cap(h.heap)
+	for i := 5; i < len(vals); i++ {
+		h.Push(float64(i%7), &vals[i])
+	}
+	if cap(h.heap) != c || &h.heap[0] != base {
+		t.Fatalf("64 pushes after Grow(64) reallocated: cap %d -> %d", c, cap(h.heap))
+	}
+	for i := 0; i < 10; i++ {
+		h.Pop()
+	}
+
+	h.Reset()
+	if h.Len() != 0 || cap(h.heap) != c {
+		t.Fatalf("Reset left len %d cap %d, want 0 and %d", h.Len(), cap(h.heap), c)
+	}
+	if &h.heap[:1][0] != base {
+		t.Fatal("Reset replaced the backing array")
+	}
+	for i, e := range h.heap[:cap(h.heap)] {
+		if e != (entry[*int]{}) {
+			t.Fatalf("slot %d = %+v after Reset, want zero", i, e)
+		}
+	}
+}
+
+// Property: under any interleaving of pushes and pops, with times that
+// often repeat, every pop returns the earliest pending event, ties in
+// push order.
 func TestQuickHeapSorts(t *testing.T) {
+	type ref struct {
+		time float64
+		id   int
+	}
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%200 + 1
 		r := stats.NewRNG(seed)
-		var q Queue
-		in := make([]float64, n)
-		for i := range in {
-			in[i] = r.Range(0, 1000)
-			q.Push(in[i], nil)
+		var h Heap[int]
+		var pending []ref // sorted by (time, push order)
+		popMatches := func() bool {
+			tm, id, ok := h.Pop()
+			if len(pending) == 0 {
+				return !ok
+			}
+			want := pending[0]
+			pending = pending[1:]
+			return ok && tm == want.time && id == want.id
 		}
-		sort.Float64s(in)
-		for _, w := range in {
-			e, ok := q.Pop()
-			if !ok || e.Time != w {
+		for id := 0; id < n; id++ {
+			tm := float64(r.Intn(20))
+			h.Push(tm, id)
+			k := sort.Search(len(pending), func(j int) bool { return pending[j].time > tm })
+			pending = slices.Insert(pending, k, ref{tm, id})
+			if r.Intn(3) == 0 && !popMatches() {
 				return false
 			}
 		}
-		_, ok := q.Pop()
-		return !ok
+		for len(pending) > 0 {
+			if !popMatches() {
+				return false
+			}
+		}
+		return popMatches() && h.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -7,10 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cloud"
+	"repro/internal/dag"
 	"repro/internal/fault"
 	"repro/internal/market"
 	"repro/internal/ndwf"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // marketConfig is baseConfig under a given market model.
@@ -375,6 +378,25 @@ func TestConfigValidationExtended(t *testing.T) {
 		{"bad faults", func(c *Config) { c.Faults = &fault.Config{CrashRate: -1} }},
 		{"bad cold start", func(c *Config) {
 			c.Market = &market.Model{Cold: market.ColdStart{Dist: "bogus"}}
+		}},
+		{"instance type 99", func(c *Config) { c.Type = cloud.InstanceType(99) }},
+		{"instance type -1", func(c *Config) { c.Type = cloud.InstanceType(-1) }},
+		{"region 99", func(c *Config) { c.Region = cloud.Region(99) }},
+		// The builder's DAGs are only seen at arrival, mid-run.
+		{"cyclic instance", func(c *Config) {
+			c.Instance = func(int, *stats.RNG) *dag.Workflow {
+				w := dag.New("cycle")
+				a, b := w.AddTask("a", 1), w.AddTask("b", 1)
+				w.AddEdge(a, b, 0)
+				w.AddEdge(b, a, 0)
+				return w
+			}
+		}},
+		{"empty instance", func(c *Config) {
+			c.Instance = func(int, *stats.RNG) *dag.Workflow { return dag.New("empty") }
+		}},
+		{"nil instance", func(c *Config) {
+			c.Instance = func(int, *stats.RNG) *dag.Workflow { return nil }
 		}},
 	}
 	for _, tc := range cases {

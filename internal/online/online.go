@@ -24,6 +24,7 @@ package online
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
@@ -46,7 +47,8 @@ type Config struct {
 	// Instances is the number of workflow instances to run.
 	Instances int
 	// Instance builds the i-th arriving workflow; it may use the RNG for
-	// per-instance variation. The returned workflow must be valid.
+	// per-instance variation. The returned workflow must be valid; Run
+	// stops with an error at the first instance that is not.
 	// Exactly one of Instance and Mix must be set.
 	Instance func(i int, r *stats.RNG) *dag.Workflow
 	// Mix draws each instance from weighted non-deterministic templates
@@ -218,12 +220,72 @@ type vm struct {
 	dead      bool
 	paidUnits int
 	lease     *market.Lease
-	// cur is the assigned task while busy; curStart its execution start
-	// (after any boot wait) — what a crash mid-task must requeue and
+	// cur is the running task while busy; curStart is its execution start
+	// (after any boot wait) and curExec its execution time — what the
+	// finish event completes, and what a crash mid-task must requeue and
 	// account.
 	cur      readyTask
 	curStart float64
-	hasCur   bool
+	curExec  float64
+}
+
+// instance is an arrived workflow instance still in flight.
+type instance struct {
+	wf        *dag.Workflow
+	arrivedAt float64
+	pending   []int // unfinished predecessor counts per task
+	remaining int
+}
+
+// The event kinds: an arrival names its instance (event.i), every other
+// kind the VM it concerns (event.m).
+const (
+	evArrive  uint8 = iota // instance i arrives
+	evUnit                 // m reaches a billing-unit boundary
+	evCrash                // m crashes
+	evPreempt              // m is reclaimed by the spot market
+	evFinish               // m's running task completes
+)
+
+// event is one scheduled harness event. It holds its VM by pointer, not
+// by index into an arena: a retired VM must stay collectable, and the
+// number of rentals grows with the stream.
+type event struct {
+	kind uint8
+	i    int
+	m    *vm
+}
+
+// runner is one online simulation in progress; its methods are the event
+// handlers.
+type runner struct {
+	cfg       Config
+	inj       *fault.Injector
+	rng       *stats.RNG
+	rec       obs.Recorder
+	met       *poolMetrics
+	res       *Result
+	unit      float64
+	perSecond bool
+
+	q          eventq.Heap[event]
+	now        float64
+	instances  []*instance // by arrival index; nil once complete
+	responses  []float64   // response times in completion order
+	live       []*vm       // rented, not-yet-retired VMs in rent order
+	busyCount  int
+	ready      taskHeap
+	queuedWork float64 // summed exec time of ready tasks
+	nextSeq    int
+	nextTaskID int32
+	// Until every instance has arrived we cannot know the total; track
+	// arrivals separately so the pool does not retire early.
+	arrivalsLeft int
+	tasksLeft    int // tasks not yet finished, across arrived instances
+	// EWMA state for the Predictive scaler, updated per arrival.
+	ewmaRate     float64
+	ewmaInstWork float64
+	lastArrival  float64
 }
 
 // Run executes the online simulation.
@@ -231,433 +293,431 @@ func Run(cfg Config) (*Result, error) {
 	if err := checkConfig(&cfg); err != nil {
 		return nil, err
 	}
-	var inj *fault.Injector
+	r := &runner{
+		cfg:          cfg,
+		rng:          stats.NewRNG(cfg.Seed),
+		rec:          cfg.Recorder,
+		res:          &Result{SLAMet: -1},
+		unit:         cloud.BTU,
+		instances:    make([]*instance, 0, cfg.Instances),
+		responses:    make([]float64, 0, cfg.Instances),
+		arrivalsLeft: cfg.Instances,
+	}
 	if cfg.Faults != nil && cfg.Faults.Active() {
 		var err error
-		if inj, err = fault.NewInjector(*cfg.Faults); err != nil {
+		if r.inj, err = fault.NewInjector(*cfg.Faults); err != nil {
 			return nil, err
 		}
 	}
-	r := stats.NewRNG(cfg.Seed)
-	res := &Result{SLAMet: -1}
 	if cfg.Deadline > 0 {
-		res.SLAMet = 0
+		r.res.SLAMet = 0
 	}
-
 	// Billing cadence: the market's unit for per-BTU and per-minute
 	// leases; per-second has no sunk cost to wait out, so scale-down goes
 	// eager instead of scheduling an event every simulated second.
-	unit := cloud.BTU
-	perSecond := false
 	if cfg.Market != nil {
-		unit = cfg.Market.Gran.Unit()
-		perSecond = cfg.Market.Gran == market.PerSecond
+		r.unit = cfg.Market.Gran.Unit()
+		r.perSecond = cfg.Market.Gran == market.PerSecond
 	}
-	rec := cfg.Recorder
-	var met *poolMetrics
 	if cfg.Metrics != nil {
-		met = newPoolMetrics(cfg.Metrics, cfg.Scaler.Name())
+		r.met = newPoolMetrics(cfg.Metrics, cfg.Scaler.Name())
 	}
-
-	type instance struct {
-		wf        *dag.Workflow
-		arrivedAt float64
-		pending   []int // unfinished predecessor counts per task
-		remaining int
-	}
-	instances := make([]*instance, 0, cfg.Instances)
-
-	var (
-		q          eventq.Queue
-		now        float64
-		live       []*vm // rented, not-yet-retired VMs in rent order
-		busyCount  int
-		ready      taskHeap
-		queuedWork float64 // summed exec time of ready tasks
-		nextSeq    int
-		nextTaskID int32
-		tasksLeft  int // tasks not yet finished, across arrived and future instances
-		// EWMA state for the Predictive scaler, updated per arrival.
-		ewmaRate     float64
-		ewmaInstWork float64
-		lastArrival  float64
-	)
 	if cfg.Dispatch == SJF {
-		ready.less = sjfLess
+		r.ready.less = sjfLess
 	} else {
-		ready.less = fifoLess
-	}
-	// Until every instance has arrived we cannot know the total; track
-	// arrivals separately so the pool does not retire early.
-	arrivalsLeft := cfg.Instances
-
-	pushReady := func(rt readyTask) {
-		ready.Push(rt)
-		queuedWork += cfg.Platform.ExecTime(rt.work, cfg.Type)
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.KindTaskQueued, T: rt.readyAt, VM: -1, Task: rt.id, Attempt: rt.attempt})
-		}
-	}
-	popReady := func() readyTask {
-		rt := ready.Pop()
-		queuedWork -= cfg.Platform.ExecTime(rt.work, cfg.Type)
-		if ready.Len() == 0 {
-			queuedWork = 0 // shed float drift at every drain
-		}
-		return rt
-	}
-
-	// removeLive drops m from the live set, preserving rent order (the
-	// order dispatch scans for idle capacity, and the order the paper's
-	// pool demos billed in).
-	removeLive := func(m *vm) {
-		for i, v := range live {
-			if v == m {
-				copy(live[i:], live[i+1:])
-				live[len(live)-1] = nil
-				live = live[:len(live)-1]
-				return
-			}
-		}
-	}
-
-	// bill closes the books on m's lease held for span seconds and
-	// returns the lease cost.
-	bill := func(m *vm, span float64) float64 {
-		cost := m.lease.Cost(m.rentAt, span, cfg.Type, cfg.Region)
-		res.TotalCost += cost
-		res.PaidSeconds += m.lease.PaidSeconds(span)
-		res.BusySeconds += m.busySum
-		if met != nil {
-			met.costs.Add(cost)
-			met.pool.Set(float64(len(live)))
-		}
-		return cost
-	}
-
-	// retire releases an idle VM: dead, out of the live set, billed for
-	// the units it committed to (actual span under per-second billing,
-	// where nothing is committed beyond the second in progress).
-	retire := func(m *vm) {
-		m.dead = true
-		removeLive(m)
-		span := now - m.rentAt
-		if !perSecond {
-			span = float64(m.paidUnits) * unit
-		}
-		cost := bill(m, span)
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: now, VM: int32(m.id), Task: -1, Value: cost})
-		}
-	}
-
-	var dispatch func()
-
-	// unitCheck fires at m's billing-unit boundaries: release the VM if
-	// it idles with an empty queue (and the pool is above its floor, or
-	// the run has drained), otherwise commit to another unit.
-	var unitCheck func(m *vm)
-	unitCheck = func(m *vm) {
-		if m.dead {
-			return
-		}
-		// After the last task of the last instance the warm-pool floor no
-		// longer applies: everything drains so the simulation terminates.
-		drained := arrivalsLeft == 0 && tasksLeft == 0
-		if !m.busy && ready.Len() == 0 && (len(live) > cfg.MinVMs || drained) {
-			retire(m)
-			return
-		}
-		m.paidUnits++
-		if rec != nil && m.lease.BTUBilled() {
-			rec.Record(obs.Event{Kind: obs.KindVMBTURollover, T: now, VM: int32(m.id), Task: -1})
-		}
-		q.Push(m.rentAt+float64(m.paidUnits)*unit, func() { unitCheck(m) })
-	}
-
-	// kill is a crash or spot preemption: the lease is billed for its
-	// held span, the running task (if any) requeues with a fresh attempt,
-	// and the scaler re-rents on demand.
-	kill := func(m *vm, preempt bool) {
-		if m.dead {
-			return
-		}
-		m.dead = true
-		removeLive(m)
-		if m.hasCur {
-			if now > m.curStart {
-				m.busySum += now - m.curStart // partial execution was real work
-			}
-			busyCount--
-			rt := m.cur
-			rt.attempt++
-			rt.readyAt = now
-			rt.seq = nextSeq
-			nextSeq++
-			m.hasCur = false
-			pushReady(rt)
-		}
-		cost := bill(m, now-m.rentAt)
-		kind := obs.KindVMCrash
-		if preempt {
-			res.Preemptions++
-			kind = obs.KindVMPreempt
-			if met != nil {
-				met.preempts.Inc()
-			}
-		} else {
-			res.Crashes++
-			if met != nil {
-				met.crashes.Inc()
-			}
-		}
-		if rec != nil {
-			rec.Record(obs.Event{Kind: kind, T: now, VM: int32(m.id), Task: -1})
-			rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: now, VM: int32(m.id), Task: -1, Value: cost})
-		}
-		dispatch()
-	}
-
-	rent := func() *vm {
-		id := res.VMsRented
-		m := &vm{id: id, rentAt: now, readyAt: now, paidUnits: 1}
-		if cfg.Market != nil {
-			m.lease = cfg.Market.Terms(id, false)
-			delay := m.lease.ColdStartDelay()
-			m.readyAt = now + delay
-			res.ColdStartWaitS += delay
-		}
-		live = append(live, m)
-		res.VMsRented++
-		if len(live) > res.PeakVMs {
-			res.PeakVMs = len(live)
-		}
-		if !perSecond {
-			q.Push(m.rentAt+unit, func() { unitCheck(m) })
-		}
-		if inj != nil {
-			killAt, preempt := inj.CrashAfter(uint64(id)), false
-			if m.lease.IsSpot() {
-				if at := inj.PreemptAfter(uint64(id)); at < killAt {
-					killAt, preempt = at, true
-				}
-			}
-			if !math.IsInf(killAt, 1) {
-				preempt := preempt
-				q.Push(m.rentAt+killAt, func() { kill(m, preempt) })
-			}
-		}
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.KindVMLeaseStart, T: m.rentAt, VM: int32(m.id), Task: -1,
-				Value: m.readyAt - m.rentAt, Label: cfg.Type.String() + m.lease.LabelSuffix()})
-			if m.readyAt > m.rentAt {
-				rec.Record(obs.Event{Kind: obs.KindVMBootDone, T: m.readyAt, VM: int32(m.id), Task: -1})
-			}
-		}
-		if met != nil {
-			met.rented.Inc()
-			met.pool.Set(float64(len(live)))
-		}
-		return m
-	}
-
-	responseTimes := make([]float64, 0, cfg.Instances)
-
-	var startTask func(m *vm, rt readyTask)
-	startTask = func(m *vm, rt readyTask) {
-		inst := instances[rt.inst]
-		m.busy = true
-		busyCount++
-		st := now
-		if m.readyAt > st {
-			st = m.readyAt // a fresh VM cannot run work before its boot completes
-		}
-		et := cfg.Platform.ExecTime(rt.work, cfg.Type)
-		m.cur, m.curStart, m.hasCur = rt, st, true
-		if rec != nil {
-			rec.Record(obs.Event{Kind: obs.KindTaskStart, T: st, VM: int32(m.id), Task: rt.id,
-				Attempt: rt.attempt, Value: et, Label: inst.wf.Task(rt.task).Name})
-		}
-		q.Push(st+et, func() {
-			if m.dead {
-				return // the lease died first; kill() already requeued rt
-			}
-			m.busy = false
-			busyCount--
-			m.hasCur = false
-			m.busySum += et
-			tasksLeft--
-			inst.remaining--
-			if rec != nil {
-				rec.Record(obs.Event{Kind: obs.KindTaskFinish, T: now, VM: int32(m.id), Task: rt.id, Attempt: rt.attempt})
-			}
-			if inst.remaining == 0 {
-				rtime := now - inst.arrivedAt
-				responseTimes = append(responseTimes, rtime)
-				if cfg.Deadline > 0 && rtime <= cfg.Deadline {
-					res.SLAMet++
-					if met != nil {
-						met.slaMet.Inc()
-					}
-				}
-				if met != nil {
-					met.instances.Inc()
-				}
-				instances[rt.inst] = nil // let the sampled DAG be collected
-			}
-			for _, s := range inst.wf.Succ(rt.task) {
-				inst.pending[s]--
-				if inst.pending[s] == 0 {
-					pushReady(readyTask{inst: rt.inst, task: s, readyAt: now, seq: nextSeq,
-						work: inst.wf.Task(s).Work, id: nextTaskID, attempt: 1})
-					nextSeq++
-					nextTaskID++
-				}
-			}
-			dispatch()
-			if cfg.EagerScaleDown && !m.busy && !m.dead && ready.Len() == 0 {
-				if len(live) > cfg.MinVMs || (arrivalsLeft == 0 && tasksLeft == 0) {
-					retire(m)
-				}
-			}
-		})
-	}
-
-	dispatch = func() {
-		if ready.Len() > 0 {
-			want := cfg.Scaler.Desired(PoolState{
-				Now:          now,
-				Live:         len(live),
-				Idle:         len(live) - busyCount,
-				QueueDepth:   ready.Len(),
-				QueuedWork:   queuedWork,
-				ArrivalRate:  ewmaRate,
-				InstanceWork: ewmaInstWork,
-				Deadline:     cfg.Deadline,
-				MinVMs:       cfg.MinVMs,
-				MaxVMs:       cfg.MaxVMs,
-			})
-			// A non-empty queue must drain no matter how wrong the policy's
-			// estimate is: floor at one VM, cap at the pool bound. Scalers
-			// only grow the pool — release stays at billing boundaries.
-			if want < 1 {
-				want = 1
-			}
-			if want > cfg.MaxVMs {
-				want = cfg.MaxVMs
-			}
-			for len(live) < want {
-				rent()
-			}
-			k := len(live) - busyCount
-			if k > ready.Len() {
-				k = ready.Len()
-			}
-			for _, m := range live {
-				if k == 0 {
-					break
-				}
-				if m.busy {
-					continue
-				}
-				startTask(m, popReady())
-				k--
-			}
-		}
-		if perSecond && ready.Len() == 0 {
-			// Per-second billing has no sunk unit to ride out: surplus idle
-			// VMs release immediately (the degenerate billing boundary).
-			drained := arrivalsLeft == 0 && tasksLeft == 0
-			for i := len(live) - 1; i >= 0 && (len(live) > cfg.MinVMs || drained); i-- {
-				if m := live[i]; !m.busy {
-					retire(m)
-				}
-			}
-		}
-		if met != nil {
-			met.queue.Set(float64(ready.Len()))
-			met.pool.Set(float64(len(live)))
-		}
-	}
-
-	arrive := func(i int) {
-		wf := cfg.Instance(i, r)
-		if err := wf.Freeze(); err != nil {
-			panic(fmt.Sprintf("online: instance %d invalid: %v", i, err))
-		}
-		arrivalsLeft--
-		tasksLeft += wf.Len()
-		inst := &instance{wf: wf, arrivedAt: now, remaining: wf.Len()}
-		inst.pending = make([]int, wf.Len())
-		totalWork := 0.0
-		for id := 0; id < wf.Len(); id++ {
-			inst.pending[id] = len(wf.Pred(dag.TaskID(id)))
-			totalWork += wf.Task(dag.TaskID(id)).Work
-		}
-		instExec := cfg.Platform.ExecTime(totalWork, cfg.Type)
-		if i == 0 {
-			ewmaRate = 1 / cfg.MeanInterarrival
-			ewmaInstWork = instExec
-		} else {
-			if gap := now - lastArrival; gap > 0 {
-				ewmaRate = ewmaAlpha*(1/gap) + (1-ewmaAlpha)*ewmaRate
-			}
-			ewmaInstWork = ewmaAlpha*instExec + (1-ewmaAlpha)*ewmaInstWork
-		}
-		lastArrival = now
-		instances = append(instances, inst)
-		for _, e := range wf.Entries() {
-			pushReady(readyTask{inst: len(instances) - 1, task: e, readyAt: now, seq: nextSeq,
-				work: wf.Task(e).Work, id: nextTaskID, attempt: 1})
-			nextSeq++
-			nextTaskID++
-		}
-		dispatch()
+		r.ready.less = fifoLess
 	}
 
 	// Pre-schedule all arrivals (exponential gaps). Drawing every gap up
 	// front keeps the arrival process independent of per-instance builder
 	// draws, so two configs differing only in the builder see the same
 	// arrival times.
-	t := 0.0
+	at := 0.0
 	for i := 0; i < cfg.Instances; i++ {
-		i := i
-		q.Push(t, func() { arrive(i) })
-		t += expSample(r, cfg.MeanInterarrival)
+		r.q.Push(at, event{kind: evArrive, i: i})
+		at += expSample(r.rng, cfg.MeanInterarrival)
 	}
 	// Warm pool.
 	for i := 0; i < cfg.MinVMs; i++ {
-		rent()
+		r.rent()
 	}
 
 	for {
-		e, ok := q.Pop()
+		t, e, ok := r.q.Pop()
 		if !ok {
 			break
 		}
-		if e.Time < now-1e-9 {
-			return nil, fmt.Errorf("online: time ran backwards (%v -> %v)", now, e.Time)
+		if t < r.now-1e-9 {
+			return nil, fmt.Errorf("online: time ran backwards (%v -> %v)", r.now, t)
 		}
-		now = e.Time
-		res.Events++
-		e.Fire()
+		r.now = t
+		r.res.Events++
+		switch e.kind {
+		case evArrive:
+			if err := r.arrive(e.i); err != nil {
+				return nil, err
+			}
+		case evUnit:
+			r.unitCheck(e.m)
+		case evCrash:
+			r.kill(e.m, false)
+		case evPreempt:
+			r.kill(e.m, true)
+		case evFinish:
+			r.finish(e.m)
+		}
 	}
 
 	// Close out: retire every surviving VM, in rent order.
-	for len(live) > 0 {
-		retire(live[0])
+	for len(r.live) > 0 {
+		r.retire(r.live[0])
 	}
-	if len(responseTimes) != cfg.Instances {
-		return nil, fmt.Errorf("online: %d of %d instances completed", len(responseTimes), cfg.Instances)
+	if len(r.responses) != cfg.Instances {
+		return nil, fmt.Errorf("online: %d of %d instances completed", len(r.responses), cfg.Instances)
 	}
-	res.ResponseTimes = stats.Summarize(responseTimes)
-	res.Responses = responseTimes
-	res.Makespan = now
-	if met != nil {
-		met.pool.Set(0)
-		met.queue.Set(0)
+	r.res.ResponseTimes = stats.Summarize(r.responses)
+	r.res.Responses = r.responses
+	r.res.Makespan = r.now
+	if r.met != nil {
+		r.met.pool.Set(0)
+		r.met.queue.Set(0)
 	}
-	return res, nil
+	return r.res, nil
+}
+
+// arrive admits instance i: its entry tasks become ready and the
+// Predictive scaler's moving averages take in the arrival.
+func (r *runner) arrive(i int) error {
+	wf := r.cfg.Instance(i, r.rng)
+	if wf == nil {
+		return fmt.Errorf("online: instance %d: builder returned nil", i)
+	}
+	if err := wf.Freeze(); err != nil {
+		return fmt.Errorf("online: instance %d invalid: %w", i, err)
+	}
+	r.arrivalsLeft--
+	r.tasksLeft += wf.Len()
+	inst := &instance{wf: wf, arrivedAt: r.now, remaining: wf.Len()}
+	inst.pending = make([]int, wf.Len())
+	totalWork := 0.0
+	for id := 0; id < wf.Len(); id++ {
+		inst.pending[id] = len(wf.Pred(dag.TaskID(id)))
+		totalWork += wf.Task(dag.TaskID(id)).Work
+	}
+	instExec := r.cfg.Platform.ExecTime(totalWork, r.cfg.Type)
+	if i == 0 {
+		r.ewmaRate = 1 / r.cfg.MeanInterarrival
+		r.ewmaInstWork = instExec
+	} else {
+		if gap := r.now - r.lastArrival; gap > 0 {
+			r.ewmaRate = ewmaAlpha*(1/gap) + (1-ewmaAlpha)*r.ewmaRate
+		}
+		r.ewmaInstWork = ewmaAlpha*instExec + (1-ewmaAlpha)*r.ewmaInstWork
+	}
+	r.lastArrival = r.now
+	r.instances = append(r.instances, inst)
+	for _, e := range wf.Entries() {
+		r.pushReady(readyTask{inst: len(r.instances) - 1, task: e, readyAt: r.now, seq: r.nextSeq,
+			work: wf.Task(e).Work, id: r.nextTaskID, attempt: 1})
+		r.nextSeq++
+		r.nextTaskID++
+	}
+	r.dispatch()
+	return nil
+}
+
+// unitCheck fires at m's billing-unit boundaries: release the VM if it
+// idles with an empty queue (and the pool is above its floor, or the run
+// has drained), otherwise commit to another unit.
+func (r *runner) unitCheck(m *vm) {
+	if m.dead {
+		return
+	}
+	// After the last task of the last instance the warm-pool floor no
+	// longer applies: everything drains so the simulation terminates.
+	if !m.busy && r.ready.Len() == 0 && (len(r.live) > r.cfg.MinVMs || r.drained()) {
+		r.retire(m)
+		return
+	}
+	m.paidUnits++
+	if r.rec != nil && m.lease.BTUBilled() {
+		r.rec.Record(obs.Event{Kind: obs.KindVMBTURollover, T: r.now, VM: int32(m.id), Task: -1})
+	}
+	r.q.Push(m.rentAt+float64(m.paidUnits)*r.unit, event{kind: evUnit, m: m})
+}
+
+// drained reports that every instance has arrived and every task finished.
+func (r *runner) drained() bool { return r.arrivalsLeft == 0 && r.tasksLeft == 0 }
+
+// kill is a crash or spot preemption: the lease is billed for its held
+// span, the running task (if any) requeues with a fresh attempt, and the
+// scaler re-rents on demand.
+func (r *runner) kill(m *vm, preempt bool) {
+	if m.dead {
+		return
+	}
+	m.dead = true
+	r.removeLive(m)
+	if m.busy {
+		if r.now > m.curStart {
+			m.busySum += r.now - m.curStart // partial execution was real work
+		}
+		r.busyCount--
+		rt := m.cur
+		rt.attempt++
+		rt.readyAt = r.now
+		rt.seq = r.nextSeq
+		r.nextSeq++
+		r.pushReady(rt)
+	}
+	cost := r.bill(m, r.now-m.rentAt)
+	kind := obs.KindVMCrash
+	if preempt {
+		r.res.Preemptions++
+		kind = obs.KindVMPreempt
+		if r.met != nil {
+			r.met.preempts.Inc()
+		}
+	} else {
+		r.res.Crashes++
+		if r.met != nil {
+			r.met.crashes.Inc()
+		}
+	}
+	if r.rec != nil {
+		r.rec.Record(obs.Event{Kind: kind, T: r.now, VM: int32(m.id), Task: -1})
+		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: r.now, VM: int32(m.id), Task: -1, Value: cost})
+	}
+	r.dispatch()
+}
+
+// finish completes m's running task: successors whose last input it was
+// become ready, and the freed VM takes the next ready task.
+func (r *runner) finish(m *vm) {
+	if m.dead {
+		return // the lease died first; kill already requeued the task
+	}
+	rt := m.cur
+	inst := r.instances[rt.inst]
+	m.busy = false
+	r.busyCount--
+	m.busySum += m.curExec
+	r.tasksLeft--
+	inst.remaining--
+	if r.rec != nil {
+		r.rec.Record(obs.Event{Kind: obs.KindTaskFinish, T: r.now, VM: int32(m.id), Task: rt.id, Attempt: rt.attempt})
+	}
+	if inst.remaining == 0 {
+		rtime := r.now - inst.arrivedAt
+		r.responses = append(r.responses, rtime)
+		if r.cfg.Deadline > 0 && rtime <= r.cfg.Deadline {
+			r.res.SLAMet++
+			if r.met != nil {
+				r.met.slaMet.Inc()
+			}
+		}
+		if r.met != nil {
+			r.met.instances.Inc()
+		}
+		r.instances[rt.inst] = nil // let the sampled DAG be collected
+	}
+	for _, s := range inst.wf.Succ(rt.task) {
+		inst.pending[s]--
+		if inst.pending[s] == 0 {
+			r.pushReady(readyTask{inst: rt.inst, task: s, readyAt: r.now, seq: r.nextSeq,
+				work: inst.wf.Task(s).Work, id: r.nextTaskID, attempt: 1})
+			r.nextSeq++
+			r.nextTaskID++
+		}
+	}
+	r.dispatch()
+	if r.cfg.EagerScaleDown && !m.busy && !m.dead && r.ready.Len() == 0 {
+		if len(r.live) > r.cfg.MinVMs || r.drained() {
+			r.retire(m)
+		}
+	}
+}
+
+// startTask runs rt on the idle VM m and schedules its finish.
+func (r *runner) startTask(m *vm, rt readyTask) {
+	m.busy = true
+	r.busyCount++
+	st := r.now
+	if m.readyAt > st {
+		st = m.readyAt // a fresh VM cannot run work before its boot completes
+	}
+	et := r.cfg.Platform.ExecTime(rt.work, r.cfg.Type)
+	m.cur, m.curStart, m.curExec = rt, st, et
+	if r.rec != nil {
+		r.rec.Record(obs.Event{Kind: obs.KindTaskStart, T: st, VM: int32(m.id), Task: rt.id,
+			Attempt: rt.attempt, Value: et, Label: r.instances[rt.inst].wf.Task(rt.task).Name})
+	}
+	r.q.Push(st+et, event{kind: evFinish, m: m})
+}
+
+// dispatch sizes the pool to the scaler's target and hands ready tasks to
+// idle VMs in rent order.
+func (r *runner) dispatch() {
+	cfg := &r.cfg
+	if r.ready.Len() > 0 {
+		want := cfg.Scaler.Desired(PoolState{
+			Now:          r.now,
+			Live:         len(r.live),
+			Idle:         len(r.live) - r.busyCount,
+			QueueDepth:   r.ready.Len(),
+			QueuedWork:   r.queuedWork,
+			ArrivalRate:  r.ewmaRate,
+			InstanceWork: r.ewmaInstWork,
+			Deadline:     cfg.Deadline,
+			MinVMs:       cfg.MinVMs,
+			MaxVMs:       cfg.MaxVMs,
+		})
+		// A non-empty queue must drain no matter how wrong the policy's
+		// estimate is: floor at one VM, cap at the pool bound. Scalers
+		// only grow the pool — release stays at billing boundaries.
+		if want < 1 {
+			want = 1
+		}
+		if want > cfg.MaxVMs {
+			want = cfg.MaxVMs
+		}
+		for len(r.live) < want {
+			r.rent()
+		}
+		k := len(r.live) - r.busyCount
+		if k > r.ready.Len() {
+			k = r.ready.Len()
+		}
+		for _, m := range r.live {
+			if k == 0 {
+				break
+			}
+			if m.busy {
+				continue
+			}
+			r.startTask(m, r.popReady())
+			k--
+		}
+	}
+	if r.perSecond && r.ready.Len() == 0 {
+		// Per-second billing has no sunk unit to ride out: surplus idle
+		// VMs release immediately (the degenerate billing boundary).
+		drained := r.drained()
+		for i := len(r.live) - 1; i >= 0 && (len(r.live) > cfg.MinVMs || drained); i-- {
+			if m := r.live[i]; !m.busy {
+				r.retire(m)
+			}
+		}
+	}
+	if r.met != nil {
+		r.met.queue.Set(float64(r.ready.Len()))
+		r.met.pool.Set(float64(len(r.live)))
+	}
+}
+
+// rent opens a lease on a new VM and schedules its first billing-unit
+// boundary and, under a fault model, its death.
+func (r *runner) rent() {
+	cfg := &r.cfg
+	id := r.res.VMsRented
+	m := &vm{id: id, rentAt: r.now, readyAt: r.now, paidUnits: 1}
+	if cfg.Market != nil {
+		m.lease = cfg.Market.Terms(id, false)
+		delay := m.lease.ColdStartDelay()
+		m.readyAt = r.now + delay
+		r.res.ColdStartWaitS += delay
+	}
+	r.live = append(r.live, m)
+	r.res.VMsRented++
+	if len(r.live) > r.res.PeakVMs {
+		r.res.PeakVMs = len(r.live)
+	}
+	if !r.perSecond {
+		r.q.Push(m.rentAt+r.unit, event{kind: evUnit, m: m})
+	}
+	if r.inj != nil {
+		killAt, kind := r.inj.CrashAfter(uint64(id)), evCrash
+		if m.lease.IsSpot() {
+			if at := r.inj.PreemptAfter(uint64(id)); at < killAt {
+				killAt, kind = at, evPreempt
+			}
+		}
+		if !math.IsInf(killAt, 1) {
+			r.q.Push(m.rentAt+killAt, event{kind: kind, m: m})
+		}
+	}
+	if r.rec != nil {
+		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStart, T: m.rentAt, VM: int32(m.id), Task: -1,
+			Value: m.readyAt - m.rentAt, Label: cfg.Type.String() + m.lease.LabelSuffix()})
+		if m.readyAt > m.rentAt {
+			r.rec.Record(obs.Event{Kind: obs.KindVMBootDone, T: m.readyAt, VM: int32(m.id), Task: -1})
+		}
+	}
+	if r.met != nil {
+		r.met.rented.Inc()
+		r.met.pool.Set(float64(len(r.live)))
+	}
+}
+
+// retire releases an idle VM: dead, out of the live set, billed for the
+// units it committed to (actual span under per-second billing, where
+// nothing is committed beyond the second in progress).
+func (r *runner) retire(m *vm) {
+	m.dead = true
+	r.removeLive(m)
+	span := r.now - m.rentAt
+	if !r.perSecond {
+		span = float64(m.paidUnits) * r.unit
+	}
+	cost := r.bill(m, span)
+	if r.rec != nil {
+		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: r.now, VM: int32(m.id), Task: -1, Value: cost})
+	}
+}
+
+// bill closes the books on m's lease held for span seconds and returns
+// the lease cost.
+func (r *runner) bill(m *vm, span float64) float64 {
+	cost := m.lease.Cost(m.rentAt, span, r.cfg.Type, r.cfg.Region)
+	r.res.TotalCost += cost
+	r.res.PaidSeconds += m.lease.PaidSeconds(span)
+	r.res.BusySeconds += m.busySum
+	if r.met != nil {
+		r.met.costs.Add(cost)
+		r.met.pool.Set(float64(len(r.live)))
+	}
+	return cost
+}
+
+func (r *runner) pushReady(rt readyTask) {
+	r.ready.Push(rt)
+	r.queuedWork += r.cfg.Platform.ExecTime(rt.work, r.cfg.Type)
+	if r.rec != nil {
+		r.rec.Record(obs.Event{Kind: obs.KindTaskQueued, T: rt.readyAt, VM: -1, Task: rt.id, Attempt: rt.attempt})
+	}
+}
+
+func (r *runner) popReady() readyTask {
+	rt := r.ready.Pop()
+	r.queuedWork -= r.cfg.Platform.ExecTime(rt.work, r.cfg.Type)
+	if r.ready.Len() == 0 {
+		r.queuedWork = 0 // shed float drift at every drain
+	}
+	return rt
+}
+
+// removeLive drops m from the live set, preserving rent order (the order
+// dispatch scans for idle capacity, and the order the paper's pool demos
+// billed in).
+func (r *runner) removeLive(m *vm) {
+	for i, v := range r.live {
+		if v == m {
+			copy(r.live[i:], r.live[i+1:])
+			r.live[len(r.live)-1] = nil
+			r.live = r.live[:len(r.live)-1]
+			return
+		}
+	}
 }
 
 func checkConfig(cfg *Config) error {
@@ -677,6 +737,12 @@ func checkConfig(cfg *Config) error {
 			return err
 		}
 		cfg.Instance = mixBuilder(cfg.Mix, cfg.Seed)
+	}
+	if !slices.Contains(cloud.InstanceTypes(), cfg.Type) {
+		return fmt.Errorf("online: unknown instance type %v", cfg.Type)
+	}
+	if !slices.Contains(cloud.Regions(), cfg.Region) {
+		return fmt.Errorf("online: unknown region %v", cfg.Region)
 	}
 	if cfg.MinVMs < 0 || cfg.MaxVMs <= 0 || cfg.MinVMs > cfg.MaxVMs {
 		return fmt.Errorf("online: bad pool bounds [%d, %d]", cfg.MinVMs, cfg.MaxVMs)

@@ -7,8 +7,11 @@ import (
 	"time"
 
 	"repro/internal/cloud"
+	"repro/internal/dag"
 	"repro/internal/market"
 	"repro/internal/ndwf"
+	"repro/internal/stats"
+	"repro/internal/workflows"
 )
 
 // soakInstances is the headline soak size: large enough that the old
@@ -123,12 +126,39 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	perInstance := allocs / float64(cfg.Instances)
-	// The rate is flat at ~86 allocs/instance (mix sampling + per-task
-	// event closures) from 1k through 16k instances; 130 gives ~50%
-	// headroom while still catching anything super-linear or a
-	// per-event buffer creeping into the dispatch loop.
-	if perInstance > 130 {
-		t.Errorf("%.1f allocations per instance, want steady-state rate under 130", perInstance)
+	// The rate is ~77 allocs/instance (~78 under -race), nearly all of it
+	// mix sampling: the sampled DAG and its frozen memos. 100 leaves ~30%
+	// headroom while still catching anything super-linear or a per-event
+	// buffer creeping into the dispatch loop.
+	if perInstance > 100 {
+		t.Errorf("%.1f allocations per instance, want steady-state rate under 100", perInstance)
+	}
+}
+
+// TestEventsAllocateNothing takes the builder's cost out of the alloc
+// guard: every instance is the same prebuilt DAG, so what remains is each
+// instance's own state (its record and pending counts), the VMs rented,
+// and amortized slice growth, ~3.3 allocations per instance. An event
+// must allocate nothing: a closure per event would add ~25 more.
+func TestEventsAllocateNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc guard skipped in -short mode")
+	}
+	wf := workflows.PaperMontage()
+	if err := wf.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := soakConfig(t)
+	cfg.Mix = nil
+	cfg.Instance = func(int, *stats.RNG) *dag.Workflow { return wf }
+	cfg.Instances = 2000
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perInstance := allocs / float64(cfg.Instances); perInstance > 5 {
+		t.Errorf("%.1f allocations per instance, want at most 5", perInstance)
 	}
 }
 
