@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/dax"
 	"repro/internal/eventq"
+	"repro/internal/fault"
 	"repro/internal/frontier"
 	"repro/internal/market"
 	"repro/internal/ndwf"
@@ -518,6 +520,37 @@ func BenchmarkSLAEvaluate(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := sla.Evaluate(tpl, sched.Baseline(), sched.DefaultOptions(), 1500, 100, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSLASearch times one deadline portfolio search: the 6-tile
+// Montage template against a 4000 s deadline at P >= 0.95, the 21
+// registry strategies crossed with the none and spot markets, 50 samples
+// a candidate under the flaky fault preset, on 2 workers. It is the
+// configuration of the benchmark module's sla workload at a quarter of
+// its sample count, and scripts/bench.sh gates its ns/op and allocs/op.
+func BenchmarkSLASearch(b *testing.B) {
+	tpl, err := ndwf.Named("montage")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fc, err := fault.Preset("flaky")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fc.Seed = 1
+	cfg := sla.SearchConfig{
+		Deadline: 4000,
+		Target:   0.95,
+		Config:   sla.Config{Samples: 50, Seed: 1, Workers: 2, Faults: &fc},
+		Markets:  []string{"none", "spot"},
+		Opts:     sched.DefaultOptions(),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sla.Search(tpl, cfg); err != nil && !errors.Is(err, sla.ErrNoStrategyMeets) {
 			b.Fatal(err)
 		}
 	}

@@ -65,7 +65,9 @@ type gateRow struct {
 // regression hidden behind scheduler wins, so the single-cell SimReplay
 // latency has its own row; the service rows watch the /v1/schedule cache
 // hit, whose cost must stay far below the planning it saves, and the
-// cold request. Hosted runners are noisy, hence the wide tolerances.
+// cold request; the SLASearch rows watch the deadline portfolio search,
+// whose allocations count the DAGs it samples. Hosted runners are noisy,
+// hence the wide tolerances.
 var gates = []gateRow{
 	{sweepBench, "cells/s", true, 0.20},
 	{"SimReplay", "ns/op", false, 0.20},
@@ -73,6 +75,8 @@ var gates = []gateRow{
 	{"ServiceScheduleCached", "ns/op", false, 0.20},
 	{"ServiceScheduleCached", "allocs/op", false, 0.20},
 	{"ServiceScheduleCold", "ns/op", false, 0.20},
+	{"SLASearch", "ns/op", false, 0.20},
+	{"SLASearch", "allocs/op", false, 0.20},
 }
 
 // Bench is one measured benchmark.

@@ -17,6 +17,7 @@ BenchmarkOnlineSoak-8          	      15	 200000000 ns/op	63958447 B/op	  854785
 BenchmarkHEFTRanks             	 9000000	       280.0 ns/op	     192 B/op	       1 allocs/op
 BenchmarkServiceScheduleCached-8	   30000	     40000 ns/op	   24000 B/op	      80 allocs/op
 BenchmarkServiceScheduleCold-8  	    2400	    500000 ns/op	  190000 B/op	    1100 allocs/op
+BenchmarkSLASearch-8            	      20	  60000000 ns/op	13800000 B/op	   89000 allocs/op
 PASS
 `
 
@@ -31,7 +32,7 @@ func parsed(t *testing.T, text string) map[string]Bench {
 
 func TestParseDerivesThroughputs(t *testing.T) {
 	out := parsed(t, benchText)
-	if len(out) != 6 {
+	if len(out) != 7 {
 		t.Fatalf("parsed %d benchmarks: %v", len(out), out)
 	}
 	sweep := out[sweepBench]

@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		in       = flag.String("in", "", "template JSON file (empty = the built-in example)")
-		emit     = flag.String("emit", "template", "what to emit: template, instance, or stats")
+		emit     = flag.String("emit", "template", "what to emit: template, instance, stats, or sla")
 		seed     = flag.Uint64("seed", 42, "sampling seed")
 		n        = flag.Int("n", 100, "instances for -emit stats / -emit sla")
 		strategy = flag.String("strategy", "OneVMperTask-s", "strategy for -emit stats")

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/fault"
 	"repro/internal/frontier"
+	"repro/internal/market"
 	"repro/internal/ndwf"
 	"repro/internal/sched"
 	"repro/internal/sla"
@@ -159,6 +160,9 @@ func (c SLACase) Deadline(t ndwf.Template) (float64, error) {
 //     and no sampled makespan beats the bound;
 //   - every sampled candidate's result is bit-identical in both runs, so
 //     pruning changes cost, never answers;
+//   - every sampled candidate's result equals sla.Measure of that
+//     candidate alone, so the search's shared instance-major pass is
+//     the per-candidate measurement it stands for;
 //   - the verdict is identical: target-met/missed always agrees, and the
 //     selected candidate matches whenever the target is met.
 func CheckSLABound(c SLACase) error {
@@ -224,6 +228,9 @@ func CheckSLABound(c SLACase) error {
 			return fmt.Errorf("fuzzcheck: %v: %s/%s sampled makespan %v beats bound %v",
 				c, r.Strategy, r.Market, r.Makespan.Min, r.Bound.MinMakespan)
 		}
+		if err := checkMeasured(tpl, cfg, *r); err != nil {
+			return fmt.Errorf("fuzzcheck: %v: %w", c, err)
+		}
 	}
 	// The selected candidate must match whenever the target is met. Under
 	// ErrNoStrategyMeets both runs agree nothing qualifies; the best-effort
@@ -254,4 +261,33 @@ func RandomSLA(sweepSeed uint64, i int) SLACase {
 		Samples:     3 + r.Intn(10),
 		StratOff:    r.Intn(len(frontier.Portfolio(nil, nil))),
 	}.Normalize()
+}
+
+// checkMeasured re-measures one sampled candidate of a search on its own
+// with sla.Measure, sets Market and Bound as the search does, and requires
+// the search's result to equal it exactly.
+func checkMeasured(tpl ndwf.Template, cfg sla.SearchConfig, r sla.Result) error {
+	alg, err := sched.ByName(r.Strategy)
+	if err != nil {
+		return err
+	}
+	model, err := market.Preset(r.Market)
+	if err != nil {
+		return err
+	}
+	opts := cfg.Opts
+	opts.Market = model
+	want, err := sla.Measure(tpl, alg, opts, cfg.Deadline, cfg.Config)
+	if err != nil {
+		return fmt.Errorf("measuring %s/%s alone: %w", r.Strategy, r.Market, err)
+	}
+	bound, err := sla.AnalyticBound(tpl, sla.BoundType(r.Strategy))
+	if err != nil {
+		return err
+	}
+	want.Market, want.Bound = r.Market, &bound
+	if !reflect.DeepEqual(r, want) {
+		return fmt.Errorf("%s/%s search result differs from Measure of the candidate alone", r.Strategy, r.Market)
+	}
+	return nil
 }

@@ -106,29 +106,55 @@ func (r Result) MakespanQuantile(q float64) float64 {
 // Measure samples cfg.Samples instances of the template, schedules each
 // with the strategy, and returns the full empirical outcome distribution
 // against the deadline. All sampling is seeded and worker-count
-// deterministic; see Config.
+// deterministic; see Config. It is the one-candidate form of the pass
+// Search runs over every surviving candidate at once, so a candidate's
+// Result is the same either way.
 func Measure(t ndwf.Template, alg sched.Algorithm, opts sched.Options,
 	deadline float64, cfg Config) (Result, error) {
 	if deadline <= 0 {
 		return Result{}, fmt.Errorf("sla: non-positive deadline %v", deadline)
 	}
-	if cfg.Samples <= 0 {
-		return Result{}, fmt.Errorf("sla: non-positive sample count %d", cfg.Samples)
-	}
-	cfg = cfg.fill()
 	if err := t.Validate(); err != nil {
 		return Result{}, err
 	}
-
-	n := cfg.Samples
-	makespans := make([]float64, n)
-	costs := make([]float64, n)
-	completed := make([]bool, n)
-
-	workers := cfg.Workers
-	if workers > n {
-		workers = n
+	rs, err := measure(t, []probe{{alg, opts}}, deadline, cfg)
+	if err != nil {
+		return Result{}, err
 	}
+	return rs[0], nil
+}
+
+// probe is one candidate of the Monte-Carlo pass: a strategy and the
+// options (market included) it schedules every instance with.
+type probe struct {
+	alg  sched.Algorithm
+	opts sched.Options
+}
+
+// outcomes are one probe's per-instance slots, index i for instance i.
+type outcomes struct {
+	makespans, costs []float64
+	completed        []bool
+}
+
+// measure is the instance-major Monte-Carlo pass. Workers pull instance
+// indices; each instance is sampled once, its fault seed derived once,
+// and it is then scheduled and replayed under every probe, filling slot
+// i of that probe's outcomes. Every probe's Result is aggregated
+// sequentially in index order afterwards, so it is bit-identical to
+// measuring the probe alone, at any worker count. A sampled DAG never
+// outlives its instance.
+func measure(t ndwf.Template, probes []probe, deadline float64, cfg Config) ([]Result, error) {
+	if cfg.Samples <= 0 {
+		return nil, fmt.Errorf("sla: non-positive sample count %d", cfg.Samples)
+	}
+	cfg = cfg.fill()
+	n := cfg.Samples
+	out := make([]outcomes, len(probes))
+	for c := range out {
+		out[c] = outcomes{make([]float64, n), make([]float64, n), make([]bool, n)}
+	}
+
 	var (
 		wg       sync.WaitGroup
 		next     atomic.Int64
@@ -136,16 +162,20 @@ func Measure(t ndwf.Template, alg sched.Algorithm, opts sched.Options,
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(cfg.Workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var wk worker
+			if cfg.Paranoid {
+				wk.oracle = validate.NewScratch()
+			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
 					return
 				}
-				if err := measureOne(t, alg, opts, cfg, i, makespans, costs, completed); err != nil {
+				if err := wk.instance(t, probes, cfg, i, out); err != nil {
 					failed.Store(true)
 					errMu.Lock()
 					if firstErr == nil {
@@ -159,64 +189,84 @@ func Measure(t ndwf.Template, alg sched.Algorithm, opts sched.Options,
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return Result{}, firstErr
+		return nil, firstErr
 	}
 
-	// Sequential aggregation in index order: the result does not depend
-	// on which worker computed which slot.
+	rs := make([]Result, len(probes))
+	for c, p := range probes {
+		rs[c] = out[c].result(p.alg.Name(), deadline, cfg.Level)
+	}
+	return rs, nil
+}
+
+// worker is one pass goroutine's reusable state: the simulator arenas
+// and result every fault replay reuses, the fault config of the current
+// instance, and the oracle scratch of a Paranoid pass.
+type worker struct {
+	sim    sim.Scratch
+	res    sim.Result
+	faults fault.Config
+	oracle *validate.Scratch
+}
+
+// instance samples instance i once, then schedules and (optionally)
+// replays it under every probe, writing slot i of each probe's outcomes.
+func (wk *worker) instance(t ndwf.Template, probes []probe, cfg Config, i int, out []outcomes) error {
+	wf, err := t.Sample(InstanceSeed(cfg.Seed, i))
+	if err != nil {
+		return err
+	}
+	var sc sim.Config
+	if cfg.Faults.Active() {
+		wk.faults = *cfg.Faults
+		wk.faults.Seed = fault.CellSeed(cfg.Faults.Seed, "sla-fault", strconv.Itoa(i))
+		sc.Faults = &wk.faults
+	}
+	for c, p := range probes {
+		s, err := p.alg.Schedule(wf, p.opts)
+		if err != nil {
+			return fmt.Errorf("sla: %s on instance %d: %w", p.alg.Name(), i, err)
+		}
+		if wk.oracle != nil {
+			if err := wk.oracle.PlanSim(s); err != nil {
+				return fmt.Errorf("sla: paranoid cross-check on instance %d: %w", i, err)
+			}
+		}
+		o := &out[c]
+		if sc.Faults == nil {
+			o.makespans[i], o.costs[i], o.completed[i] = s.Makespan(), s.TotalCost(), true
+			continue
+		}
+		if err := wk.sim.Run(s, sc, &wk.res); err != nil {
+			return fmt.Errorf("sla: fault replay on instance %d: %w", i, err)
+		}
+		o.makespans[i], o.costs[i], o.completed[i] = wk.res.Makespan, wk.res.RentalCost, wk.res.Completed
+	}
+	return nil
+}
+
+// result aggregates the outcomes in index order: the result does not
+// depend on which worker computed which slot.
+func (o outcomes) result(strategy string, deadline, level float64) Result {
+	n := len(o.makespans)
 	res := Result{
-		Strategy:  alg.Name(),
+		Strategy:  strategy,
 		Deadline:  deadline,
 		N:         n,
-		Makespans: makespans,
-		Costs:     costs,
+		Makespans: o.makespans,
+		Costs:     o.costs,
 	}
 	for i := 0; i < n; i++ {
-		if completed[i] {
+		if o.completed[i] {
 			res.Completed++
-			if makespans[i] <= deadline {
+			if o.makespans[i] <= deadline {
 				res.Met++
 			}
 		}
 	}
 	res.MeetProbability = float64(res.Met) / float64(n)
-	res.MeetCI = stats.WilsonCI(res.Met, n, cfg.Level)
-	res.Makespan = stats.Summarize(makespans)
-	res.Cost = stats.Summarize(costs)
-	return res, nil
-}
-
-// measureOne realizes, schedules, and (optionally) replays instance i,
-// writing its outcome into slot i.
-func measureOne(t ndwf.Template, alg sched.Algorithm, opts sched.Options,
-	cfg Config, i int, makespans, costs []float64, completed []bool) error {
-	wf, err := t.Sample(InstanceSeed(cfg.Seed, i))
-	if err != nil {
-		return err
-	}
-	s, err := alg.Schedule(wf, opts)
-	if err != nil {
-		return fmt.Errorf("sla: %s on instance %d: %w", alg.Name(), i, err)
-	}
-	if cfg.Paranoid {
-		if err := validate.PlanSim(s); err != nil {
-			return fmt.Errorf("sla: paranoid cross-check on instance %d: %w", i, err)
-		}
-	}
-	if !cfg.Faults.Active() {
-		makespans[i] = s.Makespan()
-		costs[i] = s.TotalCost()
-		completed[i] = true
-		return nil
-	}
-	fc := *cfg.Faults
-	fc.Seed = fault.CellSeed(cfg.Faults.Seed, "sla-fault", strconv.Itoa(i))
-	res, err := sim.Run(s, sim.Config{Faults: &fc})
-	if err != nil {
-		return fmt.Errorf("sla: fault replay on instance %d: %w", i, err)
-	}
-	makespans[i] = res.Makespan
-	costs[i] = res.RentalCost
-	completed[i] = res.Completed
-	return nil
+	res.MeetCI = stats.WilsonCI(res.Met, n, level)
+	res.Makespan = stats.Summarize(o.makespans)
+	res.Cost = stats.Summarize(o.costs)
+	return res
 }

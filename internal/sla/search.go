@@ -38,9 +38,11 @@ type SearchConfig struct {
 	// ships.
 	NoBound bool
 	// Trace, when non-nil, receives one span per portfolio candidate
-	// (named "candidate <strategy>@<market>", annotated with its fate),
-	// parented on TraceParent — how a service request's trace extends into
-	// the search. Nil (the default) costs one branch per candidate.
+	// (named "candidate <strategy>@<market>", covering its bound and
+	// verdict, annotated with its fate) and one "sla_measure" span for the
+	// shared Monte-Carlo pass, all parented on TraceParent — how a service
+	// request's trace extends into the search. Nil (the default) costs one
+	// branch per span.
 	Trace       *obs.Trace
 	TraceParent obs.SpanID
 }
@@ -79,6 +81,14 @@ type SearchResult struct {
 	Audit Audit
 }
 
+// survivor is a candidate the analytic pre-pass kept: its market, its
+// bound, and the index of its verdict in the audit.
+type survivor struct {
+	market  string
+	bound   Bound
+	verdict int
+}
+
 // pruneMargin keeps the analytic prune strictly conservative against
 // float rounding: a candidate is dropped only when its certain lower
 // bound exceeds the deadline by more than a relative hair, so a bound
@@ -92,9 +102,10 @@ const pruneMargin = 1e-9
 // minimal makespan already exceeds the deadline are pruned without
 // sampling — by construction this never drops a candidate the Monte-Carlo
 // pass could have accepted, since no realization can beat the bound. The
-// survivors are measured with Measure under identical hash-derived seeds,
-// so the result is bit-identical across runs, worker counts, and prune
-// on/off.
+// survivors then share one instance-major pass: each instance is sampled
+// once and scheduled under every survivor, and each survivor's Result
+// equals Measure of that candidate alone, so the result is bit-identical
+// across runs, worker counts, candidate order, and prune on/off.
 //
 // If no candidate reaches the target, Search returns the best-effort
 // SearchResult along with ErrNoStrategyMeets.
@@ -118,6 +129,12 @@ func Search(t ndwf.Template, cfg SearchConfig) (SearchResult, error) {
 
 	out := SearchResult{Deadline: cfg.Deadline, Target: cfg.Target, Considered: len(cands)}
 	out.Audit = Audit{PortfolioSize: len(cands)}
+	// The survivors of the pre-pass, in portfolio order: what each one
+	// schedules with, and where its bound and verdict go.
+	var (
+		probes    []probe
+		survivors []survivor
+	)
 	for _, c := range cands {
 		sp := cfg.Trace.StartSpan("candidate "+c.Strategy+"@"+c.Market, cfg.TraceParent)
 		alg, err := sched.ByName(c.Strategy)
@@ -154,24 +171,33 @@ func Search(t ndwf.Template, cfg SearchConfig) (SearchResult, error) {
 		}
 		opts := cfg.Opts
 		opts.Market = model
-		res, err := Measure(t, alg, opts, cfg.Deadline, cfg.Config)
-		if err != nil {
-			sp.End()
-			return SearchResult{}, err
-		}
-		res.Market = c.Market
-		b := bound
-		res.Bound = &b
-		out.Results = append(out.Results, res)
-		out.Sampled += res.N
+		probes = append(probes, probe{alg, opts})
+		survivors = append(survivors, survivor{market: c.Market, bound: bound, verdict: len(out.Audit.Verdicts)})
 		v.Fate = "sampled"
-		v.MeetProbability = res.MeetProbability
-		v.MeanCostUSD = res.Cost.Mean
-		v.Met = res.MeetProbability >= cfg.Target
 		out.Audit.Verdicts = append(out.Audit.Verdicts, v)
 		out.Audit.SampledCount++
 		sp.SetAttr("fate", "sampled")
 		sp.End()
+	}
+
+	if len(probes) > 0 {
+		sp := cfg.Trace.StartSpan("sla_measure", cfg.TraceParent)
+		results, err := measure(t, probes, cfg.Deadline, cfg.Config)
+		sp.End()
+		if err != nil {
+			return SearchResult{}, err
+		}
+		for i, res := range results {
+			s := survivors[i]
+			res.Market = s.market
+			res.Bound = &s.bound
+			out.Results = append(out.Results, res)
+			out.Sampled += res.N
+			v := &out.Audit.Verdicts[s.verdict]
+			v.MeetProbability = res.MeetProbability
+			v.MeanCostUSD = res.Cost.Mean
+			v.Met = res.MeetProbability >= cfg.Target
+		}
 	}
 
 	sort.SliceStable(out.Results, func(i, j int) bool {

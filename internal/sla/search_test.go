@@ -2,11 +2,16 @@ package sla
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/frontier"
+	"repro/internal/market"
 	"repro/internal/ndwf"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -181,4 +186,123 @@ func TestSearchRejectsBadInputs(t *testing.T) {
 	if _, err := Search(tpl, cfg); err == nil {
 		t.Error("no error for unknown market")
 	}
+}
+
+// TestSearchMatchesMeasure checks the shared instance-major pass against
+// its definition: every sampled Result of a Search equals Measure of that
+// candidate alone, with Market and Bound set as Search sets them, across
+// markets, fault settings and worker counts. The reversed portfolio gives
+// the same results and the same Best.
+func TestSearchMatchesMeasure(t *testing.T) {
+	tpl := ndwf.Order()
+	flaky, err := fault.Preset("flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky.Seed = 29
+	modes := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"flaky", func(c *Config) { c.Faults = &flaky }},
+		{"fault-free", func(c *Config) {}},
+		{"paranoid", func(c *Config) { c.Paranoid = true }},
+	}
+	for _, mkt := range []string{"none", "spot", "ondemand-sec"} {
+		for _, mode := range modes {
+			for _, workers := range []int{1, 3, 16} {
+				cfg := orderSearchConfig(600, 0.9)
+				cfg.Samples, cfg.Seed, cfg.Workers = 8, 31, workers
+				cfg.Markets = []string{mkt}
+				mode.set(&cfg.Config)
+				name := fmt.Sprintf("%s/%s/workers=%d", mkt, mode.name, workers)
+
+				res, err := Search(tpl, cfg)
+				if err != nil && !errors.Is(err, ErrNoStrategyMeets) {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if len(res.Results) == 0 || len(res.Pruned) == 0 {
+					t.Fatalf("%s: %d sampled, %d pruned; want both", name, len(res.Results), len(res.Pruned))
+				}
+				for _, r := range res.Results {
+					alg, err := sched.ByName(r.Strategy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					model, err := market.Preset(r.Market)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := cfg.Opts
+					opts.Market = model
+					want, err := Measure(tpl, alg, opts, cfg.Deadline, cfg.Config)
+					if err != nil {
+						t.Fatalf("%s: measure %s@%s: %v", name, r.Strategy, r.Market, err)
+					}
+					bound, err := AnalyticBound(tpl, BoundType(r.Strategy))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Market, want.Bound = r.Market, &bound
+					if !reflect.DeepEqual(r, want) {
+						t.Fatalf("%s: %s@%s differs from Measure of the candidate alone", name, r.Strategy, r.Market)
+					}
+				}
+
+				cands := frontier.Portfolio(nil, cfg.Markets)
+				slices.Reverse(cands)
+				cfg.Candidates = cands
+				rev, revErr := Search(tpl, cfg)
+				if (err == nil) != (revErr == nil) {
+					t.Fatalf("%s: forward err %v, reversed err %v", name, err, revErr)
+				}
+				if !reflect.DeepEqual(res.Results, rev.Results) || !reflect.DeepEqual(res.Best, rev.Best) {
+					t.Fatalf("%s: the reversed portfolio changes the results", name)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchAllocs guards the allocations the pass spends per sampled
+// instance: one DAG per instance, shared by every candidate, and replay
+// state reused across the candidates and instances of a worker.
+func TestSearchAllocs(t *testing.T) {
+	if obs.Default() != nil {
+		t.Skip("OBSDEBUG is set; every replay also records events")
+	}
+	tpl, err := ndwf.Named("montage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := fault.Preset("flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.Seed = 3
+	cfg := SearchConfig{
+		Deadline: 4000,
+		Target:   0.95,
+		Config:   Config{Samples: 20, Seed: 3, Workers: 1, Faults: &fc},
+		Markets:  []string{"none", "spot"},
+		Opts:     sched.DefaultOptions(),
+	}
+	var res SearchResult
+	search := func() {
+		var err error
+		if res, err = Search(tpl, cfg); err != nil && !errors.Is(err, ErrNoStrategyMeets) {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, search)
+	if res.Considered != 42 || res.Sampled == 0 {
+		t.Fatalf("considered %d candidates, sampled %d instances", res.Considered, res.Sampled)
+	}
+	perInstance := allocs / float64(res.Sampled)
+	const ceiling = 80
+	if perInstance > ceiling {
+		t.Errorf("%.1f allocs per sampled instance (%.0f over %d), ceiling %d",
+			perInstance, allocs, res.Sampled, ceiling)
+	}
+	t.Logf("%.1f allocs per sampled instance", perInstance)
 }

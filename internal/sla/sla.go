@@ -31,43 +31,67 @@ type Estimate struct {
 // cost and makespan.
 func Evaluate(t ndwf.Template, alg sched.Algorithm, opts sched.Options,
 	deadline float64, n int, seed uint64) (Estimate, error) {
+	ests, err := evaluate(t, []sched.Algorithm{alg}, opts, deadline, n, seed)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return ests[0], nil
+}
+
+// evaluate samples each of n instances (seeds seed, seed+1, ...) once and
+// schedules it with every strategy, accumulating each strategy's sums in
+// instance order, so every estimate equals Evaluate of that strategy
+// alone.
+func evaluate(t ndwf.Template, algs []sched.Algorithm, opts sched.Options,
+	deadline float64, n int, seed uint64) ([]Estimate, error) {
 	if deadline <= 0 {
-		return Estimate{}, fmt.Errorf("sla: non-positive deadline %v", deadline)
+		return nil, fmt.Errorf("sla: non-positive deadline %v", deadline)
 	}
 	if n <= 0 {
-		return Estimate{}, fmt.Errorf("sla: non-positive sample count %d", n)
+		return nil, fmt.Errorf("sla: non-positive sample count %d", n)
 	}
-	est := Estimate{Strategy: alg.Name()}
-	met := 0
 	// Sum first, divide once at the end: dividing every term by n
 	// compounds a rounding step per iteration and made the means depend
 	// on n twice over.
-	var costSum, makespanSum float64
+	type sums struct {
+		met            int
+		cost, makespan float64
+	}
+	acc := make([]sums, len(algs))
 	for i := 0; i < n; i++ {
 		wf, err := t.Sample(seed + uint64(i))
 		if err != nil {
-			return Estimate{}, err
+			return nil, err
 		}
-		s, err := alg.Schedule(wf, opts)
-		if err != nil {
-			return Estimate{}, fmt.Errorf("sla: %s on instance %d: %w", alg.Name(), i, err)
+		for a, alg := range algs {
+			s, err := alg.Schedule(wf, opts)
+			if err != nil {
+				return nil, fmt.Errorf("sla: %s on instance %d: %w", alg.Name(), i, err)
+			}
+			if s.Makespan() <= deadline {
+				acc[a].met++
+			}
+			acc[a].cost += s.TotalCost()
+			acc[a].makespan += s.Makespan()
 		}
-		if s.Makespan() <= deadline {
-			met++
-		}
-		costSum += s.TotalCost()
-		makespanSum += s.Makespan()
 	}
-	est.MeanCost = costSum / float64(n)
-	est.MeanMakespan = makespanSum / float64(n)
-	est.MeetProbability = float64(met) / float64(n)
-	return est, nil
+	ests := make([]Estimate, len(algs))
+	for a, alg := range algs {
+		ests[a] = Estimate{
+			Strategy:        alg.Name(),
+			MeetProbability: float64(acc[a].met) / float64(n),
+			MeanCost:        acc[a].cost / float64(n),
+			MeanMakespan:    acc[a].makespan / float64(n),
+		}
+	}
+	return ests, nil
 }
 
-// CheapestMeeting evaluates all strategies and returns the cheapest one
-// whose meet probability reaches the target, with all estimates for
-// inspection (sorted by mean cost). If none qualifies, it returns the
-// highest-probability strategy and ErrNoStrategyMeets.
+// CheapestMeeting evaluates all strategies over the same sampled
+// instances and returns the cheapest one whose meet probability reaches
+// the target, with all estimates for inspection (sorted by mean cost). If
+// none qualifies, it returns the highest-probability strategy and
+// ErrNoStrategyMeets.
 func CheapestMeeting(t ndwf.Template, algs []sched.Algorithm, opts sched.Options,
 	deadline, target float64, n int, seed uint64) (Estimate, []Estimate, error) {
 	if target < 0 || target > 1 {
@@ -76,13 +100,9 @@ func CheapestMeeting(t ndwf.Template, algs []sched.Algorithm, opts sched.Options
 	if len(algs) == 0 {
 		return Estimate{}, nil, fmt.Errorf("sla: no strategies given")
 	}
-	all := make([]Estimate, 0, len(algs))
-	for _, alg := range algs {
-		est, err := Evaluate(t, alg, opts, deadline, n, seed)
-		if err != nil {
-			return Estimate{}, nil, err
-		}
-		all = append(all, est)
+	all, err := evaluate(t, algs, opts, deadline, n, seed)
+	if err != nil {
+		return Estimate{}, nil, err
 	}
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].MeanCost != all[j].MeanCost {

@@ -13,8 +13,9 @@
 #   AGAINST    baseline artifact; fails when any row of cmd/bench's gate
 #              table regresses past its tolerance: the full-sweep cells/s,
 #              the SimReplay ns/op, the OnlineSoak instances/s, the
-#              ServiceScheduleCached ns/op and allocs/op, and the
-#              ServiceScheduleCold ns/op
+#              ServiceScheduleCached ns/op and allocs/op, the
+#              ServiceScheduleCold ns/op, and the SLASearch ns/op and
+#              allocs/op
 #   RAW        also save the raw `go test -bench` text here (benchstat input)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,7 +36,7 @@ if [ -n "$RAW" ]; then
 fi
 
 go test -run '^$' -count 1 -benchmem -benchtime "$BENCHTIME" \
-  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak)$' . \
+  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak|BenchmarkSLASearch)$' . \
   | tee /dev/stderr | tee "$raw_sink" | go run ./cmd/bench "${args[@]}"
 
 if [ "$OUT" != "-" ]; then
