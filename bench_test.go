@@ -229,6 +229,20 @@ func BenchmarkScheduleMontage(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleGain times one GAIN schedule of the sweep's Pareto
+// Montage-24 pane: the budget-limited upgrade loop, whose every trial the
+// replayer prices incrementally. scripts/bench.sh gates its ns/op.
+func BenchmarkScheduleGain(b *testing.B) {
+	wf := workload.Pareto.Apply(workflows.PaperMontage(), 42)
+	alg := sched.NewGain()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := alg.Schedule(wf, sched.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScheduleLargeMapReduce times AllPar1LnSDyn on a 100-mapper
 // MapReduce — the level-scheduler's stress case.
 func BenchmarkScheduleLargeMapReduce(b *testing.B) {

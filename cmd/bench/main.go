@@ -66,8 +66,9 @@ type gateRow struct {
 // latency has its own row; the service rows watch the /v1/schedule cache
 // hit, whose cost must stay far below the planning it saves, and the
 // cold request; the SLASearch rows watch the deadline portfolio search,
-// whose allocations count the DAGs it samples. Hosted runners are noisy,
-// hence the wide tolerances.
+// whose allocations count the DAGs it samples; the ScheduleGain row
+// watches one GAIN schedule, the upgrade loop under both budget-limited
+// algorithms. Hosted runners are noisy, hence the wide tolerances.
 var gates = []gateRow{
 	{sweepBench, "cells/s", true, 0.20},
 	{"SimReplay", "ns/op", false, 0.20},
@@ -77,6 +78,7 @@ var gates = []gateRow{
 	{"ServiceScheduleCold", "ns/op", false, 0.20},
 	{"SLASearch", "ns/op", false, 0.20},
 	{"SLASearch", "allocs/op", false, 0.20},
+	{"ScheduleGain", "ns/op", false, 0.20},
 }
 
 // Bench is one measured benchmark.

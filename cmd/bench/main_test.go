@@ -18,6 +18,7 @@ BenchmarkHEFTRanks             	 9000000	       280.0 ns/op	     192 B/op	      
 BenchmarkServiceScheduleCached-8	   30000	     40000 ns/op	   24000 B/op	      80 allocs/op
 BenchmarkServiceScheduleCold-8  	    2400	    500000 ns/op	  190000 B/op	    1100 allocs/op
 BenchmarkSLASearch-8            	      20	  60000000 ns/op	13800000 B/op	   89000 allocs/op
+BenchmarkScheduleGain-8         	    5000	    300000 ns/op	   30000 B/op	     200 allocs/op
 PASS
 `
 
@@ -32,7 +33,7 @@ func parsed(t *testing.T, text string) map[string]Bench {
 
 func TestParseDerivesThroughputs(t *testing.T) {
 	out := parsed(t, benchText)
-	if len(out) != 7 {
+	if len(out) != 8 {
 		t.Fatalf("parsed %d benchmarks: %v", len(out), out)
 	}
 	sweep := out[sweepBench]

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cloud"
@@ -157,29 +158,55 @@ func ReplayMarket(wf *dag.Workflow, p *cloud.Platform, region cloud.Region, m *m
 }
 
 // Replayer replays assignments over one fixed (workflow, platform, region,
-// market) context with reusable scratch state. Its Cost method answers the
-// only question the budget-constrained upgrade loops actually ask — "what
-// would this assignment cost?" — without materializing a Schedule, and
-// without allocating in steady state: the builder bookkeeping, the VM
-// arena, the slot arena and the per-VM queue heads are all reset in place
-// between calls, and market lease terms (pure functions of the VM index)
-// are memoized. Cost is float-bit-identical to
-// ReplayMarket(...).TotalCost(): it runs the same greedy placement through
-// the same Builder methods and sums rental and transfer costs in the same
-// order. A Replayer is not safe for concurrent use.
+// market) context with reusable scratch state, and prices them without
+// materializing a Schedule. It answers two questions:
+//
+//   - Cost: what does this assignment cost? A full replay of any
+//     assignment.
+//   - Load, Retype, Keep, Undo: what would the loaded one-task-per-VM
+//     assignment cost with one VM retyped? The upgrade loops of Gain and
+//     CPA-Eager ask this for every trial; Retype re-places only the tasks
+//     whose inputs the retype changed and re-bills only their VMs.
+//
+// Neither allocates in steady state: the builder bookkeeping, the VM and
+// slot arenas, the per-VM bills and the trial's undo log are reset in
+// place between calls, and market lease terms (pure functions of the VM
+// index) are memoized. Both are float-bit-identical to
+// ReplayMarket(...).TotalCost(): they place tasks through the same Builder
+// methods and sum rental and transfer costs in the same order. A Replayer
+// is not safe for concurrent use.
 type Replayer struct {
 	wf     *dag.Workflow
 	p      *cloud.Platform
 	region cloud.Region
 	m      *market.Model
 
-	b     Builder
-	seen  []bool
-	heads []int
-	slots []Slot
-	vmIdx []int32         // task -> queue index, singleton-queue fast path
-	cold  []*market.Lease // memoized m.Terms(id, false), indexed by VM id
-	warm  []*market.Lease // memoized m.Terms(id, true)
+	b      Builder
+	floats []float64 // backs b.start, b.end and bills
+	mark   []bool    // per task: validation's seen set, then Retype's dirty set
+	heads  []int
+	slots  []Slot
+	vmIdx  []int32         // task -> queue index, singleton-queue fast path
+	cold   []*market.Lease // memoized m.Terms(id, false), indexed by VM id
+	warm   []*market.Lease // memoized m.Terms(id, true)
+
+	// The assignment Load placed, and the pending Retype trial.
+	loaded   bool
+	bills    []float64 // per-VM rent, in VM index order
+	transfer float64   // the loaded assignment's transfer cost
+	trialVM  int       // the VM the pending trial retyped; -1 when none
+	trialOld cloud.InstanceType
+	dirty    int      // tasks marked in mark but not yet re-placed
+	log      []change // what the pending trial overwrote
+}
+
+// change is one entry of a trial's undo log: a task the trial re-placed
+// with a different slot, or the retyped task itself, with its slot and
+// its VM's bill as they were before the trial.
+type change struct {
+	task       dag.TaskID
+	start, end float64
+	bill       float64
 }
 
 // NewReplayer returns a Replayer for the given scheduling context. The
@@ -193,8 +220,8 @@ func NewReplayer(wf *dag.Workflow, p *cloud.Platform, region cloud.Region, m *ma
 
 // Replay materializes the assignment's full schedule (ReplayMarket under
 // the replayer's context). The result is freshly allocated and owned by
-// the caller; the upgrade loops call this once, after Cost has driven all
-// accept/reject decisions.
+// the caller; the upgrade loops call this once, after their priced trials
+// have driven all accept/reject decisions.
 func (r *Replayer) Replay(a Assignment) (*Schedule, error) {
 	return ReplayMarket(r.wf, r.p, r.region, r.m, a)
 }
@@ -237,13 +264,13 @@ func (r *Replayer) reset(nvms int) {
 		b.placed = b.placed[:n]
 		clear(b.placed)
 	}
-	if cap(b.start) < n {
-		b.start = make([]float64, n)
-		b.end = make([]float64, n)
-	} else {
-		b.start = b.start[:n]
-		b.end = b.end[:n]
+	// The builder's start and end times and Load's per-VM bills share one
+	// block.
+	if need := 2*n + nvms; cap(r.floats) < need {
+		r.floats = make([]float64, need)
 	}
+	b.start, b.end = r.floats[:n:n], r.floats[n:2*n:2*n]
+	r.bills = r.floats[2*n : 2*n+nvms : 2*n+nvms]
 	if cap(b.vmOf) < n {
 		b.vmOf = make([]VMID, n)
 	} else {
@@ -260,6 +287,10 @@ func (r *Replayer) reset(nvms int) {
 	b.warmLeft = 0
 	if r.m != nil {
 		b.warmLeft = r.m.WarmPool
+		// Size the lease-term memo once rather than growing it VM by VM.
+		if n := nvms - len(r.cold); n > 0 {
+			r.cold = slices.Grow(r.cold, n)
+		}
 	}
 }
 
@@ -299,17 +330,40 @@ func (r *Replayer) addVM(typ cloud.InstanceType, prepaid bool) *VM {
 
 // Cost replays the assignment and returns its total (rental + transfer)
 // cost, bit-identical to what Replay(a).TotalCost() would report, without
-// materializing the schedule. Steady-state calls allocate nothing.
+// materializing the schedule. Steady-state calls allocate nothing. Cost
+// discards the assignment Load placed.
 func (r *Replayer) Cost(a Assignment) (float64, error) {
-	n := r.wf.Len()
-	if cap(r.seen) < n {
-		r.seen = make([]bool, n)
-	} else {
-		r.seen = r.seen[:n]
-		clear(r.seen)
-	}
-	if err := validateAssignment(r.wf, a, r.seen); err != nil {
+	r.loaded = false
+	if err := r.place(a); err != nil {
 		return 0, err
+	}
+	// Mirror Done()'s slot ordering, then Schedule.TotalCost()'s exact
+	// summation order: rental per VM in rental order, transfers per edge in
+	// the workflow's sorted edge order.
+	b := &r.b
+	for _, vm := range b.vms {
+		if !slotsSorted(vm.Slots) {
+			sort.Slice(vm.Slots, func(i, j int) bool { return vm.Slots[i].Start < vm.Slots[j].Start })
+		}
+	}
+	var rental float64
+	for _, vm := range b.vms {
+		rental += vm.Cost()
+	}
+	return rental + r.transferCost(), nil
+}
+
+// place validates the assignment and replays it into the embedded builder.
+func (r *Replayer) place(a Assignment) error {
+	n := r.wf.Len()
+	if cap(r.mark) < n {
+		r.mark = make([]bool, n)
+	} else {
+		r.mark = r.mark[:n]
+		clear(r.mark)
+	}
+	if err := validateAssignment(r.wf, a, r.mark); err != nil {
+		return err
 	}
 	r.reset(len(a.Types))
 	b := &r.b
@@ -348,29 +402,22 @@ func (r *Replayer) Cost(a Assignment) (float64, error) {
 		for _, t := range r.wf.TopoOrder() {
 			b.PlaceOn(t, b.vms[r.vmIdx[t]])
 		}
+		return nil
+	}
+	if cap(r.heads) < len(a.Queues) {
+		r.heads = make([]int, len(a.Queues))
 	} else {
-		if cap(r.heads) < len(a.Queues) {
-			r.heads = make([]int, len(a.Queues))
-		} else {
-			r.heads = r.heads[:len(a.Queues)]
-			clear(r.heads)
-		}
-		if err := replayGreedy(b, r.wf, a, b.vms, r.heads); err != nil {
-			return 0, err
-		}
+		r.heads = r.heads[:len(a.Queues)]
+		clear(r.heads)
 	}
-	// Mirror Done()'s slot ordering, then Schedule.TotalCost()'s exact
-	// summation order: rental per VM in rental order, transfers per edge in
-	// the workflow's sorted edge order.
-	for _, vm := range b.vms {
-		if !slotsSorted(vm.Slots) {
-			sort.Slice(vm.Slots, func(i, j int) bool { return vm.Slots[i].Start < vm.Slots[j].Start })
-		}
-	}
-	var rental, transfer float64
-	for _, vm := range b.vms {
-		rental += vm.Cost()
-	}
+	return replayGreedy(b, r.wf, a, b.vms, r.heads)
+}
+
+// transferCost sums the placed assignment's transfer prices per edge in
+// the workflow's sorted edge order, as Schedule.TransferCost does.
+func (r *Replayer) transferCost() float64 {
+	b := &r.b
+	var transfer float64
 	for _, e := range r.wf.Edges() {
 		from := b.vms[b.vmOf[e.From]]
 		to := b.vms[b.vmOf[e.To]]
@@ -378,5 +425,133 @@ func (r *Replayer) Cost(a Assignment) (float64, error) {
 			transfer += r.p.TransferCost(e.Data, from.Region, to.Region)
 		}
 	}
-	return rental + transfer, nil
+	return transfer
+}
+
+// Load places a one-task-per-VM assignment, returns its cost as Cost
+// would, and keeps it as the base of Retype trials. The replayer does not
+// retain a: the loaded types live in its own VMs, and callers that track
+// the assignment update their copy when they Keep a trial. Load reuses
+// the buffers of Cost, so a replayer shared by several upgrade loops
+// allocates nothing per Load in steady state.
+func (r *Replayer) Load(a Assignment) (float64, error) {
+	r.loaded = false
+	for i, q := range a.Queues {
+		if len(q) != 1 {
+			return 0, fmt.Errorf("plan: Load needs one task per VM, VM %d has %d", i, len(q))
+		}
+	}
+	if err := r.place(a); err != nil {
+		return 0, err
+	}
+	b := &r.b
+	var rental float64
+	for i, vm := range b.vms {
+		r.bills[i] = vm.Cost()
+		rental += r.bills[i]
+	}
+	// A retype moves no task and changes no region, so no trial changes
+	// the transfer cost.
+	r.transfer = r.transferCost()
+	if cap(r.log) < len(b.vms) {
+		r.log = make([]change, 0, len(b.vms))
+	}
+	r.log = r.log[:0]
+	clear(r.mark) // validation marked every task seen
+	r.dirty, r.trialVM, r.loaded = 0, -1, true
+	return rental + r.transfer, nil
+}
+
+// Retype prices the loaded assignment with VM vm retyped to typ, and
+// leaves the retype applied as a pending trial: call Keep or Undo before
+// the next Retype. The price is bit-identical to Cost of the retyped
+// assignment, under every market:
+//
+//   - Every task's slot is a pure function of its predecessors' ends,
+//     its own and its predecessors' VM types, and its VM's lease terms,
+//     which depend only on the VM index. Retype recomputes the retyped
+//     task, its successors (their transfers from it depend on its type)
+//     and, transitively, the successors of every task whose end changed,
+//     in level order through the same Builder.StartOn and ExecTime calls
+//     the full replay makes. Every other slot keeps its bits.
+//   - A VM's bill is a pure function of its one slot, its type and its
+//     lease terms, so only the retyped VM and the VMs of moved tasks are
+//     re-billed. The bills are re-summed in VM index order and the fixed
+//     transfer cost added, the summation order of Cost.
+func (r *Replayer) Retype(vm int, typ cloud.InstanceType) float64 {
+	if !r.loaded || r.trialVM >= 0 {
+		panic("plan: Retype needs a loaded assignment and no pending trial")
+	}
+	b := &r.b
+	v := b.vms[vm]
+	r.trialVM, r.trialOld = vm, v.Type
+	v.Type = typ
+	t := v.Slots[0].Task
+	r.markDirty(t)
+	for _, s := range r.wf.Succ(t) {
+		r.markDirty(s)
+	}
+	// Level order is a topological order, and every marked task lies at
+	// or above t's level.
+	levels := r.wf.Levels()
+	for l := r.wf.Level(t); r.dirty > 0; l++ {
+		for _, x := range levels[l] {
+			if !r.mark[x] {
+				continue
+			}
+			r.mark[x] = false
+			r.dirty--
+			xvm := b.vms[b.vmOf[x]]
+			old := xvm.Slots[0]
+			xvm.Slots = xvm.Slots[:0] // StartOn places onto an empty VM
+			start := b.StartOn(x, xvm)
+			end := start + b.ExecTime(x, xvm.Type)
+			xvm.Slots = append(xvm.Slots, Slot{Task: x, Start: start, End: end})
+			if x != t && start == old.Start && end == old.End {
+				continue
+			}
+			r.log = append(r.log, change{task: x, start: old.Start, end: old.End, bill: r.bills[xvm.ID]})
+			b.start[x], b.end[x] = start, end
+			r.bills[xvm.ID] = xvm.Cost()
+			if end != old.End {
+				for _, s := range r.wf.Succ(x) {
+					r.markDirty(s)
+				}
+			}
+		}
+	}
+	var rental float64
+	for _, c := range r.bills {
+		rental += c
+	}
+	return rental + r.transfer
+}
+
+// markDirty marks a task for re-placement by the running trial.
+func (r *Replayer) markDirty(t dag.TaskID) {
+	if !r.mark[t] {
+		r.mark[t] = true
+		r.dirty++
+	}
+}
+
+// Keep makes the pending trial part of the loaded assignment.
+func (r *Replayer) Keep() {
+	r.log = r.log[:0]
+	r.trialVM = -1
+}
+
+// Undo reverts the pending trial: the retyped VM gets its type back, and
+// every slot and bill the trial changed its old value.
+func (r *Replayer) Undo() {
+	b := &r.b
+	b.vms[r.trialVM].Type = r.trialOld
+	for _, c := range r.log {
+		vm := b.vms[b.vmOf[c.task]]
+		vm.Slots[0].Start, vm.Slots[0].End = c.start, c.end
+		b.start[c.task], b.end[c.task] = c.start, c.end
+		r.bills[vm.ID] = c.bill
+	}
+	r.log = r.log[:0]
+	r.trialVM = -1
 }

@@ -1,12 +1,15 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
+	"repro/internal/dag/dagtest"
 	"repro/internal/market"
+	"repro/internal/stats"
 )
 
 // diamondAssignment splits the diamond across two VMs: the spine on vm0,
@@ -131,5 +134,84 @@ func TestBuilderAccessorsAndScheduleString(t *testing.T) {
 	str := s.String()
 	if !strings.Contains(str, "schedule{vms: 2") || !strings.Contains(str, "makespan:") {
 		t.Errorf("Schedule.String() = %q", str)
+	}
+}
+
+// sameTimeline reports the first task or VM where the loaded state of rp
+// differs from the full placement in ref.
+func sameTimeline(rp, ref *Replayer) error {
+	for t := range ref.b.start {
+		if rp.b.start[t] != ref.b.start[t] || rp.b.end[t] != ref.b.end[t] {
+			return fmt.Errorf("task %d: slot [%v, %v), full replay [%v, %v)",
+				t, rp.b.start[t], rp.b.end[t], ref.b.start[t], ref.b.end[t])
+		}
+	}
+	for i, vm := range ref.b.vms {
+		if rp.b.vms[i].Type != vm.Type || rp.bills[i] != vm.Cost() {
+			return fmt.Errorf("VM %d: %v billed %v, full replay %v billed %v",
+				i, rp.b.vms[i].Type, rp.bills[i], vm.Type, vm.Cost())
+		}
+	}
+	return nil
+}
+
+// TestRetypeTimelineMatchesCost checks the loaded state itself, not only
+// its price: after every trial, and again after every undo, each task's
+// slot and each VM's type and bill must equal those of a full Cost of
+// the same assignment. Every third task does no work, so some retypes
+// move no slot of their own and reach their successors only through the
+// transfers, whose time depends on both ends' types.
+func TestRetypeTimelineMatchesCost(t *testing.T) {
+	for seed := uint64(0); seed < 30; seed++ {
+		wf := dagtest.Random(seed, dagtest.DefaultConfig())
+		wf.SetWork(func(t dag.Task) float64 {
+			if t.ID%3 == 0 {
+				return 0
+			}
+			return t.Work
+		})
+		n := wf.Len()
+		for _, name := range []string{"none", "spot", "warm"} {
+			m, err := market.Preset(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := NewReplayer(wf, cloud.NewPlatform(), cloud.USEastVirginia, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := NewReplayer(wf, cloud.NewPlatform(), cloud.USEastVirginia, m)
+			a := Assignment{Types: make([]cloud.InstanceType, n), Queues: make([][]dag.TaskID, n)}
+			for i := range a.Queues {
+				a.Queues[i] = []dag.TaskID{dag.TaskID(i)}
+			}
+			if _, err := rp.Load(a); err != nil {
+				t.Fatal(err)
+			}
+			rng := stats.NewRNG(seed)
+			check := func(step int, what string) {
+				t.Helper()
+				if _, err := ref.Cost(a); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameTimeline(rp, ref); err != nil {
+					t.Fatalf("seed %d, %s, step %d, %s: %v", seed, name, step, what, err)
+				}
+			}
+			for step := 0; step < 4*n; step++ {
+				vm, typ := rng.Intn(n), cloud.InstanceType(rng.Intn(4))
+				old := a.Types[vm]
+				rp.Retype(vm, typ)
+				a.Types[vm] = typ
+				check(step, "trial")
+				if rng.Intn(2) == 0 {
+					rp.Keep()
+					continue
+				}
+				rp.Undo()
+				a.Types[vm] = old
+				check(step, "undo")
+			}
+		}
 	}
 }

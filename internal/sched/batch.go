@@ -11,13 +11,12 @@ import (
 // one option set, sharing the read-only state that is identical across
 // them: the baseline HEFT + OneVMperTask-small schedule (which is both the
 // paper's reference strategy and the starting point of every
-// budget-constrained upgrade algorithm), its assignment skeleton and
-// task→VM map, and one plan.Replayer whose scratch arenas serve every
-// cost-only replay the upgrade loops issue. HEFT rank vectors and level
-// orders are already shared underneath via the frozen workflow's
-// per-CostModel.Key memos, so a batch turns the 19-strategy sweep into a
-// handful of batched passes over the same arrays instead of 19 cold
-// starts.
+// budget-constrained upgrade algorithm), its assignment skeleton, and one
+// plan.Replayer whose scratch arenas serve every load and trial the
+// upgrade loops price. HEFT rank vectors and level orders are already
+// shared underneath via the frozen workflow's per-CostModel.Key memos, so
+// a batch turns the 19-strategy sweep into a handful of batched passes
+// over the same arrays instead of 19 cold starts.
 //
 // Sharing changes nothing observable: the baseline is deterministic (equal
 // inputs, equal schedule), the replayer's costs are bit-identical to
@@ -33,7 +32,6 @@ type Batch struct {
 	seed       *plan.Schedule // caller-provided baseline, adopted by init
 	base       *plan.Schedule
 	baseAssign plan.Assignment
-	taskVM     []int
 	rp         *plan.Replayer
 	et, lc     [][]float64 // shared upgrade gain tables (see upgradeTables)
 }
@@ -112,19 +110,14 @@ func (b *Batch) init() error {
 	b.baseAssign = plan.AssignmentOf(base)
 	b.rp = rp
 	b.et, b.lc = upgradeTables(b.wf, b.opts)
-	b.taskVM = make([]int, b.wf.Len())
-	for i, q := range b.baseAssign.Queues {
-		if len(q) == 1 {
-			b.taskVM[q[0]] = i
-		}
-	}
 	return nil
 }
 
 // upgradeState builds an upgrade state over the batch's shared baseline
-// and replayer. The assignment is cloned — upgrade loops mutate it — while
-// the baseline schedule and replayer scratch are shared across all
-// strategies in the batch.
+// and replayer, and returns the error of loading the assignment. The
+// assignment is cloned — upgrade loops mutate it — while the baseline
+// schedule and replayer scratch are shared across all strategies in the
+// batch.
 func (b *Batch) upgradeState(budgetFactor float64) (*upgradeState, error) {
 	if err := b.init(); err != nil {
 		return nil, err

@@ -12,13 +12,15 @@ import (
 
 // Gain is the budget-constrained workflow scheduler of Sakellariou et al.
 // as used in the paper (Sect. III-B): starting from the baseline HEFT +
-// OneVMperTask schedule on small instances, it repeatedly computes a gain
-// matrix over (task, faster VM type) pairs,
+// OneVMperTask schedule on small instances, it ranks every (task, faster
+// VM type) pair of a gain matrix by
 //
 //	gain = (execTime_current − execTime_new) / (cost_new − cost_current),
 //
-// upgrades the pair with the greatest gain, and stops when no upgrade fits
-// the budget of four times the baseline cost.
+// upgrades the pair with the greatest gain that fits the budget of four
+// times the baseline cost, and stops when no upgrade fits. A pair's gain
+// depends only on its task's current type, so after an upgrade only that
+// task's row of the matrix changes.
 type Gain struct{}
 
 // NewGain returns the Gain scheduler.
@@ -61,60 +63,91 @@ type gainCell struct {
 	gain float64
 }
 
+// compareGain is the gain matrix's walk order, best first: higher gain,
+// then lower task ID, then slower (cheaper) target type. (task, typ)
+// pairs are unique, so the order is total and any sort of the matrix is
+// deterministic.
+func compareGain(a, b gainCell) int {
+	if a.gain != b.gain {
+		if a.gain > b.gain {
+			return -1
+		}
+		return 1
+	}
+	if a.task != b.task {
+		return int(a.task) - int(b.task)
+	}
+	return int(a.typ) - int(b.typ)
+}
+
+// appendGainRow appends task t's cells under its current type: one per
+// faster type that saves time or money.
+func appendGainRow(cells []gainCell, u *upgradeState, t dag.TaskID) []gainCell {
+	cur := u.typeOf(t)
+	curCost := u.leaseCost(t, cur)
+	for typ := cur + 1; typ <= cloud.XLarge; typ++ {
+		dt := u.execTime(t) - u.et[t][typ]
+		dc := u.leaseCost(t, typ) - curCost
+		g := math.Inf(1)
+		if dc > 0 {
+			g = dt / dc
+		} else if dt <= 0 {
+			continue // no time saved and no cost saved: useless
+		}
+		cells = append(cells, gainCell{task: t, typ: typ, gain: g})
+	}
+	return cells
+}
+
+// gainMatrix is the gain matrix in walk order. It is sorted once; an
+// accepted upgrade replaces only its task's row, so the order always
+// equals a full rebuild and sort under the current assignment.
+type gainMatrix []gainCell
+
+// newGainMatrix builds and sorts the matrix under the current assignment.
+// A task has at most int(cloud.XLarge) faster types, which bounds every
+// row and so the matrix's capacity.
+func newGainMatrix(u *upgradeState) gainMatrix {
+	n := u.wf.Len()
+	m := make(gainMatrix, 0, n*int(cloud.XLarge))
+	for id := 0; id < n; id++ {
+		m = appendGainRow(m, u, dag.TaskID(id))
+	}
+	slices.SortFunc(m, compareGain)
+	return m
+}
+
+// upgrade walks the matrix best-first and applies the first upgrade that
+// fits the budget, returning its task; ok is false when none fits.
+func (m gainMatrix) upgrade(u *upgradeState) (t dag.TaskID, ok bool) {
+	for _, c := range m {
+		if u.tryUpgrade(c.task, c.typ) {
+			return c.task, true
+		}
+	}
+	return 0, false
+}
+
+// replaceRow swaps task t's cells for its row under its current type:
+// the old cells are deleted in one pass, and each new one is inserted at
+// its binary-searched position.
+func (m *gainMatrix) replaceRow(u *upgradeState, t dag.TaskID) {
+	*m = slices.DeleteFunc(*m, func(c gainCell) bool { return c.task == t })
+	var row [cloud.XLarge]gainCell
+	for _, c := range appendGainRow(row[:0], u, t) {
+		i, _ := slices.BinarySearchFunc(*m, c, compareGain)
+		*m = slices.Insert(*m, i, c)
+	}
+}
+
 // run is the gain-matrix upgrade loop over a prepared state.
 func (Gain) run(u *upgradeState) (*plan.Schedule, error) {
-	wf := u.wf
-	// One upgrade is applied per matrix rebuild, so the buffer is reused
-	// across rounds (and the gain entries come from the precomputed et/lc
-	// tables rather than per-round ExecTime/LeaseCost calls).
-	cells := make([]gainCell, 0, wf.Len()*int(cloud.XLarge))
+	m := newGainMatrix(u)
 	for {
-		// Build the gain matrix under the current assignment and walk it
-		// best-first: if the best upgrade no longer fits the budget, try
-		// the next, and stop when none applies.
-		cells = cells[:0]
-		for id := 0; id < wf.Len(); id++ {
-			t := dag.TaskID(id)
-			cur := u.typeOf(t)
-			curCost := u.leaseCost(t, cur)
-			for typ := cur + 1; typ <= cloud.XLarge; typ++ {
-				dt := u.execTime(t) - u.et[t][typ]
-				dc := u.leaseCost(t, typ) - curCost
-				g := math.Inf(1)
-				if dc > 0 {
-					g = dt / dc
-				} else if dt <= 0 {
-					continue // no time saved and no cost saved: useless
-				}
-				cells = append(cells, gainCell{task: t, typ: typ, gain: g})
-			}
-		}
-		// Sort best-first, deterministically: higher gain, then lower task
-		// ID, then slower (cheaper) target type. (task, typ) pairs are
-		// unique, so this total order makes the unstable sort deterministic
-		// (the generic SortFunc avoids sort.Slice's reflective swaps on the
-		// sweep's hottest sort).
-		slices.SortFunc(cells, func(a, b gainCell) int {
-			if a.gain != b.gain {
-				if a.gain > b.gain {
-					return -1
-				}
-				return 1
-			}
-			if a.task != b.task {
-				return int(a.task) - int(b.task)
-			}
-			return int(a.typ) - int(b.typ)
-		})
-		applied := false
-		for _, c := range cells {
-			if u.tryUpgrade(c.task, c.typ) {
-				applied = true
-				break
-			}
-		}
-		if !applied {
+		t, ok := m.upgrade(u)
+		if !ok {
 			return u.schedule()
 		}
+		m.replaceRow(u, t)
 	}
 }

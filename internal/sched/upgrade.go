@@ -1,21 +1,21 @@
 package sched
 
 import (
-	"fmt"
-
 	"repro/internal/cloud"
 	"repro/internal/dag"
 	"repro/internal/plan"
 )
 
-// upgradeState is the shared machinery of the two budget-constrained
-// upgrade algorithms (CPA-Eager and Gain): both start from the baseline
-// HEFT + OneVMperTask schedule on small instances — one VM per task — and
-// iteratively re-type individual VMs, re-evaluating the candidate by a
-// cost-only replay (plan.Replayer). Accepted changes only mutate the
-// assignment; the full timed schedule is materialized once, at the end,
-// from the final assignment — which is exactly the schedule the last
-// accepted replay produced, since rejected attempts are reverted.
+// upgradeState is the shared machinery of the budget-constrained upgrade
+// algorithms (CPA-Eager and Gain, and LOSS's downgrades): all start from
+// the baseline HEFT + OneVMperTask schedule on small instances — one VM
+// per task — and re-type individual VMs. The state loads the baseline
+// assignment into a plan.Replayer once; CPA-Eager and Gain then price
+// each trial retype incrementally (Replayer.Retype) and keep or undo it,
+// while LOSS re-costs whole assignments (Replayer.Cost). Accepted changes
+// only mutate the assignment; the full timed schedule is materialized
+// once, at the end, from the final assignment — which is exactly the
+// schedule the last kept trial priced, since rejected trials are undone.
 type upgradeState struct {
 	wf     *dag.Workflow
 	opts   Options
@@ -26,8 +26,7 @@ type upgradeState struct {
 	// et and lc are the upgrade loops' gain tables: execution time and
 	// single-task lease cost per (task, instance type). Both are pure
 	// functions of (workflow, platform, region), so they are computed once
-	// — and shared read-only across all strategies of a Batch — instead of
-	// per gain-matrix round.
+	// and shared read-only across all strategies of a Batch.
 	et, lc [][]float64
 	cost   float64 // total cost of the current assignment
 	dirty  bool    // the assignment differs from the baseline
@@ -74,12 +73,18 @@ func newUpgradeState(wf *dag.Workflow, opts Options, budgetFactor float64) (*upg
 	return initUpgradeState(wf, opts, base, plan.AssignmentOf(base), rp, et, lc, budgetFactor)
 }
 
-// initUpgradeState wires an upgrade state over a prebuilt baseline: the
-// assignment is owned by the state (callers pass a fresh extraction or a
-// clone), the schedule, replayer and gain tables may be shared read-only.
+// initUpgradeState wires an upgrade state over a prebuilt baseline and
+// loads the assignment into the replayer, returning the load's error for
+// an assignment that is not one valid task per VM. The assignment is
+// owned by the state (callers pass a fresh extraction or a clone); the
+// schedule and gain tables may be shared read-only, and the replayer's
+// scratch is reused by every state that loads into it.
 func initUpgradeState(wf *dag.Workflow, opts Options, base *plan.Schedule,
 	assign plan.Assignment, rp *plan.Replayer, et, lc [][]float64, budgetFactor float64) (*upgradeState, error) {
-	baseCost := base.TotalCost()
+	cost, err := rp.Load(assign)
+	if err != nil {
+		return nil, err
+	}
 	u := &upgradeState{
 		wf:     wf,
 		opts:   opts,
@@ -89,13 +94,10 @@ func initUpgradeState(wf *dag.Workflow, opts Options, base *plan.Schedule,
 		rp:     rp,
 		et:     et,
 		lc:     lc,
-		cost:   baseCost,
-		budget: budgetFactor * baseCost,
+		cost:   cost,
+		budget: budgetFactor * base.TotalCost(),
 	}
 	for i, q := range u.assign.Queues {
-		if len(q) != 1 {
-			return nil, fmt.Errorf("sched: OneVMperTask baseline has %d tasks on VM %d", len(q), i)
-		}
 		u.taskVM[q[0]] = i
 	}
 	return u, nil
@@ -118,23 +120,23 @@ func (u *upgradeState) leaseCost(t dag.TaskID, typ cloud.InstanceType) float64 {
 }
 
 // tryUpgrade re-types task t's VM and keeps the change if the schedule's
-// total cost stays within budget; otherwise it reverts. It reports whether
-// the change was kept. The candidate is priced by the cost-only replay —
+// total cost stays within budget; otherwise it undoes it. It reports
+// whether the change was kept. The trial is priced by Replayer.Retype,
 // bit-identical to materializing the schedule and reading TotalCost, so
 // the accept/reject sequence matches the materializing implementation
 // exactly.
 func (u *upgradeState) tryUpgrade(t dag.TaskID, typ cloud.InstanceType) bool {
 	vm := u.taskVM[t]
-	old := u.assign.Types[vm]
-	if typ == old {
+	if typ == u.assign.Types[vm] {
 		return false
 	}
+	c := u.rp.Retype(vm, typ)
+	if c > u.budget+1e-9 {
+		u.rp.Undo()
+		return false
+	}
+	u.rp.Keep()
 	u.assign.Types[vm] = typ
-	c, err := u.rp.Cost(u.assign)
-	if err != nil || c > u.budget+1e-9 {
-		u.assign.Types[vm] = old
-		return false
-	}
 	u.cost = c
 	u.dirty = true
 	return true

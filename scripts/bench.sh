@@ -14,8 +14,8 @@
 #              table regresses past its tolerance: the full-sweep cells/s,
 #              the SimReplay ns/op, the OnlineSoak instances/s, the
 #              ServiceScheduleCached ns/op and allocs/op, the
-#              ServiceScheduleCold ns/op, and the SLASearch ns/op and
-#              allocs/op
+#              ServiceScheduleCold ns/op, the SLASearch ns/op and
+#              allocs/op, and the ScheduleGain ns/op
 #   RAW        also save the raw `go test -bench` text here (benchstat input)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,7 +36,7 @@ if [ -n "$RAW" ]; then
 fi
 
 go test -run '^$' -count 1 -benchmem -benchtime "$BENCHTIME" \
-  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak|BenchmarkSLASearch)$' . \
+  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak|BenchmarkSLASearch|BenchmarkScheduleGain)$' . \
   | tee /dev/stderr | tee "$raw_sink" | go run ./cmd/bench "${args[@]}"
 
 if [ "$OUT" != "-" ]; then
