@@ -28,8 +28,6 @@ import (
 	"repro/internal/market"
 	"repro/internal/ndwf"
 	"repro/internal/online"
-	"repro/internal/placement"
-	"repro/internal/plan"
 	"repro/internal/provision"
 	"repro/internal/report"
 	"repro/internal/sched"
@@ -209,7 +207,7 @@ func BenchmarkCSVExport(b *testing.B) {
 // BenchmarkHEFTRanks times upward-rank computation on the Montage DAG.
 func BenchmarkHEFTRanks(b *testing.B) {
 	wf := workload.Pareto.Apply(workflows.PaperMontage(), 42)
-	m := dag.CostModel{Exec: func(t dag.Task) float64 { return t.Work }, Comm: dag.ZeroComm}
+	m := dag.CostModel{Exec: func(t dag.Task) float64 { return t.Work }, Comm: func(dag.Edge) float64 { return 0 }}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = wf.UpwardRanks(m)
@@ -445,21 +443,6 @@ func BenchmarkNdwfDistribution(b *testing.B) {
 	}
 }
 
-// BenchmarkPlacementFFD times packing 1000 VM demands onto 32-core PMs.
-func BenchmarkPlacementFFD(b *testing.B) {
-	r := stats.NewRNG(1)
-	demands := make([]placement.VMDemand, 1000)
-	for i := range demands {
-		demands[i] = placement.VMDemand{ID: plan.VMID(i), Cores: 1 << r.Intn(4)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := placement.Pack(demands, 32, placement.FirstFitDecreasing); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDAXRoundTrip times serializing and re-parsing the Montage DAG
 // through the Pegasus DAX format.
 func BenchmarkDAXRoundTrip(b *testing.B) {
@@ -500,40 +483,11 @@ func BenchmarkScalability(b *testing.B) {
 	}
 }
 
-// BenchmarkPCHClustering times path clustering plus scheduling on the
-// data-heavy MapReduce.
-func BenchmarkPCHClustering(b *testing.B) {
-	wf := workload.DataHeavy.Apply(workflows.PaperMapReduce(), 1)
-	alg := sched.NewPCH(cloud.Small)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := alg.Schedule(wf, sched.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHCOCDeadlineCurve times one hybrid-cloud deadline search.
 func BenchmarkHCOCDeadlineCurve(b *testing.B) {
 	wf := workload.Pareto.Apply(workflows.PaperMontage(), 1)
 	for i := 0; i < b.N; i++ {
 		if _, err := sched.NewHCOC(2, 8000, cloud.Large).Schedule(wf, sched.DefaultOptions()); err != nil && err != sched.ErrDeadlineUnreachable {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSLAEvaluate times a 100-instance deadline-probability estimate.
-func BenchmarkSLAEvaluate(b *testing.B) {
-	tpl := ndwf.Template{
-		Name: "bench",
-		Root: ndwf.Seq{
-			ndwf.Task{Name: "a", Work: 600},
-			ndwf.Loop{Body: ndwf.Task{Name: "retry", Work: 400}, Repeat: 0.5, Max: 4},
-		},
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := sla.Evaluate(tpl, sched.Baseline(), sched.DefaultOptions(), 1500, 100, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

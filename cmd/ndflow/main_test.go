@@ -66,7 +66,7 @@ func TestRunEmitSLA(t *testing.T) {
 	if err := run("", "sla", 1, 30, "", 1500, 0.5); err != nil {
 		t.Error(err)
 	}
-	// A zero deadline fails validation inside sla.Evaluate.
+	// A zero deadline fails validation inside sla.CheapestMeeting.
 	if err := run("", "sla", 1, 30, "", 0, 0.5); err == nil {
 		t.Error("zero deadline accepted")
 	}

@@ -79,15 +79,6 @@ func (t InstanceType) Faster() (InstanceType, bool) {
 	return t, false
 }
 
-// Slower returns the next slower type and true, or the receiver and false
-// when the receiver is already the slowest.
-func (t InstanceType) Slower() (InstanceType, bool) {
-	if t > 0 {
-		return t - 1, true
-	}
-	return t, false
-}
-
 // ParseInstanceType resolves both full names and the paper's suffixes.
 func ParseInstanceType(s string) (InstanceType, error) {
 	for _, t := range InstanceTypes() {

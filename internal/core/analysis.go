@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/cloud"
@@ -250,15 +249,4 @@ func (s *Sweep) Table5() ([]Recommendation, error) {
 		}
 	}
 	return out, nil
-}
-
-// IdleRanking returns the strategies of one workflow/scenario pane sorted
-// by decreasing idle time — the ordering the paper discusses around Fig. 5
-// (OneVMperTask*, Gain and CPA-Eager produce the largest idle).
-func (s *Sweep) IdleRanking(wf string, sc workload.Scenario) []Result {
-	out := s.Points(wf, sc)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Point.IdleTime > out[j].Point.IdleTime
-	})
-	return out
 }

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/metrics"
-	"repro/internal/workflows"
 	"repro/internal/workload"
 )
 
@@ -172,7 +170,13 @@ func TestIdleTimeOrdering(t *testing.T) {
 		if spe > one {
 			t.Errorf("%s: StartParExceed-s idle %v exceeds OneVMperTask-s %v", wf, spe, one)
 		}
-		top := s.IdleRanking(wf, workload.Pareto)[0]
+		pts := s.Points(wf, workload.Pareto)
+		top := pts[0]
+		for _, r := range pts[1:] {
+			if r.Point.IdleTime > top.Point.IdleTime {
+				top = r
+			}
+		}
 		if !heavy[top.Strategy] {
 			t.Errorf("%s: largest idle from %s, expected a OneVMperTask-family strategy",
 				wf, top.Strategy)
@@ -392,91 +396,5 @@ func TestSweepDeterministicAcrossRuns(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestDiffIdenticalSweepsIsQuiet(t *testing.T) {
-	a, err := Run(Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffs, err := Diff(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) != a.Len() {
-		t.Errorf("diff cells = %d, want %d", len(diffs), a.Len())
-	}
-	for _, d := range diffs {
-		if d.Magnitude() != 0 || d.CategoryChanged {
-			t.Fatalf("identical sweeps differ at %v", d.Key)
-		}
-	}
-	if got := Flips(diffs); len(got) != 0 {
-		t.Errorf("flips on identical sweeps: %d", len(got))
-	}
-}
-
-func TestDiffDetectsSeedSensitivity(t *testing.T) {
-	a, err := Run(Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(Config{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffs, err := Diff(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pareto cells move with the draw; the deterministic best/worst cells
-	// stay exactly put.
-	moved := 0
-	for _, d := range diffs {
-		if d.Scenario != workload.Pareto {
-			if d.Magnitude() != 0 {
-				t.Fatalf("deterministic cell %v moved across seeds", d.Key)
-			}
-			continue
-		}
-		if d.Magnitude() > 0 {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Error("no Pareto cell moved between seeds")
-	}
-	// The ordering contract: flips (if any) lead, then by magnitude.
-	for i := 1; i < len(diffs); i++ {
-		if diffs[i].CategoryChanged && !diffs[i-1].CategoryChanged {
-			t.Fatal("flips not sorted first")
-		}
-		if diffs[i].CategoryChanged == diffs[i-1].CategoryChanged &&
-			diffs[i].Magnitude() > diffs[i-1].Magnitude()+1e-9 {
-			t.Fatal("diffs not sorted by magnitude")
-		}
-	}
-}
-
-func TestDiffDisjointSweepsFails(t *testing.T) {
-	a, err := Run(Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(Config{
-		Seed:          5,
-		Workflows:     map[string]*dag.Workflow{"Solo": workflows.CSTEM()},
-		WorkflowOrder: []string{"Solo"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Diff(a, b); err == nil {
-		t.Error("disjoint sweeps diffed successfully")
 	}
 }

@@ -91,15 +91,3 @@ func MultiSeed(cfg Config, seed0 uint64, n int) ([]Stability, error) {
 	}
 	return out, nil
 }
-
-// StableWinners filters the stability results down to strategies that land
-// in the target square in at least frac of the seeds, per workflow.
-func StableWinners(rows []Stability, frac float64) map[string][]Stability {
-	out := map[string][]Stability{}
-	for _, r := range rows {
-		if r.InSquareFraction >= frac {
-			out[r.Workflow] = append(out[r.Workflow], r)
-		}
-	}
-	return out
-}

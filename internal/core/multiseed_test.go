@@ -79,36 +79,6 @@ func TestMultiSeedStableClassification(t *testing.T) {
 	}
 }
 
-func TestStableWinners(t *testing.T) {
-	rows, err := MultiSeed(Config{}, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	winners := StableWinners(rows, 1.0)
-	for wf, list := range winners {
-		if len(list) == 0 {
-			t.Errorf("%s: empty winner list", wf)
-		}
-		for _, r := range list {
-			if r.InSquareFraction < 1 {
-				t.Errorf("%s/%s: fraction %v below threshold", wf, r.Strategy, r.InSquareFraction)
-			}
-		}
-	}
-	// The baseline (always at the square's corner) is a winner everywhere.
-	for _, wf := range []string{"Montage", "CSTEM", "MapReduce", "Sequential"} {
-		found := false
-		for _, r := range winners[wf] {
-			if r.Strategy == "OneVMperTask-s" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: baseline missing from stable winners", wf)
-		}
-	}
-}
-
 func TestMultiSeedRejectsBadCount(t *testing.T) {
 	if _, err := MultiSeed(Config{}, 0, 0); err == nil {
 		t.Error("n=0 accepted")

@@ -528,10 +528,6 @@ func (w *Workflow) Clone() *Workflow {
 	return c
 }
 
-// Validate freezes the workflow and reports whether it is a well-formed
-// DAG.
-func (w *Workflow) Validate() error { return w.Freeze() }
-
 // String returns a short human-readable summary.
 func (w *Workflow) String() string {
 	return fmt.Sprintf("%s{tasks: %d, edges: %d, depth: %d}",

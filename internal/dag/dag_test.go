@@ -10,6 +10,10 @@ import (
 )
 
 // diamond builds the canonical 4-task diamond: a → {b, c} → d.
+// zeroComm ignores communication entirely, the model of the paper's
+// CPU-intensive experiments.
+func zeroComm(dag.Edge) float64 { return 0 }
+
 func diamond(t *testing.T) (*dag.Workflow, [4]dag.TaskID) {
 	t.Helper()
 	w := dag.New("diamond")
@@ -179,7 +183,7 @@ func TestUpwardRanksDiamond(t *testing.T) {
 
 func TestRankOrderIsTopological(t *testing.T) {
 	w, _ := diamond(t)
-	m := dag.CostModel{Exec: func(task dag.Task) float64 { return task.Work }, Comm: dag.ZeroComm}
+	m := dag.CostModel{Exec: func(task dag.Task) float64 { return task.Work }, Comm: zeroComm}
 	order := w.RankOrder(m)
 	pos := make(map[dag.TaskID]int)
 	for i, id := range order {
@@ -194,7 +198,7 @@ func TestRankOrderIsTopological(t *testing.T) {
 
 func TestCriticalPathDiamond(t *testing.T) {
 	w, ids := diamond(t)
-	m := dag.CostModel{Exec: func(task dag.Task) float64 { return task.Work }, Comm: dag.ZeroComm}
+	m := dag.CostModel{Exec: func(task dag.Task) float64 { return task.Work }, Comm: zeroComm}
 	path, length := w.CriticalPath(m)
 	if math.Abs(length-80) > 1e-9 { // a(10) + c(30) + d(40)
 		t.Errorf("critical length = %v, want 80", length)
@@ -326,7 +330,7 @@ func TestQuickRandomDAGInvariants(t *testing.T) {
 // Property: the critical path length is at least the heaviest single task
 // and at most the total work (with zero communication).
 func TestQuickCriticalPathBounds(t *testing.T) {
-	m := dag.CostModel{Exec: func(task dag.Task) float64 { return task.Work }, Comm: dag.ZeroComm}
+	m := dag.CostModel{Exec: func(task dag.Task) float64 { return task.Work }, Comm: zeroComm}
 	f := func(seed uint64) bool {
 		w := dagtest.Random(seed, dagtest.DefaultConfig())
 		path, length := w.CriticalPath(m)
@@ -363,7 +367,7 @@ func TestQuickCriticalPathBounds(t *testing.T) {
 // Property: ranks decrease along every edge (with positive exec times),
 // which is what makes the HEFT order topological.
 func TestQuickRanksDecreaseAlongEdges(t *testing.T) {
-	m := dag.CostModel{Exec: func(task dag.Task) float64 { return task.Work }, Comm: dag.ZeroComm}
+	m := dag.CostModel{Exec: func(task dag.Task) float64 { return task.Work }, Comm: zeroComm}
 	f := func(seed uint64) bool {
 		w := dagtest.Random(seed, dagtest.DefaultConfig())
 		ranks := w.UpwardRanks(m)

@@ -22,7 +22,7 @@ func Example() {
 	fmt.Println("max parallelism:", w.MaxParallelism())
 	path, length := w.CriticalPath(dag.CostModel{
 		Exec: func(t dag.Task) float64 { return t.Work },
-		Comm: dag.ZeroComm,
+		Comm: func(dag.Edge) float64 { return 0 },
 	})
 	fmt.Printf("critical path length: %.0f via %d tasks\n", length, len(path))
 	// Output:
@@ -42,7 +42,7 @@ func ExampleWorkflow_UpwardRanks() {
 
 	ranks := w.UpwardRanks(dag.CostModel{
 		Exec: func(t dag.Task) float64 { return t.Work },
-		Comm: dag.ZeroComm,
+		Comm: func(dag.Edge) float64 { return 0 },
 	})
 	fmt.Printf("rank(first)=%.0f rank(second)=%.0f\n", ranks[a], ranks[b])
 	// Output:

@@ -23,21 +23,6 @@ type CostModel struct {
 	Key string
 }
 
-// UniformComm returns a communication estimator that charges size/bandwidth
-// + latency for every edge.
-func UniformComm(bandwidth, latency float64) func(Edge) float64 {
-	return func(e Edge) float64 {
-		if e.Data == 0 {
-			return 0
-		}
-		return e.Data/bandwidth + latency
-	}
-}
-
-// ZeroComm ignores communication entirely, which is the right model for the
-// paper's CPU-intensive experiments.
-func ZeroComm(Edge) float64 { return 0 }
-
 // UpwardRanks computes the HEFT upward rank of every task:
 //
 //	rank(t) = exec(t) + max over successors s of (comm(t→s) + rank(s))

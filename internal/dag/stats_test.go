@@ -59,7 +59,7 @@ func TestCCR(t *testing.T) {
 		t.Errorf("CCR = %v, want 10", got)
 	}
 	// Zero-comm model: CPU-bound, CCR 0.
-	if got := w.CCR(dag.CostModel{Exec: m.Exec, Comm: dag.ZeroComm}); got != 0 {
+	if got := w.CCR(dag.CostModel{Exec: m.Exec, Comm: zeroComm}); got != 0 {
 		t.Errorf("zero-comm CCR = %v", got)
 	}
 	if got := w.CCR(dag.CostModel{Exec: m.Exec}); got != 0 {

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/dag"
-	"repro/internal/plan"
 )
 
 // Workflow writes the DAG as a digraph.
@@ -26,31 +25,6 @@ func Workflow(w io.Writer, wf *dag.Workflow) error {
 		} else {
 			fmt.Fprintf(&b, "  t%d -> t%d;\n", e.From, e.To)
 		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// Schedule writes the schedule as a digraph with one cluster per VM.
-func Schedule(w io.Writer, s *plan.Schedule) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=box];\n", sanitize(s.Workflow.Name+"-schedule"))
-	for _, vm := range s.VMs {
-		if len(vm.Slots) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  subgraph cluster_vm%d {\n    label=\"vm%d (%s, $%.3f)\";\n",
-			vm.ID, vm.ID, vm.Type, vm.Cost())
-		for _, slot := range vm.Slots {
-			t := s.Workflow.Task(slot.Task)
-			fmt.Fprintf(&b, "    t%d [label=\"%s\\n[%.0f, %.0f)\"];\n",
-				t.ID, escape(t.Name), slot.Start, slot.End)
-		}
-		b.WriteString("  }\n")
-	}
-	for _, e := range s.Workflow.Edges() {
-		fmt.Fprintf(&b, "  t%d -> t%d;\n", e.From, e.To)
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

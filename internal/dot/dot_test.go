@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/workflows"
 )
 
@@ -26,25 +25,6 @@ func TestWorkflowDOT(t *testing.T) {
 		if !strings.Contains(out, task.Name) {
 			t.Errorf("DOT missing task %q", task.Name)
 		}
-	}
-}
-
-func TestScheduleDOTClustersByVM(t *testing.T) {
-	wf := workflows.Fig1SubWorkflow()
-	s, err := sched.Baseline().Schedule(wf, sched.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Schedule(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if got := strings.Count(out, "subgraph cluster_vm"); got != s.VMCount() {
-		t.Errorf("clusters = %d, want %d", got, s.VMCount())
-	}
-	if !strings.Contains(out, "$") {
-		t.Error("clusters should show VM cost")
 	}
 }
 

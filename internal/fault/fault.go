@@ -189,9 +189,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 // Config returns the filled configuration the injector runs.
 func (in *Injector) Config() Config { return in.cfg }
 
-// MaxAttempts returns the total execution attempts a task is allowed.
-func (in *Injector) MaxAttempts() int { return 1 + in.cfg.MaxRetries }
-
 // Domain separators for the per-decision streams. Order is append-only:
 // each separator pins the stream identity of its decision class, so
 // adding kinds never shifts existing draws.

@@ -43,19 +43,6 @@ type Config struct {
 	Opts sched.Options
 }
 
-// DefaultConfig spans the regimes the paper's four workflows sample only
-// pointwise.
-func DefaultConfig() Config {
-	return Config{
-		Widths: []int{1, 2, 4, 8, 16},
-		Depth:  3,
-		Alphas: []float64{1.2, 2.0, 3.5},
-		Scales: []float64{0.1, 0.5, 1.5},
-		Seed:   42,
-		Reps:   3,
-	}
-}
-
 // Point identifies one grid cell.
 type Point struct {
 	Width int

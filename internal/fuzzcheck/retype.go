@@ -38,7 +38,10 @@ func retypeWalk(wf *dag.Workflow, m *market.Model, seed uint64, steps int) error
 	}
 	// VM index order sets the warm pool and the cold-start draws; it need
 	// not follow task order.
-	r.Shuffle(n, func(i, j int) { a.Queues[i], a.Queues[j] = a.Queues[j], a.Queues[i] })
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		a.Queues[i], a.Queues[j] = a.Queues[j], a.Queues[i]
+	}
 
 	p := cloud.NewPlatform()
 	rp, err := plan.NewReplayer(wf, p, cloud.USEastVirginia, m)

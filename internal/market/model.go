@@ -221,18 +221,9 @@ var presets = [...]struct {
 	}},
 }
 
-// Presets are named market scenarios for CLIs, experiment configs and the
-// service, mirroring fault.Presets. "none" is the paper's economics (a
-// nil model).
-func Presets() map[string]*Model {
-	m := make(map[string]*Model, len(presets))
-	for _, p := range presets {
-		m[p.name] = p.build()
-	}
-	return m
-}
-
-// PresetNames lists the preset scenarios alphabetically.
+// PresetNames lists the preset scenarios alphabetically: the named market
+// scenarios for CLIs, experiment configs and the service, mirroring
+// fault.Presets. "none" is the paper's economics (a nil model).
 func PresetNames() []string {
 	names := make([]string, len(presets))
 	for i, p := range presets {

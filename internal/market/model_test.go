@@ -113,15 +113,24 @@ func TestModelString(t *testing.T) {
 	if nilModel.String() != "market{none}" {
 		t.Errorf("nil model string %q", nilModel.String())
 	}
-	s := Presets()["spot-fallback"].String()
+	s := mustPreset(t, "spot-fallback").String()
 	for _, want := range []string{"spot", "discount", "fallback", "trace"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("spot-fallback string %q missing %q", s, want)
 		}
 	}
-	if w := Presets()["warm"].String(); !strings.Contains(w, "warm: 4") {
+	if w := mustPreset(t, "warm").String(); !strings.Contains(w, "warm: 4") {
 		t.Errorf("warm preset string %q", w)
 	}
+}
+
+func mustPreset(t *testing.T, name string) *Model {
+	t.Helper()
+	m, err := Preset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestPresets(t *testing.T) {
@@ -152,27 +161,23 @@ func TestPresets(t *testing.T) {
 	}
 }
 
-// TestPresetMatchesPresets checks that the one-preset lookup and the map
-// read the same table: for every name, Preset builds what Presets holds,
-// a fresh model on every call, and "none" costs nothing.
+// TestPresetMatchesPresets checks that the one-preset lookup reads the
+// preset table: for every name, Preset builds what the table's entry
+// builds, a fresh model on every call, and "none" costs nothing.
 func TestPresetMatchesPresets(t *testing.T) {
-	all := Presets()
 	names := PresetNames()
-	if len(names) != len(all) || !sort.StringsAreSorted(names) {
-		t.Fatalf("PresetNames() = %v for %d presets", names, len(all))
+	if len(names) != len(presets) || !sort.StringsAreSorted(names) {
+		t.Fatalf("PresetNames() = %v for %d presets", names, len(presets))
 	}
-	for _, name := range names {
-		want, ok := all[name]
-		if !ok {
-			t.Fatalf("PresetNames lists %q, Presets lacks it", name)
-		}
+	for i, name := range names {
+		want := presets[i].build()
 		a, errA := Preset(name)
 		b, errB := Preset(strings.ToUpper(name))
 		if errA != nil || errB != nil {
 			t.Fatalf("Preset(%q): %v, %v", name, errA, errB)
 		}
 		if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
-			t.Errorf("Preset(%q) differs from Presets()[%q]", name, name)
+			t.Errorf("Preset(%q) differs from its table entry", name)
 		}
 		if a != nil && (a == b || a == want || a.Trace != nil && a.Trace == b.Trace) {
 			t.Errorf("Preset(%q) shares its model with another call", name)

@@ -47,25 +47,6 @@ func (tr *Trace) Len() int {
 	return len(tr.Times)
 }
 
-// At returns the multiplier in effect at time t. A nil trace is flat 1.0;
-// times before the first segment (negative t) use the first segment.
-func (tr *Trace) At(t float64) float64 {
-	if tr == nil || len(tr.Times) == 0 {
-		return 1
-	}
-	// Binary search for the last segment starting at or before t.
-	lo, hi := 0, len(tr.Times)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if tr.Times[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return tr.Mult[lo]
-}
-
 // SumAt sums the multiplier in effect at the start of each of n billing
 // intervals of the given unit, the first beginning at start — the factor
 // a spot lease's per-unit base price is scaled by. The walk is O(n +
@@ -157,16 +138,6 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("market: reading trace: %w", err)
 	}
 	return NewTrace(times, mult)
-}
-
-// Format writes the trace in the loadable format ParseTrace reads.
-func (tr *Trace) Format(w io.Writer) error {
-	for i := range tr.Times {
-		if _, err := fmt.Fprintf(w, "%g %g\n", tr.Times[i], tr.Mult[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // mix64 folds the values into one well-scrambled 64-bit hash (splitmix64

@@ -90,27 +90,6 @@ func TestSyntheticDeterminism(t *testing.T) {
 	}
 }
 
-func TestTraceFormatRoundTrip(t *testing.T) {
-	tr := Synthetic(11, 16, 600, 0.3)
-	var b strings.Builder
-	if err := tr.Format(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseTrace(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round-trip len %d, want %d", got.Len(), tr.Len())
-	}
-	for i := range tr.Times {
-		if got.Times[i] != tr.Times[i] || got.Mult[i] != tr.Mult[i] {
-			t.Fatalf("round-trip segment %d: %v/%v, want %v/%v",
-				i, got.Times[i], got.Mult[i], tr.Times[i], tr.Mult[i])
-		}
-	}
-}
-
 func TestParseTraceFormat(t *testing.T) {
 	doc := `# spot trace
 0 1.0

@@ -122,12 +122,6 @@ func Classify(p Point) Category {
 // Table IV.
 type Interval struct{ Lo, Hi float64 }
 
-// Width returns Hi − Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies in the interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
 // String formats the interval in the paper's style, e.g. "[-62, 0]".
 func (iv Interval) String() string { return fmt.Sprintf("[%.0f, %.0f]", iv.Lo, iv.Hi) }
 

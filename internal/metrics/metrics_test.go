@@ -109,12 +109,6 @@ func TestLossInterval(t *testing.T) {
 	if iv.String() != "[-62, 0]" {
 		t.Errorf("String = %q", iv.String())
 	}
-	if !iv.Contains(-30) || iv.Contains(5) {
-		t.Error("Contains misbehaves")
-	}
-	if iv.Width() != 62 {
-		t.Errorf("Width = %v", iv.Width())
-	}
 }
 
 func TestMeanGain(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/dag"
-	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -240,41 +239,4 @@ func Distribution(t Template, alg sched.Algorithm, opts sched.Options, n int, se
 		Idle:     stats.Summarize(idles),
 		Tasks:    stats.Summarize(sizes),
 	}, nil
-}
-
-// ComparePoints races several strategies on the same n instances and
-// returns, per strategy, the mean gain/loss against the baseline on each
-// instance — the non-deterministic analogue of a Fig. 4 pane.
-func ComparePoints(t Template, algs []sched.Algorithm, opts sched.Options, n int, seed uint64) ([]metrics.Point, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("ndwf: non-positive sample count %d", n)
-	}
-	baseline := sched.Baseline()
-	sums := make([]metrics.Point, len(algs))
-	for i := range algs {
-		sums[i].Strategy = algs[i].Name()
-	}
-	for i := 0; i < n; i++ {
-		wf, err := t.Sample(seed + uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		base, err := baseline.Schedule(wf, opts)
-		if err != nil {
-			return nil, err
-		}
-		for k, alg := range algs {
-			s, err := alg.Schedule(wf, opts)
-			if err != nil {
-				return nil, fmt.Errorf("ndwf: %s: %w", alg.Name(), err)
-			}
-			p := metrics.Compare(alg.Name(), s, base)
-			sums[k].GainPct += p.GainPct / float64(n)
-			sums[k].LossPct += p.LossPct / float64(n)
-			sums[k].Makespan += p.Makespan / float64(n)
-			sums[k].Cost += p.Cost / float64(n)
-			sums[k].IdleTime += p.IdleTime / float64(n)
-		}
-	}
-	return sums, nil
 }

@@ -72,23 +72,6 @@ func (f *Flight) Records() []FlightRecord {
 	return out
 }
 
-// Len returns the number of retained records.
-func (f *Flight) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.full {
-		return len(f.buf)
-	}
-	return f.next
-}
-
-// Dropped returns how many records were overwritten to make room.
-func (f *Flight) Dropped() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped
-}
-
 // jsonFlight is the NDJSON wire shape of a FlightRecord.
 type jsonFlight struct {
 	Trace    string     `json:"trace"`

@@ -216,19 +216,6 @@ func (r *Ring) Record(ev Event) {
 	r.mu.Unlock()
 }
 
-// Events returns the retained events, oldest first.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Event(nil), r.buf[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
 // Len returns the number of retained events.
 func (r *Ring) Len() int {
 	r.mu.Lock()
@@ -237,13 +224,6 @@ func (r *Ring) Len() int {
 		return len(r.buf)
 	}
 	return r.next
-}
-
-// Overwritten returns how many events were dropped to make room.
-func (r *Ring) Overwritten() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.overwritten
 }
 
 // Default returns the process-wide recorder selected by the OBSDEBUG

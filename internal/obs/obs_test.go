@@ -44,7 +44,7 @@ func TestCollectorAppends(t *testing.T) {
 
 func TestRingKeepsMostRecent(t *testing.T) {
 	r := NewRing(3)
-	if r.Len() != 0 || r.Overwritten() != 0 {
+	if r.Len() != 0 || r.overwritten != 0 {
 		t.Fatal("fresh ring not empty")
 	}
 	r.Record(Event{Task: 0})
@@ -58,8 +58,8 @@ func TestRingKeepsMostRecent(t *testing.T) {
 	if r.Len() != 3 {
 		t.Errorf("Len = %d, want capacity 3", r.Len())
 	}
-	if r.Overwritten() != 4 {
-		t.Errorf("Overwritten = %d, want 4", r.Overwritten())
+	if r.overwritten != 4 {
+		t.Errorf("overwritten = %d, want 4", r.overwritten)
 	}
 	got := r.Events()
 	if len(got) != 3 || got[0].Task != 4 || got[1].Task != 5 || got[2].Task != 6 {

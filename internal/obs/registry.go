@@ -325,18 +325,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.s.count.Load() }
-
-// Quantile answers an upper bound on the q-quantile of this series.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]uint64, len(h.s.buckets))
-	for i := range counts {
-		counts[i] = h.s.buckets[i].Load()
-	}
-	return quantileOf(h.bounds, counts, h.s.count.Load(), q)
-}
-
 // ExponentialBuckets returns n ascending bucket bounds starting at start
 // and growing by factor — the standard shape for latency histograms.
 func ExponentialBuckets(start, factor float64, n int) []float64 {

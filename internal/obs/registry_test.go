@@ -85,7 +85,7 @@ func TestHistogram(t *testing.T) {
 	for _, s := range []float64{0.05, 0.5, 0.5, 5, 100} {
 		h.Observe(s)
 	}
-	if got := h.Count(); got != 5 {
+	if got := h.s.count.Load(); got != 5 {
 		t.Errorf("Count = %d", got)
 	}
 	if got := h.Quantile(0.5); got != 1 {
@@ -231,7 +231,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := c.Total(); got != 8000 {
 		t.Errorf("Total = %v, want 8000", got)
 	}
-	if got := h.With().Count(); got != 8000 {
+	if got := h.With().s.count.Load(); got != 8000 {
 		t.Errorf("Count = %v, want 8000", got)
 	}
 }

@@ -1,13 +1,10 @@
 package obs
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
-	"io"
 	"sync"
 )
 
@@ -143,15 +140,6 @@ func (t *Trace) ID() TraceID {
 		return TraceID{}
 	}
 	return t.id
-}
-
-// Remote returns the inbound parent span ID, zero when the trace was
-// opened locally.
-func (t *Trace) Remote() SpanID {
-	if t == nil {
-		return SpanID{}
-	}
-	return t.remote
 }
 
 // nextSpanID derives span identity from the trace ID and the sequence
@@ -339,20 +327,6 @@ func toJSONSpan(trace TraceID, sp Span) jsonSpan {
 		js.Attrs = append(js.Attrs, jsonAttr{Key: a.Key, Value: a.Value})
 	}
 	return js
-}
-
-// WriteSpansNDJSON writes spans as newline-delimited JSON, one per line,
-// in slice order, each stamped with the trace ID. Byte-deterministic for
-// a given input.
-func WriteSpansNDJSON(w io.Writer, trace TraceID, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, sp := range spans {
-		if err := enc.Encode(toJSONSpan(trace, sp)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // SpanSet is one request's spans under a display name — the unit the

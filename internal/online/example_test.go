@@ -19,10 +19,11 @@ func Example() {
 		Instance: func(i int, r *stats.RNG) *dag.Workflow {
 			return dagtest.Chain(3, 300)
 		},
-		Type:   cloud.Small,
-		Region: cloud.USEastVirginia,
-		MaxVMs: 8,
-		Seed:   7,
+		Type:     cloud.Small,
+		Region:   cloud.USEastVirginia,
+		MaxVMs:   8,
+		Deadline: 1000,
+		Seed:     7,
 	})
 	if err != nil {
 		panic(err)
@@ -30,7 +31,7 @@ func Example() {
 	fmt.Printf("completed %d instances, median response %.0fs\n",
 		res.ResponseTimes.N, res.ResponseTimes.Median)
 	fmt.Printf("peak pool %d VMs, utilization %.0f%%\n", res.PeakVMs, 100*res.Utilization())
-	fmt.Printf("SLA at 1000s: %.0f%% met\n", 100*res.MeetFraction(1000))
+	fmt.Printf("SLA at 1000s: %.0f%% met\n", 100*float64(res.SLAMet)/float64(res.ResponseTimes.N))
 	// Output:
 	// completed 50 instances, median response 900s
 	// peak pool 7 VMs, utilization 46%

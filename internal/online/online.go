@@ -69,12 +69,6 @@ type Config struct {
 	// Deadline is the per-instance response-time SLA in seconds (0 = no
 	// SLA): input to the Deadline scaler and the SLAMet count.
 	Deadline float64
-	// EagerScaleDown releases a VM the moment it idles with an empty
-	// queue, instead of waiting for its billing boundary. Under per-BTU
-	// or per-minute billing the unit is already paid either way, so eager
-	// release can only lose capacity — the ablation quantifying why Mao &
-	// Humphrey-style auto-scalers terminate at the billing boundary.
-	EagerScaleDown bool
 	// Dispatch selects the ready-queue order: FIFO (default) or SJF
 	// (shortest job first), the classic mean-response-time optimization
 	// for heavy-tailed task sizes.
@@ -193,21 +187,6 @@ func (r *Result) Utilization() float64 {
 		return 0
 	}
 	return r.BusySeconds / r.PaidSeconds
-}
-
-// MeetFraction returns the fraction of instances whose response time was
-// within the deadline — the online SLA view of a pool configuration.
-func (r *Result) MeetFraction(deadline float64) float64 {
-	if len(r.Responses) == 0 {
-		return 0
-	}
-	met := 0
-	for _, t := range r.Responses {
-		if t <= deadline {
-			met++
-		}
-	}
-	return float64(met) / float64(len(r.Responses))
 }
 
 // vm is one pool machine.
@@ -531,11 +510,6 @@ func (r *runner) finish(m *vm) {
 		}
 	}
 	r.dispatch()
-	if r.cfg.EagerScaleDown && !m.busy && !m.dead && r.ready.Len() == 0 {
-		if len(r.live) > r.cfg.MinVMs || r.drained() {
-			r.retire(m)
-		}
-	}
 }
 
 // startTask runs rt on the idle VM m and schedules its finish.

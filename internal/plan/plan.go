@@ -310,17 +310,8 @@ func (b *Builder) SetMarket(m *market.Model) {
 	b.warmLeft = m.WarmPool
 }
 
-// Market returns the installed market model, or nil.
-func (b *Builder) Market() *market.Model { return b.market }
-
 // Workflow returns the workflow being scheduled.
 func (b *Builder) Workflow() *dag.Workflow { return b.wf }
-
-// Platform returns the platform model.
-func (b *Builder) Platform() *cloud.Platform { return b.p }
-
-// Region returns the rental region.
-func (b *Builder) Region() cloud.Region { return b.region }
 
 // NewVM rents a fresh VM of the given type in the builder's home region
 // and returns it.
@@ -377,20 +368,8 @@ func (b *Builder) NewPrepaidVM(t cloud.InstanceType) *VM {
 	return vm
 }
 
-// VMs returns the rented VMs in rental order. The slice must not be
-// modified, but inspecting VM state is fine.
-func (b *Builder) VMs() []*VM { return b.vms }
-
 // Placed reports whether the task has been placed.
 func (b *Builder) Placed(t dag.TaskID) bool { return b.placed[t] }
-
-// FinishTime returns the finish time of a placed task; it panics otherwise.
-func (b *Builder) FinishTime(t dag.TaskID) float64 {
-	if !b.placed[t] {
-		panic(fmt.Sprintf("plan: FinishTime of unplaced task %d", t))
-	}
-	return b.end[t]
-}
 
 // VMOf returns the VM a placed task runs on; it panics otherwise.
 func (b *Builder) VMOf(t dag.TaskID) *VM {

@@ -263,7 +263,7 @@ func TestReplayMatchesBuilder(t *testing.T) {
 	b.PlaceOn(3, vm0)
 	orig := b.Done()
 
-	re, err := Replay(w, p, cloud.USEastVirginia, AssignmentOf(orig))
+	re, err := ReplayMarket(w, p, cloud.USEastVirginia, nil, AssignmentOf(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestReplayWithUpgradedType(t *testing.T) {
 		Types:  []cloud.InstanceType{cloud.Small},
 		Queues: [][]dag.TaskID{{0, 1}},
 	}
-	s, err := Replay(w, p, cloud.USEastVirginia, a)
+	s, err := ReplayMarket(w, p, cloud.USEastVirginia, nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestReplayWithUpgradedType(t *testing.T) {
 		t.Errorf("small makespan = %v", s.Makespan())
 	}
 	a.Types[0] = cloud.XLarge
-	s2, err := Replay(w, p, cloud.USEastVirginia, a)
+	s2, err := ReplayMarket(w, p, cloud.USEastVirginia, nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestReplayErrors(t *testing.T) {
 		},
 	}
 	for name, a := range cases {
-		if _, err := Replay(w, p, region, a); err == nil {
+		if _, err := ReplayMarket(w, p, region, nil, a); err == nil {
 			t.Errorf("%s: Replay succeeded, want error", name)
 		}
 	}
@@ -382,7 +382,7 @@ func TestQuickReplayRoundTrip(t *testing.T) {
 			b.PlaceOn(id, vms[i%3])
 		}
 		orig := b.Done()
-		re, err := Replay(w, p, cloud.USEastVirginia, AssignmentOf(orig))
+		re, err := ReplayMarket(w, p, cloud.USEastVirginia, nil, AssignmentOf(orig))
 		if err != nil {
 			return false
 		}

@@ -121,18 +121,13 @@ func replayGreedy(b *Builder, wf *dag.Workflow, a Assignment, vms []*VM, heads [
 	return nil
 }
 
-// Replay rebuilds the timed schedule implied by an assignment: every VM
-// runs its queue in order, every task starts as soon as its inputs are
-// available and its VM is free. Replay returns an error when the queues
-// contradict the workflow's precedence constraints (deadlock) or do not
-// cover every task exactly once.
-func Replay(wf *dag.Workflow, p *cloud.Platform, region cloud.Region, a Assignment) (*Schedule, error) {
-	return ReplayMarket(wf, p, region, nil, a)
-}
-
-// ReplayMarket is Replay under a market model: every rented VM is stamped
-// with the model's lease terms (see Builder.SetMarket). A nil model is
-// exactly Replay.
+// ReplayMarket rebuilds the timed schedule implied by an assignment under
+// a market model: every VM runs its queue in order, every task starts as
+// soon as its inputs are available and its VM is free, and every rented
+// VM is stamped with the model's lease terms (see Builder.SetMarket); a
+// nil model keeps the paper's economics. It returns an error when the
+// queues contradict the workflow's precedence constraints (deadlock) or
+// do not cover every task exactly once.
 func ReplayMarket(wf *dag.Workflow, p *cloud.Platform, region cloud.Region, m *market.Model, a Assignment) (*Schedule, error) {
 	if err := validateAssignment(wf, a, make([]bool, wf.Len())); err != nil {
 		return nil, err

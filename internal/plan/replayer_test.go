@@ -102,11 +102,11 @@ func TestBuilderAccessorsAndScheduleString(t *testing.T) {
 	wf := newDiamond(t)
 	p := cloud.NewPlatform()
 	b := NewBuilder(wf, p, cloud.USEastVirginia)
-	if b.Workflow() != wf || b.Platform() != p || b.Region() != cloud.USEastVirginia {
+	if b.Workflow() != wf || b.p != p || b.region != cloud.USEastVirginia {
 		t.Error("builder accessors disagree with construction")
 	}
 	b.SetMarket(nil) // no-op, keeps legacy economics
-	if b.Market() != nil {
+	if b.market != nil {
 		t.Error("nil SetMarket installed a model")
 	}
 	vm0 := b.NewVM(cloud.Small)
@@ -114,8 +114,8 @@ func TestBuilderAccessorsAndScheduleString(t *testing.T) {
 	if !vm1.Prepaid || vm1.Lease != nil {
 		t.Errorf("prepaid VM: %+v", vm1)
 	}
-	if got := b.VMs(); len(got) != 2 || got[0] != vm0 || got[1] != vm1 {
-		t.Errorf("VMs() = %v", got)
+	if got := b.vms; len(got) != 2 || got[0] != vm0 || got[1] != vm1 {
+		t.Errorf("vms = %v", got)
 	}
 	b.PlaceOn(0, vm0)
 	b.PlaceOn(1, vm0)
@@ -124,8 +124,8 @@ func TestBuilderAccessorsAndScheduleString(t *testing.T) {
 	if b.VMOf(3) != vm0 {
 		t.Errorf("VMOf(3) = %v", b.VMOf(3))
 	}
-	if ft := b.FinishTime(3); ft <= 0 {
-		t.Errorf("FinishTime(3) = %v", ft)
+	if ft := b.end[3]; ft <= 0 {
+		t.Errorf("finish time of task 3 = %v", ft)
 	}
 	s := b.Done()
 	if s.TaskVM(2) != vm1 {

@@ -111,12 +111,6 @@ func New(kind Kind) *Policy {
 	return p
 }
 
-// Kind returns the policy's kind.
-func (p *Policy) Kind() Kind { return p.kind }
-
-// Name returns the paper's name for the policy.
-func (p *Policy) Name() string { return p.kind.String() }
-
 // BeginGroup starts a new parallel group (a workflow level). The AllPar*
 // policies release their per-level VM claims; the other policies ignore it.
 func (p *Policy) BeginGroup() {

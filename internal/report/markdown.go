@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // WriteMarkdown emits the sweep as a GitHub-flavoured markdown report: one
@@ -61,33 +60,4 @@ func WriteMarkdown(w io.Writer, s *core.Sweep) error {
 
 	_, werr := io.WriteString(w, b.String())
 	return werr
-}
-
-// WriteIdleMarkdown emits the Fig. 5 idle-time data as a markdown table
-// (Pareto scenario).
-func WriteIdleMarkdown(w io.Writer, s *core.Sweep) error {
-	var b strings.Builder
-	b.WriteString("# Idle time (Pareto scenario)\n\n| strategy |")
-	for _, wf := range s.Workflows() {
-		fmt.Fprintf(&b, " %s (h) |", wf)
-	}
-	b.WriteString("\n|---|")
-	for range s.Workflows() {
-		b.WriteString("---:|")
-	}
-	b.WriteString("\n")
-	for _, strat := range s.Strategies {
-		fmt.Fprintf(&b, "| %s |", strat)
-		for _, wf := range s.Workflows() {
-			r, ok := s.Get(wf, workload.Pareto, strat)
-			if !ok {
-				b.WriteString(" – |")
-				continue
-			}
-			fmt.Fprintf(&b, " %.1f |", r.Point.IdleTime/3600)
-		}
-		b.WriteString("\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

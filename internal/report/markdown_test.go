@@ -30,21 +30,6 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 }
 
-func TestWriteIdleMarkdown(t *testing.T) {
-	s := testSweep(t)
-	var buf bytes.Buffer
-	if err := WriteIdleMarkdown(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Idle time") || !strings.Contains(out, "Montage (h)") {
-		t.Errorf("idle markdown malformed:\n%s", out[:200])
-	}
-	if strings.Count(out, "\n| ") < 19 {
-		t.Error("missing strategy rows")
-	}
-}
-
 func TestStabilityTableRendering(t *testing.T) {
 	rows, err := core.MultiSeed(core.Config{}, 1, 2)
 	if err != nil {

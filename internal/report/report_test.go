@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 var cachedSweep *core.Sweep
@@ -207,27 +206,6 @@ func TestWriteGnuplotData(t *testing.T) {
 	}
 	if !strings.Contains(out, `"OneVMperTask-s"`) {
 		t.Error("missing strategy column")
-	}
-}
-
-func TestEnergyTable(t *testing.T) {
-	s := testSweep(t)
-	out := EnergyTable(s, "Montage", workload.Pareto)
-	for _, want := range []string{"Energy and co-rent", "busy kWh", "wasted", "OneVMperTask-s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("energy table missing %q", want)
-		}
-	}
-}
-
-func TestFrontTable(t *testing.T) {
-	s := testSweep(t)
-	out := FrontTable(s, "CSTEM", workload.Pareto)
-	if !strings.Contains(out, "Pareto front") || !strings.Contains(out, "makespan") {
-		t.Errorf("front table malformed:\n%s", out)
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) < 4 {
-		t.Error("front table has no data rows")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/workload"
 )
 
 // Table1 renders the static provisioning/allocation pairing of the paper's
@@ -111,19 +110,4 @@ func Table5(s *core.Sweep) (string, error) {
 			rec.Point.GainPct, rec.Point.SavingsPct())
 	}
 	return b.String(), nil
-}
-
-// FrontTable renders the Pareto-optimal strategies of one
-// workflow/scenario pane: the cost/makespan trade-off curve a user picks
-// an operating point from.
-func FrontTable(s *core.Sweep, workflow string, sc workload.Scenario) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Pareto front — %s / %v (non-dominated in makespan x cost)\n", workflow, sc)
-	fmt.Fprintf(&b, "  %-22s %12s %10s %10s\n", "strategy", "makespan (s)", "cost ($)", "gain%")
-	fmt.Fprintf(&b, "  %s\n", strings.Repeat("-", 60))
-	for _, r := range s.ParetoFront(workflow, sc) {
-		fmt.Fprintf(&b, "  %-22s %12.0f %10.3f %10.1f\n",
-			r.Strategy, r.Point.Makespan, r.Point.Cost, r.Point.GainPct)
-	}
-	return b.String()
 }

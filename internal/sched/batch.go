@@ -64,15 +64,6 @@ func NewBatchWithBaseline(wf *dag.Workflow, opts Options, base *plan.Schedule) *
 // holding one batch per pane use it to detect pane changes.
 func (b *Batch) Workflow() *dag.Workflow { return b.wf }
 
-// Base returns the shared baseline schedule (HEFT + OneVMperTask on small
-// instances), building it on first call.
-func (b *Batch) Base() (*plan.Schedule, error) {
-	if err := b.init(); err != nil {
-		return nil, err
-	}
-	return b.base, nil
-}
-
 // Schedule evaluates one strategy within the batch: batch-aware algorithms
 // run against the shared baseline and replayer, everything else takes its
 // ordinary Schedule path (which still shares the frozen workflow's memos).

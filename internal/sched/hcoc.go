@@ -13,9 +13,10 @@ import (
 // HCOC is the Hybrid Cloud Optimized Cost scheduler of Bittencourt &
 // Madeira (the paper's ref. [17]): the workflow initially runs entirely on
 // the user's own private cloud (prepaid VMs, zero marginal cost), and
-// while the makespan misses the deadline, path clusters (from PCH, the
-// algorithm HCOC builds on) are moved one by one onto rented public-cloud
-// VMs — paying as little as possible to get under the deadline.
+// while the makespan misses the deadline, path clusters (from the Path
+// Clustering Heuristic HCOC builds on, ref. [18]) are moved one by one
+// onto rented public-cloud VMs — paying as little as possible to get
+// under the deadline.
 type HCOC struct {
 	// PrivateVMs is the size of the private pool; PrivateType its machine
 	// flavour.
@@ -45,20 +46,20 @@ func NewHCOC(k int, deadline float64, publicType cloud.InstanceType) HCOC {
 	}
 }
 
-// Name implements Algorithm.
-func (h HCOC) Name() string {
-	return fmt.Sprintf("HCOC(%d+%s,%.0fs)", h.PrivateVMs, h.PublicType.Suffix(), h.Deadline)
-}
+// ErrDeadlineUnreachable reports that no configuration met the deadline;
+// the returned schedule is the fastest found.
+var ErrDeadlineUnreachable = fmt.Errorf("sched: deadline unreachable")
 
-// Schedule implements Algorithm. When even the fully offloaded
-// configuration misses the deadline, the fastest schedule found is
-// returned together with ErrDeadlineUnreachable.
+// Schedule maps every task onto the private pool or rented public VMs.
+// When even the fully offloaded configuration misses the deadline, the
+// fastest schedule found is returned together with
+// ErrDeadlineUnreachable.
 func (h HCOC) Schedule(wf *dag.Workflow, opts Options) (*plan.Schedule, error) {
 	opts.fill()
 	if err := wf.Freeze(); err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
-	clusters := PCH{Type: h.PrivateType}.Clusters(wf, opts.Platform)
+	clusters := pathClusters(wf, opts.Platform, h.PrivateType)
 
 	// clusterVM[c] = -1 while cluster c sits on the private pool, else the
 	// index of its public VM.
@@ -157,4 +158,46 @@ func (h HCOC) Schedule(wf *dag.Workflow, opts Options) (*plan.Schedule, error) {
 // topological order.
 func sortByPos(q []dag.TaskID, pos []int) {
 	sort.SliceStable(q, func(i, j int) bool { return pos[q[i]] < pos[q[j]] })
+}
+
+// pathClusters groups the tasks into the Path Clustering Heuristic's path
+// clusters under the homogeneous cost model of typ: starting from the
+// highest-priority unclustered task, it repeatedly follows the
+// highest-priority unclustered successor. Every task appears in exactly
+// one cluster, and consecutive members of a cluster are joined by an edge.
+func pathClusters(wf *dag.Workflow, platform *cloud.Platform, typ cloud.InstanceType) [][]dag.TaskID {
+	m := costModel(platform, typ)
+	rank := wf.UpwardRanks(m)
+	clustered := make([]bool, wf.Len())
+	order := wf.RankOrder(m)
+
+	var clusters [][]dag.TaskID
+	for _, head := range order {
+		if clustered[head] {
+			continue
+		}
+		cluster := []dag.TaskID{head}
+		clustered[head] = true
+		// Follow the highest-priority unclustered successor.
+		cur := head
+		for {
+			var next dag.TaskID = -1
+			for _, s := range wf.Succ(cur) {
+				if clustered[s] {
+					continue
+				}
+				if next < 0 || rank[s] > rank[next] || (rank[s] == rank[next] && s < next) {
+					next = s
+				}
+			}
+			if next < 0 {
+				break
+			}
+			cluster = append(cluster, next)
+			clustered[next] = true
+			cur = next
+		}
+		clusters = append(clusters, cluster)
+	}
+	return clusters
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/dag/dagtest"
 	"repro/internal/sim"
 	"repro/internal/validate"
 	"repro/internal/workflows"
@@ -124,5 +125,41 @@ func TestPrepaidVMsInvisibleInBilling(t *testing.T) {
 		if len(vm.Slots) > 0 && !vm.Prepaid {
 			t.Error("public VM rented under a loose deadline")
 		}
+	}
+}
+
+func TestPCHClustersArePaths(t *testing.T) {
+	wf := workload.Pareto.Apply(workflows.PaperMontage(), 3)
+	clusters := pathClusters(wf, cloud.NewPlatform(), cloud.Small)
+
+	seen := make([]bool, wf.Len())
+	total := 0
+	for _, cluster := range clusters {
+		if len(cluster) == 0 {
+			t.Fatal("empty cluster")
+		}
+		for i, id := range cluster {
+			if seen[id] {
+				t.Fatalf("task %d in two clusters", id)
+			}
+			seen[id] = true
+			total++
+			if i > 0 {
+				if _, ok := wf.Data(cluster[i-1], id); !ok {
+					t.Fatalf("cluster break: %d -> %d is not an edge", cluster[i-1], id)
+				}
+			}
+		}
+	}
+	if total != wf.Len() {
+		t.Fatalf("clusters cover %d of %d tasks", total, wf.Len())
+	}
+}
+
+func TestPCHChainIsOneCluster(t *testing.T) {
+	wf := dagtest.Chain(6, 500)
+	clusters := pathClusters(wf, cloud.NewPlatform(), cloud.Small)
+	if len(clusters) != 1 || len(clusters[0]) != 6 {
+		t.Errorf("chain clusters = %v", clusters)
 	}
 }

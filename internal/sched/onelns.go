@@ -30,18 +30,13 @@ func (AllPar1LnS) Name() string { return "AllPar1LnS" }
 // from.
 const baseType = cloud.Small
 
-// levelBins packs one level's tasks into sequential bins: tasks are taken
-// in decreasing execution-time order and appended to the first bin whose
-// total stays within the longest task's execution time; tasks that fit
-// nowhere open a new bin. Bin 0 therefore holds exactly the longest task
-// (nothing else fits behind it) and every bin's sequential length is at
-// most the level makespan the fully parallel policy would achieve.
-func levelBins(wf *dag.Workflow, level []dag.TaskID) [][]dag.TaskID {
-	return packBins(wf, levelOrder(wf, level))
-}
-
-// packBins is levelBins over an already-ordered level (decreasing work,
-// ties by ID — the dag.LevelsByWork order the schedulers hold).
+// packBins packs one level's tasks into sequential bins. The level comes
+// ordered by decreasing work, ties by ID (the dag.LevelsByWork order);
+// each task is appended to the first bin whose total stays within the
+// longest task's execution time, and a task that fits nowhere opens a new
+// bin. Bin 0 therefore holds exactly the longest task (nothing else fits
+// behind it) and every bin's sequential length is at most the level
+// makespan the fully parallel policy would achieve.
 func packBins(wf *dag.Workflow, ordered []dag.TaskID) [][]dag.TaskID {
 	if len(ordered) == 0 {
 		return nil

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cloud"
@@ -10,9 +11,10 @@ import (
 	"repro/internal/workflows"
 )
 
-// levelOrderInsertion is the pre-optimization insertion sort that
-// levelOrder replaced, kept verbatim as the determinism reference: the
-// sort.Slice version must produce the identical ordering on every input.
+// levelOrderInsertion is the insertion sort the level-based schedulers
+// first ordered a level with, kept verbatim as the determinism reference:
+// dag.LevelsByWork's sort must produce the identical ordering on every
+// level.
 func levelOrderInsertion(wf *dag.Workflow, level []dag.TaskID) []dag.TaskID {
 	out := append([]dag.TaskID(nil), level...)
 	for i := 1; i < len(out); i++ {
@@ -34,23 +36,28 @@ func TestLevelOrderMatchesInsertionSort(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		w := dag.New("levels")
 		n := 1 + rng.Intn(60)
-		level := make([]dag.TaskID, n)
-		for i := range level {
+		for i := 0; i < n; i++ {
 			// Coarse work values force plenty of ties, exercising the ID
 			// tie-break where an unstable sort could diverge.
-			level[i] = w.AddTask("", float64(rng.Intn(5)))
+			id := w.AddTask("", float64(rng.Intn(5)))
+			// A sparse set of edges from earlier tasks spreads the
+			// workflow over several levels.
+			if i > 0 && rng.Intn(4) == 0 {
+				w.AddEdge(dag.TaskID(rng.Intn(i)), id, 0)
+			}
 		}
 		if err := w.Freeze(); err != nil {
 			t.Fatalf("trial %d: Freeze: %v", trial, err)
 		}
-		// Feed the tasks in shuffled order: both sorts must agree on the
-		// result regardless of input permutation.
-		rng.Shuffle(n, func(i, j int) { level[i], level[j] = level[j], level[i] })
-		got := levelOrder(w, level)
-		want := levelOrderInsertion(w, level)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: order differs at %d: got %v, want %v", trial, i, got, want)
+		for l, level := range w.Levels() {
+			// Feed the reference the level in shuffled order: the result
+			// must not depend on the input permutation.
+			level = append([]dag.TaskID(nil), level...)
+			rng.Shuffle(len(level), func(i, j int) { level[i], level[j] = level[j], level[i] })
+			got := w.LevelsByWork()[l]
+			want := levelOrderInsertion(w, level)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d level %d: got %v, want %v", trial, l, got, want)
 			}
 		}
 	}

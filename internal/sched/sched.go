@@ -15,7 +15,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/cloud"
@@ -60,7 +59,7 @@ func (o Options) NewBuilder(wf *dag.Workflow) *plan.Builder {
 
 // Replay rebuilds the timed schedule of an assignment under the options'
 // market terms (plan.ReplayMarket); the iterating algorithms (CPA-Eager,
-// Gain, AllPar1LnSDyn, HCOC, PCH) re-time their candidate assignments
+// Gain, AllPar1LnSDyn, HCOC) re-time their candidate assignments
 // through it.
 func (o Options) Replay(wf *dag.Workflow, a plan.Assignment) (*plan.Schedule, error) {
 	return plan.ReplayMarket(wf, o.Platform, o.Region, o.Market, a)
@@ -103,25 +102,6 @@ func costModel(p *cloud.Platform, typ cloud.InstanceType) dag.CostModel {
 		Key:  fmt.Sprintf("homog:%s:lat=%g", typ, p.Latency),
 	})
 	return m.(dag.CostModel)
-}
-
-// levelOrder returns the tasks of one level sorted by decreasing execution
-// time (ties by ID), the deterministic in-level order used by the level-
-// based algorithms ("level ranking + ET descending", Table I). The
-// schedulers themselves read the memoized dag.LevelsByWork; this
-// standalone sort remains for callers ordering an arbitrary task set.
-func levelOrder(wf *dag.Workflow, level []dag.TaskID) []dag.TaskID {
-	out := append([]dag.TaskID(nil), level...)
-	// (work desc, ID asc) is a total order over distinct tasks, so the
-	// unstable sort is deterministic.
-	sort.Slice(out, func(i, j int) bool {
-		wa, wb := wf.Task(out[i]).Work, wf.Task(out[j]).Work
-		if wa != wb {
-			return wa > wb
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // Catalog returns the 19 strategies of the paper's Figs. 4 and 5: the five
@@ -169,26 +149,3 @@ func ByName(name string) (Algorithm, error) {
 // Baseline returns the paper's reference strategy, HEFT with OneVMperTask
 // on small instances, against which gain and loss percentages are computed.
 func Baseline() Algorithm { return NewHEFT(provision.OneVMperTask, cloud.Small) }
-
-// FullCatalog returns the paper's 19 strategies plus this repository's
-// additional baselines — the commercial-cloud allocators over a
-// max-parallelism-sized pool, the classic heterogeneous HEFT under its
-// three rank functions, and LOSS — for research comparisons beyond the
-// paper's grid. The pool size k applies to the pool-based baselines.
-func FullCatalog(k int) []Algorithm {
-	out := Catalog()
-	out = append(out,
-		NewRoundRobin(k, cloud.Small),
-		NewLeastLoad(k, cloud.Small),
-		NewLoss(),
-		NewPCH(cloud.Small),
-	)
-	pool := make([]cloud.InstanceType, k)
-	for i := range pool {
-		pool[i] = cloud.InstanceTypes()[i%len(cloud.InstanceTypes())]
-	}
-	for _, rf := range RankFuncs() {
-		out = append(out, NewHeterogeneousHEFT(pool, rf))
-	}
-	return out
-}

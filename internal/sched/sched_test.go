@@ -206,8 +206,7 @@ func TestAllPar1LnSCheaperThanAllParNotExceedSameMakespan(t *testing.T) {
 
 func TestLevelBins(t *testing.T) {
 	w := fanWorkflow([]float64{10, 4, 3, 3, 2}, 1)
-	level := w.Levels()[1]
-	bins := levelBins(w, level)
+	bins := packBins(w, w.LevelsByWork()[1])
 	// Capacity 10: [10], [4,3,3] (exactly full), [2].
 	if len(bins) != 3 {
 		t.Fatalf("bins = %d, want 3", len(bins))
@@ -412,41 +411,18 @@ func TestQuickAllStrategiesProduceValidSchedules(t *testing.T) {
 
 func TestLevelOrderSortsByWorkDescending(t *testing.T) {
 	w := fanWorkflow([]float64{100, 400, 200, 400}, 1)
-	got := levelOrder(w, w.Levels()[1])
+	got := w.LevelsByWork()[1]
 	works := make([]float64, len(got))
 	for i, id := range got {
 		works[i] = w.Task(id).Work
 	}
 	for i := 1; i < len(works); i++ {
 		if works[i] > works[i-1] {
-			t.Fatalf("levelOrder not descending: %v", works)
+			t.Fatalf("LevelsByWork not descending: %v", works)
 		}
 	}
 	// Equal works tie-break by ID.
 	if got[0] > got[1] && works[0] == works[1] {
 		t.Errorf("tie not broken by ID: %v", got)
-	}
-}
-
-func TestFullCatalog(t *testing.T) {
-	cat := FullCatalog(6)
-	if len(cat) != 19+4+3 {
-		t.Fatalf("full catalog = %d, want 26", len(cat))
-	}
-	seen := map[string]bool{}
-	wf := workload.Pareto.Apply(workflows.CSTEM(), 2)
-	for _, alg := range cat {
-		if seen[alg.Name()] {
-			t.Errorf("duplicate %q", alg.Name())
-		}
-		seen[alg.Name()] = true
-		s, err := alg.Schedule(wf.Clone(), DefaultOptions())
-		if err != nil {
-			t.Errorf("%s: %v", alg.Name(), err)
-			continue
-		}
-		if s.Makespan() <= 0 {
-			t.Errorf("%s: empty schedule", alg.Name())
-		}
 	}
 }

@@ -7,12 +7,11 @@ import (
 )
 
 // upgradeState is the shared machinery of the budget-constrained upgrade
-// algorithms (CPA-Eager and Gain, and LOSS's downgrades): all start from
-// the baseline HEFT + OneVMperTask schedule on small instances — one VM
-// per task — and re-type individual VMs. The state loads the baseline
-// assignment into a plan.Replayer once; CPA-Eager and Gain then price
-// each trial retype incrementally (Replayer.Retype) and keep or undo it,
-// while LOSS re-costs whole assignments (Replayer.Cost). Accepted changes
+// algorithms (CPA-Eager and Gain): both start from the baseline HEFT +
+// OneVMperTask schedule on small instances — one VM per task — and
+// re-type individual VMs. The state loads the baseline assignment into a
+// plan.Replayer once; CPA-Eager and Gain then price each trial retype
+// incrementally (Replayer.Retype) and keep or undo it. Accepted changes
 // only mutate the assignment; the full timed schedule is materialized
 // once, at the end, from the final assignment — which is exactly the
 // schedule the last kept trial priced, since rejected trials are undone.

@@ -31,11 +31,11 @@ func TestUpgradeStateReturnsLoadError(t *testing.T) {
 	}
 
 	b := NewBatch(wf, opts)
-	if _, err := b.Base(); err != nil {
+	if err := b.init(); err != nil {
 		t.Fatal(err)
 	}
 	b.baseAssign.Queues[1][0] = b.baseAssign.Queues[0][0]
-	for _, alg := range []Algorithm{NewGain(), NewCPAEager(), NewLoss()} {
+	for _, alg := range []Algorithm{NewGain(), NewCPAEager()} {
 		if s, err := b.Schedule(alg); err == nil {
 			t.Errorf("%s on a corrupt batch assignment: no error, schedule %v", alg.Name(), s)
 		}

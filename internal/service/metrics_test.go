@@ -57,8 +57,13 @@ func TestLatencyConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Count(); got != 8000 {
-		t.Fatalf("count = %d, want 8000", got)
+	var b strings.Builder
+	if err := m.reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `wfservd_plan_duration_seconds_count{endpoint="schedule"} 8000` + "\n"
+	if !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition lacks %q", want)
 	}
 }
 

@@ -26,7 +26,10 @@ func Example() {
 		},
 	}
 	opts := sched.DefaultOptions()
-	est, err := sla.Evaluate(tpl, sched.Baseline(), opts, 1200, 1000, 1)
+	// With a target of 0 every strategy qualifies, so the one given comes
+	// back with its estimate.
+	est, _, err := sla.CheapestMeeting(tpl, []sched.Algorithm{sched.Baseline()},
+		opts, 1200, 0, 1000, 1)
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,6 @@ package sla
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -90,17 +89,6 @@ type Result struct {
 
 	// Bound is the analytic pre-pass result when Search computed one.
 	Bound *Bound
-}
-
-// MakespanECDF returns the empirical CDF of the observed makespans.
-func (r Result) MakespanECDF() *stats.ECDF { return stats.NewECDF(r.Makespans) }
-
-// MakespanQuantile returns the q-quantile of the observed makespans with
-// stats.Percentile's clamp semantics (q <= 0 is the min, q >= 1 the max).
-func (r Result) MakespanQuantile(q float64) float64 {
-	sorted := append([]float64(nil), r.Makespans...)
-	sort.Float64s(sorted)
-	return stats.Percentile(sorted, q)
 }
 
 // Measure samples cfg.Samples instances of the template, schedules each

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ndwf"
 	"repro/internal/sched"
+	"repro/internal/stats"
 )
 
 func TestMeasureBasics(t *testing.T) {
@@ -35,7 +36,7 @@ func TestMeasureBasics(t *testing.T) {
 	if res.Strategy != alg.Name() {
 		t.Fatalf("strategy %q", res.Strategy)
 	}
-	if got := res.MakespanECDF().At(res.Makespan.Max); got != 1 {
+	if got := stats.NewECDF(res.Makespans).At(res.Makespan.Max); got != 1 {
 		t.Fatalf("ECDF at max = %v", got)
 	}
 }
@@ -100,18 +101,6 @@ func TestMeasureDeadlineAtSamplePoint(t *testing.T) {
 	}
 }
 
-func TestMakespanQuantileClamps(t *testing.T) {
-	r := Result{Makespans: []float64{30, 10, 20}}
-	cases := []struct{ q, want float64 }{
-		{-1, 10}, {0, 10}, {0.5, 20}, {1, 30}, {2, 30},
-	}
-	for _, c := range cases {
-		if got := r.MakespanQuantile(c.q); got != c.want {
-			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
 func TestMeasureWithFaults(t *testing.T) {
 	tpl := ndwf.Order()
 	alg := sched.Baseline()
@@ -164,7 +153,7 @@ func TestMeasureRejectsBadInputs(t *testing.T) {
 }
 
 // TestEvaluateMeanAccumulation pins the sum-then-divide-once semantics of
-// Evaluate's means: they must equal, bit for bit, a reference loop that
+// evaluate's means: they must equal, bit for bit, a reference loop that
 // sums the per-instance outcomes and divides exactly once. (The old code
 // divided every term by n inside the loop, compounding a rounding step
 // per iteration.)
@@ -173,7 +162,7 @@ func TestEvaluateMeanAccumulation(t *testing.T) {
 	alg := sched.Baseline()
 	opts := sched.DefaultOptions()
 	const n, seed = 7, 42
-	est, err := Evaluate(tpl, alg, opts, 1200, n, seed)
+	est, err := estimate(tpl, alg, opts, 1200, n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +194,7 @@ func TestEvaluateMeanAccumulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	destEst, err := Evaluate(det, alg, opts, 1e6, 3, 1)
+	destEst, err := estimate(det, alg, opts, 1e6, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,22 +26,10 @@ type Estimate struct {
 	MeanMakespan float64
 }
 
-// Evaluate samples n instances of the template (seeds seed, seed+1, ...)
-// and measures how often the strategy meets the deadline, along with mean
-// cost and makespan.
-func Evaluate(t ndwf.Template, alg sched.Algorithm, opts sched.Options,
-	deadline float64, n int, seed uint64) (Estimate, error) {
-	ests, err := evaluate(t, []sched.Algorithm{alg}, opts, deadline, n, seed)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return ests[0], nil
-}
-
 // evaluate samples each of n instances (seeds seed, seed+1, ...) once and
 // schedules it with every strategy, accumulating each strategy's sums in
-// instance order, so every estimate equals Evaluate of that strategy
-// alone.
+// instance order, so every estimate equals evaluate of that strategy
+// alone: how often it meets the deadline, and its mean cost and makespan.
 func evaluate(t ndwf.Template, algs []sched.Algorithm, opts sched.Options,
 	deadline float64, n int, seed uint64) ([]Estimate, error) {
 	if deadline <= 0 {

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Pareto is a Pareto (type I) distribution with shape alpha and scale xm
 // (the minimum value). The paper's workload model uses shape 2.0 for task
@@ -12,17 +9,6 @@ import (
 type Pareto struct {
 	Alpha float64 // shape (> 0)
 	Xm    float64 // scale / minimum (> 0)
-}
-
-// NewPareto returns a Pareto distribution and validates its parameters.
-func NewPareto(alpha, xm float64) (Pareto, error) {
-	if alpha <= 0 || math.IsNaN(alpha) || math.IsInf(alpha, 0) {
-		return Pareto{}, fmt.Errorf("stats: invalid Pareto shape %v", alpha)
-	}
-	if xm <= 0 || math.IsNaN(xm) || math.IsInf(xm, 0) {
-		return Pareto{}, fmt.Errorf("stats: invalid Pareto scale %v", xm)
-	}
-	return Pareto{Alpha: alpha, Xm: xm}, nil
 }
 
 // Sample draws one value using inverse-transform sampling.

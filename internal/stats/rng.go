@@ -57,12 +57,3 @@ func (r *RNG) Range(lo, hi float64) float64 {
 func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())
 }
-
-// Shuffle pseudo-randomly permutes the first n elements using swap, in the
-// manner of rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

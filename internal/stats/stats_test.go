@@ -100,41 +100,6 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestRNGShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, 10)
-	for _, x := range xs {
-		if seen[x] {
-			t.Fatalf("duplicate element %d after shuffle", x)
-		}
-		seen[x] = true
-	}
-}
-
-func TestNewParetoValidation(t *testing.T) {
-	cases := []struct {
-		alpha, xm float64
-		ok        bool
-	}{
-		{2, 500, true},
-		{1.3, 500, true},
-		{0, 500, false},
-		{-1, 500, false},
-		{2, 0, false},
-		{2, -5, false},
-		{math.NaN(), 500, false},
-		{2, math.Inf(1), false},
-	}
-	for _, c := range cases {
-		_, err := NewPareto(c.alpha, c.xm)
-		if (err == nil) != c.ok {
-			t.Errorf("NewPareto(%v, %v): err = %v, want ok=%v", c.alpha, c.xm, err, c.ok)
-		}
-	}
-}
-
 func TestParetoSampleAboveScale(t *testing.T) {
 	p := Pareto{Alpha: 2, Xm: 500}
 	r := NewRNG(1)
@@ -319,27 +284,8 @@ func TestECDF(t *testing.T) {
 			t.Errorf("ECDF.At(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4})
-	pts := e.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("len(pts) = %d", len(pts))
-	}
-	if pts[0][0] != 1 || pts[4][0] != 4 {
-		t.Errorf("x range = [%v, %v], want [1, 4]", pts[0][0], pts[4][0])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i][1] < pts[i-1][1] {
-			t.Errorf("CDF points not monotone at %d", i)
-		}
-	}
-	if (&ECDF{}).Points(5) != nil {
-		t.Error("empty ECDF should yield nil points")
+	if len(e.sorted) != 4 {
+		t.Errorf("sample size = %d", len(e.sorted))
 	}
 }
 
@@ -361,44 +307,6 @@ func TestQuickECDFMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2", h.Over)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("Counts[%d] = %d, want %d", i, c, want[i])
-		}
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero bins":   func() { NewHistogram(0, 1, 0) },
-		"empty range": func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }
 

@@ -103,67 +103,3 @@ func (e *ECDF) At(x float64) float64 {
 	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(e.sorted))
 }
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Points returns n evenly spaced (x, F(x)) pairs spanning the sample range,
-// suitable for plotting. It returns nil for an empty ECDF or n < 2.
-func (e *ECDF) Points(n int) [][2]float64 {
-	if len(e.sorted) == 0 || n < 2 {
-		return nil
-	}
-	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
-	pts := make([][2]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		pts[i] = [2]float64{x, e.At(x)}
-	}
-	return pts
-}
-
-// Histogram is a fixed-width-bin histogram.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Under  int // samples below Lo
-	Over   int // samples above Hi
-}
-
-// NewHistogram builds a histogram with bins equal-width bins over [lo, hi).
-// It panics if bins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: NewHistogram with non-positive bin count")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with empty range")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.Counts) { // float edge case at x == Hi-ulp
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of recorded observations, including out-of-range
-// ones.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}

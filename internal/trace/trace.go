@@ -82,26 +82,6 @@ func Gantt(s *plan.Schedule, width int) string {
 	return b.String()
 }
 
-// Summary returns a one-line-per-VM textual accounting of the schedule.
-func Summary(s *plan.Schedule) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d VMs, makespan %.0fs, cost $%.3f, idle %.0fs\n",
-		s.VMCount(), s.Makespan(), s.TotalCost(), s.IdleTime())
-	for _, vm := range s.VMs {
-		if len(vm.Slots) == 0 {
-			continue
-		}
-		var tasks []string
-		for _, slot := range vm.Slots {
-			tasks = append(tasks, fmt.Sprintf("%s[%.0f,%.0f)",
-				s.Workflow.Task(slot.Task).Name, slot.Start, slot.End))
-		}
-		fmt.Fprintf(&b, "  vm%d (%s, %d BTU, $%.3f): %s\n",
-			vm.ID, vm.Type, cloud.BTUs(vm.Span()), vm.Cost(), strings.Join(tasks, " "))
-	}
-	return b.String()
-}
-
 // WriteCSV emits the schedule's slots as CSV (one row per task execution:
 // vm, type, region, task, name, start, end), the machine-readable
 // counterpart of the Gantt chart for external timeline tooling.

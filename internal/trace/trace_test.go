@@ -96,17 +96,6 @@ func TestGanttHeldIdleLeaseRenders(t *testing.T) {
 	}
 }
 
-func TestSummaryListsAllBusyVMs(t *testing.T) {
-	s := fig1Schedule(t, provision.AllParExceed)
-	out := Summary(s)
-	if !strings.Contains(out, "t0[") {
-		t.Errorf("summary missing task names:\n%s", out)
-	}
-	if got := strings.Count(out, "vm"); got < s.VMCount() {
-		t.Errorf("summary lists %d VMs, want >= %d", got, s.VMCount())
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	s := fig1Schedule(t, provision.OneVMperTask)
 	var buf bytes.Buffer

@@ -145,15 +145,6 @@ func growLease(s []Lease, n int) []Lease {
 	return s[:n]
 }
 
-// lease returns the open ledger entry for vi, growing the arrays as new
-// incarnation indices appear; nil when vi never opened.
-func (sc *Scratch) lease(vi int) *Lease {
-	if vi < 0 || vi >= len(sc.acc.Leases) || !sc.acc.Leases[vi].Opened {
-		return nil
-	}
-	return &sc.acc.Leases[vi]
-}
-
 // parseLabel memoizes market.ParseLabel per distinct label string.
 func (sc *Scratch) parseLabel(label string) (string, *market.Lease, error) {
 	if lt, ok := sc.labels[label]; ok {

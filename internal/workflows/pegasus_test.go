@@ -103,7 +103,7 @@ func TestExtendedCorpus(t *testing.T) {
 			t.Errorf("missing %s", n)
 			continue
 		}
-		if err := w.Validate(); err != nil {
+		if err := w.Freeze(); err != nil {
 			t.Errorf("%s: %v", n, err)
 		}
 	}

@@ -163,7 +163,7 @@ func TestPaperSetComplete(t *testing.T) {
 			t.Errorf("missing workflow %q", n)
 			continue
 		}
-		if err := w.Validate(); err != nil {
+		if err := w.Freeze(); err != nil {
 			t.Errorf("%s: %v", n, err)
 		}
 		if !strings.Contains(strings.ToLower(w.Name), strings.ToLower(n[:4])) {
@@ -173,16 +173,16 @@ func TestPaperSetComplete(t *testing.T) {
 }
 
 func TestAllBuildersProduceValidDAGs(t *testing.T) {
-	builders := map[string]func() interface{ Validate() error }{
-		"Montage(2)":      func() interface{ Validate() error } { return Montage(2) },
-		"Montage(12)":     func() interface{ Validate() error } { return Montage(12) },
-		"MapReduce(1,1)":  func() interface{ Validate() error } { return MapReduce(1, 1) },
-		"MapReduce(16,8)": func() interface{ Validate() error } { return MapReduce(16, 8) },
-		"Sequential(1)":   func() interface{ Validate() error } { return Sequential(1) },
-		"CSTEM":           func() interface{ Validate() error } { return CSTEM() },
+	builders := map[string]func() interface{ Freeze() error }{
+		"Montage(2)":      func() interface{ Freeze() error } { return Montage(2) },
+		"Montage(12)":     func() interface{ Freeze() error } { return Montage(12) },
+		"MapReduce(1,1)":  func() interface{ Freeze() error } { return MapReduce(1, 1) },
+		"MapReduce(16,8)": func() interface{ Freeze() error } { return MapReduce(16, 8) },
+		"Sequential(1)":   func() interface{ Freeze() error } { return Sequential(1) },
+		"CSTEM":           func() interface{ Freeze() error } { return CSTEM() },
 	}
 	for name, build := range builders {
-		if err := build().Validate(); err != nil {
+		if err := build().Freeze(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
