@@ -424,6 +424,33 @@ func BenchmarkOnlineSoak(b *testing.B) {
 	}
 }
 
+// BenchmarkTemplateSample times one sampled instance of the soak mix:
+// each op picks order or montage2 by the soak's 3:1 weights and samples
+// the pick at a fresh seed, both from one stream, as online's mix builder
+// does per arriving instance. It is the sampling layer under OnlineSoak,
+// and scripts/bench.sh gates its ns/op and allocs/op.
+func BenchmarkTemplateSample(b *testing.B) {
+	order, err := ndwf.Named("order")
+	if err != nil {
+		b.Fatal(err)
+	}
+	montage, err := ndwf.Named("montage2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := stats.NewRNG(42)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pick := montage
+		if r.Float64()*4 < 3 {
+			pick = order
+		}
+		if _, err := pick.Sample(r.Uint64()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNdwfDistribution times sampling + scheduling 100 realized
 // instances of a non-deterministic template.
 func BenchmarkNdwfDistribution(b *testing.B) {

@@ -63,19 +63,26 @@ type gateRow struct {
 
 // gates is the gate table. The sweep headline can mask a replay
 // regression hidden behind scheduler wins, so the single-cell SimReplay
-// latency has its own row; the service rows watch the /v1/schedule cache
-// hit, whose cost must stay far below the planning it saves, and the
-// cold request; the SLASearch rows watch the deadline portfolio search,
-// whose allocations count the DAGs it samples; the ScheduleGain row
-// watches one GAIN schedule, the upgrade loop under both budget-limited
-// algorithms. Hosted runners are noisy, hence the wide tolerances.
+// latency has its own row; the OnlineSoak rows watch the streaming
+// harness, and the TemplateSample rows the sampling layer under it, which
+// builds most of its allocations; the service rows watch the /v1/schedule
+// cache hit, whose cost must stay far below the planning it saves, and
+// the cold request, whose allocations count the workflow it builds; the
+// SLASearch rows watch the deadline portfolio search, whose allocations
+// count the DAGs it samples; the ScheduleGain row watches one GAIN
+// schedule, the upgrade loop under both budget-limited algorithms. Hosted
+// runners are noisy, hence the wide tolerances.
 var gates = []gateRow{
 	{sweepBench, "cells/s", true, 0.20},
 	{"SimReplay", "ns/op", false, 0.20},
 	{onlineBench, "instances/s", true, 0.20},
+	{onlineBench, "allocs/op", false, 0.20},
+	{"TemplateSample", "ns/op", false, 0.20},
+	{"TemplateSample", "allocs/op", false, 0.20},
 	{"ServiceScheduleCached", "ns/op", false, 0.20},
 	{"ServiceScheduleCached", "allocs/op", false, 0.20},
 	{"ServiceScheduleCold", "ns/op", false, 0.20},
+	{"ServiceScheduleCold", "allocs/op", false, 0.20},
 	{"SLASearch", "ns/op", false, 0.20},
 	{"SLASearch", "allocs/op", false, 0.20},
 	{"ScheduleGain", "ns/op", false, 0.20},

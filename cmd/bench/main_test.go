@@ -19,6 +19,7 @@ BenchmarkServiceScheduleCached-8	   30000	     40000 ns/op	   24000 B/op	      8
 BenchmarkServiceScheduleCold-8  	    2400	    500000 ns/op	  190000 B/op	    1100 allocs/op
 BenchmarkSLASearch-8            	      20	  60000000 ns/op	13800000 B/op	   89000 allocs/op
 BenchmarkScheduleGain-8         	    5000	    300000 ns/op	   30000 B/op	     200 allocs/op
+BenchmarkTemplateSample-8       	  600000	      4000 ns/op	    3600 B/op	      18 allocs/op
 PASS
 `
 
@@ -33,7 +34,7 @@ func parsed(t *testing.T, text string) map[string]Bench {
 
 func TestParseDerivesThroughputs(t *testing.T) {
 	out := parsed(t, benchText)
-	if len(out) != 8 {
+	if len(out) != 9 {
 		t.Fatalf("parsed %d benchmarks: %v", len(out), out)
 	}
 	sweep := out[sweepBench]

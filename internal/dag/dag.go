@@ -13,6 +13,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -43,6 +44,15 @@ type Edge struct {
 // Freeze (or any query method, which freezes implicitly) has been called.
 // The zero value is an empty workflow ready for use.
 //
+// Under construction a workflow is two flat lists: AddTask appends to the
+// task list and AddEdge to the edge list, duplicates included. Freeze lays
+// the snapshot out in one O(V+E) pass: it merges duplicate edges, summing
+// their data in AddEdge order; it lays out every task's row, its
+// successors and predecessors in first-AddEdge order with their data sizes
+// aligned; it sorts the edge list by (From, To); and it computes the
+// topological order and the level decomposition. Len, Task, Tasks and
+// TotalWork read the task list and never freeze; every other query does.
+//
 // A frozen workflow is an immutable snapshot: every query method is safe
 // for concurrent use, so schedulers (and the sweep driver's workers) share
 // one frozen workflow read-only instead of cloning it per run. The only
@@ -60,23 +70,29 @@ type Workflow struct {
 	Name string
 
 	tasks []Task
-	succ  [][]TaskID
-	pred  [][]TaskID
-	data  map[[2]TaskID]float64
+	// edges is every AddEdge call in order until Freeze, and the distinct
+	// edges sorted by (From, To) after.
+	edges []Edge
 
 	frozen bool
-	topo   []TaskID
-	level  []int
-	depth  int
-
-	// Derived state of the frozen snapshot, precomputed by Freeze:
-	// levels groups task IDs by level, edges is the sorted edge list, and
-	// succData/predData carry each edge's data size aligned with succ/pred
-	// (so hot paths avoid the data-map lookup). SetData rebuilds them.
-	levels   [][]TaskID
-	edges    []Edge
-	succData [][]float64
-	predData [][]float64
+	// rows[id] is task id's row, subslices of the flat adjacency arrays.
+	// Reading a row is one slice-header load on the hot paths of the
+	// schedulers, the builders and the simulator.
+	rows []row
+	// data holds every row's data sizes: the successor rows' in [0, E),
+	// the predecessor rows' in [E, 2E). SetData writes edge k's new size
+	// through to data[succAt[k]] and data[E+predAt[k]].
+	data   []float64
+	succAt []int32
+	predAt []int32
+	// added lists the sorted indices of the edges in first-AddEdge order,
+	// the order Clone replays them in.
+	added []int32
+	topo  []TaskID
+	level []int
+	depth int
+	// levels groups task IDs by level, precomputed by Freeze.
+	levels [][]TaskID
 
 	// ranks memoizes UpwardRanks (and rankOrders RankOrder) per
 	// CostModel.Key. Guarded by rankMu: rank queries on a shared frozen
@@ -89,9 +105,17 @@ type Workflow struct {
 	workLevels [][]TaskID
 }
 
+// row is one task's adjacency in the frozen layout: its successors and
+// predecessors in first-AddEdge order, and the data sizes of those edges
+// aligned index for index.
+type row struct {
+	succ, pred         []TaskID
+	succData, predData []float64
+}
+
 // New returns an empty named workflow.
 func New(name string) *Workflow {
-	return &Workflow{Name: name, data: map[[2]TaskID]float64{}}
+	return &Workflow{Name: name}
 }
 
 // AddTask appends a task with the given name and reference execution time
@@ -106,14 +130,13 @@ func (w *Workflow) AddTask(name string, work float64) TaskID {
 	}
 	id := TaskID(len(w.tasks))
 	w.tasks = append(w.tasks, Task{ID: id, Name: name, Work: work})
-	w.succ = append(w.succ, nil)
-	w.pred = append(w.pred, nil)
 	return id
 }
 
 // AddEdge records a dependency carrying data bytes from one task to
-// another. Adding the same edge twice accumulates the data sizes. It panics
-// on unknown IDs, self-loops, negative data, or a frozen workflow.
+// another. Adding the same edge twice accumulates the data sizes, so a
+// 0-byte AddEdge onto an existing edge adds nothing. It panics on unknown
+// IDs, self-loops, negative data, or a frozen workflow.
 func (w *Workflow) AddEdge(from, to TaskID, data float64) {
 	if w.frozen {
 		panic("dag: AddEdge on frozen workflow")
@@ -127,17 +150,7 @@ func (w *Workflow) AddEdge(from, to TaskID, data float64) {
 	if data < 0 {
 		panic(fmt.Sprintf("dag: negative data on edge %d->%d", from, to))
 	}
-	if w.data == nil {
-		w.data = map[[2]TaskID]float64{}
-	}
-	key := [2]TaskID{from, to}
-	if _, dup := w.data[key]; dup {
-		w.data[key] += data
-		return
-	}
-	w.data[key] = data
-	w.succ[from] = append(w.succ[from], to)
-	w.pred[to] = append(w.pred[to], from)
+	w.edges = append(w.edges, Edge{From: from, To: to, Data: data})
 }
 
 func (w *Workflow) valid(id TaskID) bool {
@@ -146,37 +159,224 @@ func (w *Workflow) valid(id TaskID) bool {
 
 // Freeze validates the workflow (it must be a non-empty DAG) and makes it
 // immutable. Freeze is idempotent. Once frozen, the workflow is safe for
-// concurrent read access — see the type comment.
+// concurrent read access — see the type comment. A failed Freeze leaves
+// the workflow as it was.
 func (w *Workflow) Freeze() error {
 	if w.frozen {
 		return nil
 	}
-	if len(w.tasks) == 0 {
+	n, m := len(w.tasks), len(w.edges)
+	if n == 0 {
 		return errors.New("dag: empty workflow")
 	}
-	topo, err := w.computeTopo()
-	if err != nil {
+	raw := w.edges
+	// One scratch array, carved into per-task and per-edge parts.
+	sc := make([]int32, 4*(n+1)+3*m)
+	start, sc := sc[:n+1], sc[n+1:]
+	cursor, sc := sc[:n+1], sc[n+1:]
+	last, sc := sc[:n+1], sc[n+1:]
+	heap, sc := sc[:n+1], sc[n+1:]
+	byFrom, sc := sc[:m], sc[m:]
+	pos, sc := sc[:m], sc[m:]
+	succOf := sc[:m]
+
+	// Bucket the raw edges by source, stably: within a bucket they stay in
+	// AddEdge order.
+	for _, e := range raw {
+		start[e.From+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	copy(cursor, start)
+	for i, e := range raw {
+		byFrom[cursor[e.From]] = int32(i)
+		cursor[e.From]++
+	}
+
+	// Successor rows: the first AddEdge of a pair claims the next slot and
+	// later ones add their data to it. last[v] is the slot of the pair
+	// (u, v) when it is at least the slot the row of u starts at. pos[i] is
+	// raw edge i's slot, or -1 for a duplicate.
+	ids := make([]TaskID, 2*m+2*n)
+	data := make([]float64, 2*m)
+	rows := make([]row, n)
+	for v := range last {
+		last[v] = -1
+	}
+	next := int32(0)
+	for u := 0; u < n; u++ {
+		lo := next
+		cursor[u] = lo
+		for _, i := range byFrom[start[u]:start[u+1]] {
+			to := raw[i].To
+			if p := last[to]; p >= lo {
+				data[p] += raw[i].Data
+				pos[i] = -1
+				continue
+			}
+			last[to] = next
+			ids[next] = to
+			data[next] = raw[i].Data
+			pos[i] = next
+			next++
+		}
+		rows[u].succ = ids[lo:next:next]
+		rows[u].succData = data[lo:next:next]
+	}
+	nE := int(next)
+
+	// Predecessor rows, bucketed by target over the distinct edges in
+	// first-AddEdge order. succOf[q] is the successor slot of the edge in
+	// predecessor slot q.
+	clear(start)
+	for i, e := range raw {
+		if pos[i] >= 0 {
+			start[e.To+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	copy(last, start)
+	predIDs, predData := ids[nE:2*nE], data[nE:2*nE]
+	for i, e := range raw {
+		if p := pos[i]; p >= 0 {
+			q := last[e.To]
+			last[e.To]++
+			predIDs[q] = e.From
+			predData[q] = data[p]
+			succOf[q] = p
+		}
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := start[v], start[v+1]
+		rows[v].pred = predIDs[lo:hi:hi]
+		rows[v].predData = predData[lo:hi:hi]
+	}
+
+	topo := ids[2*m : 2*m+n : 2*m+n]
+	if err := kahn(rows, topo, last[:n], heap[:n]); err != nil {
 		return err
 	}
+
+	// Sort the edge list by (From, To) in place: walking the predecessor
+	// rows in target order fills each source's bucket, which spans the same
+	// slots as its successor row, in target order. sortedOf maps each
+	// successor slot to its sorted index, which orders added.
+	at := make([]int32, 3*nE)
+	succAt, predAt, added := at[:nE:nE], at[nE:2*nE:2*nE], at[2*nE:]
+	sorted := raw[:nE:nE]
+	sortedOf := byFrom[:nE] // byFrom is spent
+	for v := 0; v < n; v++ {
+		for q := start[v]; q < start[v+1]; q++ {
+			from := predIDs[q]
+			k := cursor[from]
+			cursor[from]++
+			sorted[k] = Edge{From: from, To: TaskID(v), Data: predData[q]}
+			succAt[k] = succOf[q]
+			predAt[k] = q
+			sortedOf[succOf[q]] = k
+		}
+	}
+	j := 0
+	for _, p := range pos {
+		if p >= 0 {
+			added[j] = sortedOf[p]
+			j++
+		}
+	}
+
+	w.edges = sorted
+	w.rows = rows
+	w.data = data[: 2*nE : 2*nE]
+	w.succAt, w.predAt, w.added = succAt, predAt, added
 	w.topo = topo
 	w.computeLevels()
-	w.groupLevels()
-	w.rebuildEdgeCaches()
+	w.groupLevels(ids[2*m+n:], last)
 	w.frozen = true
 	return nil
 }
 
-// groupLevels precomputes the level decomposition: task IDs grouped by
-// level, in ID order within a level (the same content Levels always
-// returned, now built once at freeze time).
-func (w *Workflow) groupLevels() {
-	counts := make([]int, w.depth)
+// kahn writes a deterministic topological order into topo — Kahn's
+// algorithm, popping the smallest ready ID from a min-heap — or returns
+// an error when the rows have a cycle. indeg and heap are scratch of one
+// int32 per task.
+func kahn(rows []row, topo []TaskID, indeg, heap []int32) error {
+	heap = heap[:0]
+	for v := range rows {
+		indeg[v] = int32(len(rows[v].pred))
+		if indeg[v] == 0 {
+			heap = append(heap, int32(v)) // ascending IDs: already a heap
+		}
+	}
+	n := 0
+	for len(heap) > 0 {
+		next := heap[0]
+		last := len(heap) - 1
+		heap[0] = heap[last]
+		heap = heap[:last]
+		siftDown(heap)
+		topo[n] = TaskID(next)
+		n++
+		for _, s := range rows[next].succ {
+			indeg[s]--
+			if indeg[s] == 0 {
+				heap = append(heap, int32(s))
+				siftUp(heap)
+			}
+		}
+	}
+	if n != len(rows) {
+		return errors.New("dag: workflow contains a cycle")
+	}
+	return nil
+}
+
+// siftUp restores the min-heap after an append.
+func siftUp(h []int32) {
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// siftDown restores the min-heap after its root was replaced.
+func siftDown(h []int32) {
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		least := l
+		if r := l + 1; r < len(h) && h[r] < h[l] {
+			least = r
+		}
+		if h[i] <= h[least] {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// groupLevels precomputes the level decomposition into flat, one slot per
+// task: task IDs grouped by level, in ID order within a level. counts is
+// scratch of at least Depth int32s.
+func (w *Workflow) groupLevels(flat []TaskID, counts []int32) {
+	counts = counts[:w.depth]
+	clear(counts)
 	for _, l := range w.level {
 		counts[l]++
 	}
-	flat := make([]TaskID, len(w.tasks))
 	w.levels = make([][]TaskID, w.depth)
-	off := 0
+	off := int32(0)
 	for l, c := range counts {
 		w.levels[l] = flat[off : off : off+c]
 		off += c
@@ -185,39 +385,6 @@ func (w *Workflow) groupLevels() {
 	for i := range w.tasks {
 		l := w.level[i]
 		w.levels[l] = append(w.levels[l], TaskID(i))
-	}
-}
-
-// rebuildEdgeCaches precomputes the sorted edge list and the per-endpoint
-// data-size slices aligned with succ/pred, eliminating data-map lookups
-// from rank computations, builders and the simulator. Called at freeze
-// time and again by SetData.
-func (w *Workflow) rebuildEdgeCaches() {
-	w.edges = w.computeEdges()
-	n := len(w.tasks)
-	var total int
-	for i := 0; i < n; i++ {
-		total += len(w.succ[i])
-	}
-	flat := make([]float64, 2*total)
-	w.succData = make([][]float64, n)
-	w.predData = make([][]float64, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		sd := flat[off : off+len(w.succ[i])]
-		off += len(w.succ[i])
-		for j, s := range w.succ[i] {
-			sd[j] = w.data[[2]TaskID{TaskID(i), s}]
-		}
-		w.succData[i] = sd
-	}
-	for i := 0; i < n; i++ {
-		pd := flat[off : off+len(w.pred[i])]
-		off += len(w.pred[i])
-		for j, p := range w.pred[i] {
-			pd[j] = w.data[[2]TaskID{p, TaskID(i)}]
-		}
-		w.predData[i] = pd
 	}
 }
 
@@ -232,44 +399,18 @@ func (w *Workflow) invalidateRanks() {
 }
 
 // mustFreeze freezes and panics on error; used by query methods so that a
-// structurally invalid graph fails loudly rather than silently.
+// structurally invalid graph fails loudly rather than silently. It is
+// small enough to inline, so a query on a frozen workflow pays one branch.
 func (w *Workflow) mustFreeze() {
-	if err := w.Freeze(); err != nil {
-		panic(err)
+	if !w.frozen {
+		w.freezeOrPanic()
 	}
 }
 
-// computeTopo returns a deterministic topological order (Kahn's algorithm
-// with a sorted frontier) or an error when the graph has a cycle.
-func (w *Workflow) computeTopo() ([]TaskID, error) {
-	n := len(w.tasks)
-	indeg := make([]int, n)
-	for to := range w.pred {
-		indeg[to] = len(w.pred[to])
+func (w *Workflow) freezeOrPanic() {
+	if err := w.Freeze(); err != nil {
+		panic(err)
 	}
-	frontier := make([]TaskID, 0, 8)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			frontier = append(frontier, TaskID(i))
-		}
-	}
-	order := make([]TaskID, 0, n)
-	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-		next := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, next)
-		for _, s := range w.succ[next] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				frontier = append(frontier, s)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, errors.New("dag: workflow contains a cycle")
-	}
-	return order, nil
 }
 
 // computeLevels assigns each task its level: entry tasks are level 0 and
@@ -280,7 +421,7 @@ func (w *Workflow) computeLevels() {
 	w.depth = 0
 	for _, id := range w.topo {
 		lvl := 0
-		for _, p := range w.pred[id] {
+		for _, p := range w.rows[id].pred {
 			if w.level[p]+1 > lvl {
 				lvl = w.level[p] + 1
 			}
@@ -309,43 +450,45 @@ func (w *Workflow) Tasks() []Task {
 	return append([]Task(nil), w.tasks...)
 }
 
-// Succ returns the successors of a task. The returned slice must not be
-// modified.
-func (w *Workflow) Succ(id TaskID) []TaskID { return w.succ[id] }
+// Succ returns the successors of a task in first-AddEdge order. The
+// workflow is frozen if it was not already; the returned slice must not
+// be modified.
+func (w *Workflow) Succ(id TaskID) []TaskID {
+	w.mustFreeze()
+	return w.rows[id].succ
+}
 
-// Pred returns the predecessors of a task. The returned slice must not be
-// modified.
-func (w *Workflow) Pred(id TaskID) []TaskID { return w.pred[id] }
+// Pred returns the predecessors of a task in first-AddEdge order. The
+// workflow is frozen if it was not already; the returned slice must not
+// be modified.
+func (w *Workflow) Pred(id TaskID) []TaskID {
+	w.mustFreeze()
+	return w.rows[id].pred
+}
 
 // Data returns the data size carried by the edge from→to, and whether the
-// edge exists.
+// edge exists. It scans the source task's row; the workflow is frozen if
+// it was not already.
 func (w *Workflow) Data(from, to TaskID) (float64, bool) {
-	d, ok := w.data[[2]TaskID{from, to}]
-	return d, ok
-}
-
-// Edges returns all edges sorted by (From, To). On a frozen workflow the
-// slice is the snapshot's memoized copy, computed once; it must not be
-// modified.
-func (w *Workflow) Edges() []Edge {
-	if w.frozen {
-		return w.edges
+	w.mustFreeze()
+	if !w.valid(from) {
+		return 0, false
 	}
-	return w.computeEdges()
-}
-
-func (w *Workflow) computeEdges() []Edge {
-	out := make([]Edge, 0, len(w.data))
-	for k, d := range w.data {
-		out = append(out, Edge{From: k[0], To: k[1], Data: d})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	r := &w.rows[from]
+	for j, s := range r.succ {
+		if s == to {
+			return r.succData[j], true
 		}
-		return out[i].To < out[j].To
-	})
-	return out
+	}
+	return 0, false
+}
+
+// Edges returns all edges sorted by (From, To), one per distinct pair.
+// The workflow is frozen if it was not already; the slice is the
+// snapshot's own and must not be modified.
+func (w *Workflow) Edges() []Edge {
+	w.mustFreeze()
+	return w.edges
 }
 
 // SuccData returns the data sizes of the edges to a task's successors,
@@ -353,7 +496,7 @@ func (w *Workflow) computeEdges() []Edge {
 // returned slice must not be modified.
 func (w *Workflow) SuccData(id TaskID) []float64 {
 	w.mustFreeze()
-	return w.succData[id]
+	return w.rows[id].succData
 }
 
 // PredData returns the data sizes of the edges from a task's predecessors,
@@ -361,14 +504,15 @@ func (w *Workflow) SuccData(id TaskID) []float64 {
 // returned slice must not be modified.
 func (w *Workflow) PredData(id TaskID) []float64 {
 	w.mustFreeze()
-	return w.predData[id]
+	return w.rows[id].predData
 }
 
 // Entries returns the tasks with no predecessors, in ID order.
 func (w *Workflow) Entries() []TaskID {
+	w.mustFreeze()
 	out := make([]TaskID, 0, 4)
-	for i := range w.tasks {
-		if len(w.pred[i]) == 0 {
+	for i := range w.rows {
+		if len(w.rows[i].pred) == 0 {
 			out = append(out, TaskID(i))
 		}
 	}
@@ -377,9 +521,10 @@ func (w *Workflow) Entries() []TaskID {
 
 // Exits returns the tasks with no successors, in ID order.
 func (w *Workflow) Exits() []TaskID {
+	w.mustFreeze()
 	out := make([]TaskID, 0, 4)
-	for i := range w.tasks {
-		if len(w.succ[i]) == 0 {
+	for i := range w.rows {
+		if len(w.rows[i].succ) == 0 {
 			out = append(out, TaskID(i))
 		}
 	}
@@ -495,41 +640,44 @@ func (w *Workflow) SetWork(assign func(t Task) float64) {
 // SetData rewrites every edge's data size using the given assignment
 // function, analogously to SetWork. Edges are visited in sorted
 // (From, To) order so that stochastic assignment functions consume their
-// random stream deterministically.
+// random stream deterministically; the workflow is frozen first if it was
+// not already.
 func (w *Workflow) SetData(assign func(e Edge) float64) {
-	for _, e := range w.Edges() {
+	w.mustFreeze()
+	pred := w.data[len(w.edges):]
+	for k, e := range w.edges {
 		d := assign(e)
 		if d < 0 {
 			panic(fmt.Sprintf("dag: negative data for edge %d->%d", e.From, e.To))
 		}
-		w.data[[2]TaskID{e.From, e.To}] = d
-	}
-	if w.frozen {
-		w.rebuildEdgeCaches()
+		w.edges[k].Data = d
+		w.data[w.succAt[k]] = d
+		pred[w.predAt[k]] = d
 	}
 	w.invalidateRanks()
 }
 
 // Clone returns a deep copy sharing no state with the receiver. The clone
 // is unfrozen, so its weights and structure may be modified; it carries
-// none of the receiver's memoized snapshot state.
+// none of the receiver's memoized snapshot state. A frozen receiver's
+// edges are replayed in first-AddEdge order, one per distinct pair, so
+// the clone freezes to the same rows.
 func (w *Workflow) Clone() *Workflow {
-	c := New(w.Name)
-	c.tasks = append([]Task(nil), w.tasks...)
-	c.succ = make([][]TaskID, len(w.succ))
-	c.pred = make([][]TaskID, len(w.pred))
-	for i := range w.succ {
-		c.succ[i] = append([]TaskID(nil), w.succ[i]...)
-		c.pred[i] = append([]TaskID(nil), w.pred[i]...)
+	c := &Workflow{Name: w.Name, tasks: slices.Clone(w.tasks)}
+	if !w.frozen {
+		c.edges = slices.Clone(w.edges)
+		return c
 	}
-	for k, v := range w.data {
-		c.data[k] = v
+	c.edges = make([]Edge, len(w.added))
+	for j, k := range w.added {
+		c.edges[j] = w.edges[k]
 	}
 	return c
 }
 
 // String returns a short human-readable summary.
 func (w *Workflow) String() string {
+	depth := w.Depth()
 	return fmt.Sprintf("%s{tasks: %d, edges: %d, depth: %d}",
-		w.Name, len(w.tasks), len(w.data), w.Depth())
+		w.Name, len(w.tasks), len(w.edges), depth)
 }

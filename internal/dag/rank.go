@@ -62,8 +62,8 @@ func (w *Workflow) computeUpwardRanks(m CostModel) []float64 {
 	for i := len(w.topo) - 1; i >= 0; i-- {
 		id := w.topo[i]
 		best := 0.0
-		succ := w.succ[id]
-		data := w.succData[id]
+		r := &w.rows[id]
+		succ, data := r.succ, r.succData
 		for j, s := range succ {
 			c := 0.0
 			if m.Comm != nil {
@@ -138,8 +138,8 @@ func (w *Workflow) CriticalPath(m CostModel) ([]TaskID, float64) {
 		dist[id] = m.Exec(w.tasks[id])
 		bestVia := TaskID(-1)
 		best := 0.0
-		succ := w.succ[id]
-		data := w.succData[id]
+		r := &w.rows[id]
+		succ, data := r.succ, r.succData
 		for j, s := range succ {
 			c := 0.0
 			if m.Comm != nil {
@@ -176,6 +176,7 @@ func (w *Workflow) CriticalPath(m CostModel) ([]TaskID, float64) {
 // IsAncestor reports whether a path exists from a to b (a strictly before
 // b). It runs a DFS over successors; results are not cached.
 func (w *Workflow) IsAncestor(a, b TaskID) bool {
+	w.mustFreeze()
 	if a == b {
 		return false
 	}
@@ -184,7 +185,7 @@ func (w *Workflow) IsAncestor(a, b TaskID) bool {
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range w.succ[t] {
+		for _, s := range w.rows[t].succ {
 			if s == b {
 				return true
 			}

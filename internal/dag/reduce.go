@@ -8,21 +8,25 @@ package dag
 // volumes. Imported DAX documents often carry redundant control links
 // shadowing data-flow paths; reducing them declutters rendering without
 // changing any schedule's feasibility.
+//
+// Dropping a redundant edge keeps every reachability of a DAG, so each
+// edge is tested against the receiver itself, and the clone's edges, in
+// first-AddEdge order, lose the dropped ones: its rows are the receiver's
+// minus the dropped entries.
 func (w *Workflow) TransitiveReduction() *Workflow {
 	w.mustFreeze()
+	drop := make([]bool, len(w.edges))
+	for k, e := range w.edges {
+		drop[k] = e.Data == 0 && w.reachableWithout(e.From, e.To)
+	}
 	c := w.Clone()
-
-	// reach[u] = set of nodes reachable from u via at least 2 hops when
-	// skipping the direct edge. Simpler: for each edge (u, v) with zero
-	// data, check whether v is reachable from u without that edge.
-	for _, e := range w.Edges() {
-		if e.Data != 0 {
-			continue
-		}
-		if c.reachableWithout(e.From, e.To) {
-			c.removeEdge(e.From, e.To)
+	kept := c.edges[:0]
+	for j, e := range c.edges {
+		if !drop[w.added[j]] {
+			kept = append(kept, e)
 		}
 	}
+	c.edges = kept
 	return c
 }
 
@@ -31,7 +35,7 @@ func (w *Workflow) TransitiveReduction() *Workflow {
 func (w *Workflow) reachableWithout(from, to TaskID) bool {
 	seen := make([]bool, len(w.tasks))
 	stack := []TaskID{}
-	for _, s := range w.succ[from] {
+	for _, s := range w.rows[from].succ {
 		if s != to {
 			stack = append(stack, s)
 		}
@@ -46,24 +50,7 @@ func (w *Workflow) reachableWithout(from, to TaskID) bool {
 			continue
 		}
 		seen[t] = true
-		stack = append(stack, w.succ[t]...)
+		stack = append(stack, w.rows[t].succ...)
 	}
 	return false
-}
-
-// removeEdge deletes the edge from→to from an unfrozen workflow.
-func (w *Workflow) removeEdge(from, to TaskID) {
-	delete(w.data, [2]TaskID{from, to})
-	w.succ[from] = removeID(w.succ[from], to)
-	w.pred[to] = removeID(w.pred[to], from)
-}
-
-func removeID(ids []TaskID, id TaskID) []TaskID {
-	out := ids[:0]
-	for _, x := range ids {
-		if x != id {
-			out = append(out, x)
-		}
-	}
-	return out
 }

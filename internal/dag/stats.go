@@ -29,7 +29,7 @@ func (w *Workflow) Profile() Profile {
 	w.mustFreeze()
 	p := Profile{
 		Tasks:      w.Len(),
-		Edges:      len(w.data),
+		Edges:      len(w.edges),
 		Depth:      w.Depth(),
 		EntryCount: len(w.Entries()),
 		Exits:      len(w.Exits()),
@@ -62,8 +62,8 @@ func (w *Workflow) Profile() Profile {
 		}
 		p.HeterogeneityCV = math.Sqrt(ss/float64(p.Tasks-1)) / p.MeanWork
 	}
-	for _, d := range w.data {
-		p.TotalData += d
+	for _, e := range w.edges {
+		p.TotalData += e.Data
 	}
 	p.EdgesPerTask = float64(p.Edges) / float64(p.Tasks)
 	return p

@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/dag/dagtest"
+	"repro/internal/workflows"
+	"repro/internal/workload"
 )
 
 func TestProfileDiamond(t *testing.T) {
@@ -34,6 +36,22 @@ func TestProfileDiamond(t *testing.T) {
 	}
 	if len(p.Levels) != 3 || p.Levels[1] != 2 {
 		t.Errorf("levels = %v", p.Levels)
+	}
+}
+
+// TotalData is summed in Edges() order, so repeated calls agree bit for
+// bit; a sum in map iteration order gave 10 distinct values over 200
+// calls on this workflow.
+func TestProfileTotalDataDeterministic(t *testing.T) {
+	w := workload.Pareto.Apply(workflows.Montage(50), 7)
+	var want float64
+	for _, e := range w.Edges() {
+		want += e.Data
+	}
+	for i := 0; i < 200; i++ {
+		if got := w.Profile().TotalData; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: TotalData = %v, want the in-order sum %v", i, got, want)
+		}
 	}
 }
 

@@ -128,9 +128,8 @@ func Decode(r io.Reader) (*dag.Workflow, error) {
 			if from == to {
 				return nil, fmt.Errorf("dax: self-dependency on %q", c.Ref)
 			}
-			if _, exists := w.Data(from, to); !exists {
-				w.AddEdge(from, to, 0)
-			}
+			// A control link shadowing a uses edge adds 0 bytes to it.
+			w.AddEdge(from, to, 0)
 		}
 	}
 	if err := w.Freeze(); err != nil {
@@ -149,13 +148,14 @@ func Encode(w io.Writer, wf *dag.Workflow) error {
 	for _, t := range wf.Tasks() {
 		b = append(b, fmt.Sprintf("  <job id=\"ID%05d\" name=%q runtime=\"%s\">\n",
 			t.ID, t.Name, strconv.FormatFloat(t.Work, 'f', -1, 64))...)
-		for _, p := range wf.Pred(t.ID) {
-			d, _ := wf.Data(p, t.ID)
+		predData := wf.PredData(t.ID)
+		for j, p := range wf.Pred(t.ID) {
 			b = append(b, fmt.Sprintf("    <uses file=\"out_%d_%d\" link=\"input\" size=\"%s\"/>\n",
-				p, t.ID, strconv.FormatFloat(d, 'f', -1, 64))...)
+				p, t.ID, strconv.FormatFloat(predData[j], 'f', -1, 64))...)
 		}
-		for _, s := range wf.Succ(t.ID) {
-			d, _ := wf.Data(t.ID, s)
+		succData := wf.SuccData(t.ID)
+		for j, s := range wf.Succ(t.ID) {
+			d := succData[j]
 			b = append(b, fmt.Sprintf("    <uses file=\"out_%d_%d\" link=\"output\" size=\"%s\"/>\n",
 				t.ID, s, strconv.FormatFloat(d, 'f', -1, 64))...)
 		}

@@ -79,6 +79,21 @@ func TestDecodeControlOnlyLinks(t *testing.T) {
 	if d, ok := w.Data(0, 1); !ok || d != 0 {
 		t.Errorf("control edge = %v, %v, want 0-byte edge", d, ok)
 	}
+
+	// A control link that shadows a uses edge adds 0 bytes to it: one
+	// edge, with the file's data.
+	doc = `<adag name="shadow">
+	  <job id="a" name="a" runtime="1"><uses file="f" link="output" size="300"/></job>
+	  <job id="b" name="b" runtime="2"><uses file="f" link="input" size="300"/></job>
+	  <child ref="b"><parent ref="a"/><parent ref="a"/></child>
+	</adag>`
+	if w, err = Decode(strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := w.Data(0, 1); !ok || d != 300 || len(w.Edges()) != 1 || len(w.Pred(1)) != 1 {
+		t.Errorf("shadowed edge = %v, %v with %d edges, %d preds; want one 300-byte edge",
+			d, ok, len(w.Edges()), len(w.Pred(1)))
+	}
 }
 
 func TestDecodeErrors(t *testing.T) {

@@ -10,6 +10,7 @@ package ndwf
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/plan"
@@ -19,13 +20,32 @@ import (
 
 // Block is one construct of a non-deterministic workflow template.
 type Block interface {
-	// expand adds this block's sampled task instances to w, wiring them
-	// after the given head tasks, and returns the block's tail tasks.
-	// heads is empty only for the template's first block.
-	expand(w *dag.Workflow, heads []dag.TaskID, r *stats.RNG) []dag.TaskID
+	// expand adds this block's sampled task instances to x's workflow,
+	// wiring them after the heads, and returns the block's tail tasks.
+	// Both are spans of x's arena; heads is empty only for the template's
+	// first block.
+	expand(x *expander, heads span) span
 	// validate checks the construct's static parameters.
 	validate() error
 }
+
+// expander is one Sample in progress: the instance under construction,
+// the stream that resolves its choices, and one append-only arena that
+// holds every head and tail set as a span. A Par keeps its branches'
+// tail spans on the spans stack until it joins them.
+type expander struct {
+	w     *dag.Workflow
+	r     stats.RNG
+	arena []dag.TaskID
+	spans []span
+	// buf and spanBuf back arena and spans, so a template of a few dozen
+	// tasks expands without growing either.
+	buf     [32]dag.TaskID
+	spanBuf [8]span
+}
+
+// span is the task IDs arena[lo:hi] of an expander.
+type span struct{ lo, hi int }
 
 // Task is a deterministic leaf: one task with a fixed reference execution
 // time, receiving Data bytes from each predecessor.
@@ -35,12 +55,13 @@ type Task struct {
 	Data float64
 }
 
-func (t Task) expand(w *dag.Workflow, heads []dag.TaskID, _ *stats.RNG) []dag.TaskID {
-	id := w.AddTask(t.Name, t.Work)
-	for _, h := range heads {
-		w.AddEdge(h, id, t.Data)
+func (t Task) expand(x *expander, heads span) span {
+	id := x.w.AddTask(t.Name, t.Work)
+	for _, h := range x.arena[heads.lo:heads.hi] {
+		x.w.AddEdge(h, id, t.Data)
 	}
-	return []dag.TaskID{id}
+	x.arena = append(x.arena, id)
+	return span{len(x.arena) - 1, len(x.arena)}
 }
 
 func (t Task) validate() error {
@@ -53,9 +74,9 @@ func (t Task) validate() error {
 // Seq runs blocks one after another.
 type Seq []Block
 
-func (s Seq) expand(w *dag.Workflow, heads []dag.TaskID, r *stats.RNG) []dag.TaskID {
+func (s Seq) expand(x *expander, heads span) span {
 	for _, b := range s {
-		heads = b.expand(w, heads, r)
+		heads = b.expand(x, heads)
 	}
 	return heads
 }
@@ -76,12 +97,19 @@ func (s Seq) validate() error {
 // the next block).
 type Par []Block
 
-func (p Par) expand(w *dag.Workflow, heads []dag.TaskID, r *stats.RNG) []dag.TaskID {
-	var tails []dag.TaskID
+// expand joins the branches' tails, in branch order, into one span at the
+// end of the arena.
+func (p Par) expand(x *expander, heads span) span {
+	base := len(x.spans)
 	for _, b := range p {
-		tails = append(tails, b.expand(w, heads, r)...)
+		x.spans = append(x.spans, b.expand(x, heads))
 	}
-	return tails
+	lo := len(x.arena)
+	for _, t := range x.spans[base:] {
+		x.arena = append(x.arena, x.arena[t.lo:t.hi]...)
+	}
+	x.spans = x.spans[:base]
+	return span{lo, len(x.arena)}
 }
 
 func (p Par) validate() error {
@@ -104,13 +132,13 @@ type Xor struct {
 	Probs    []float64
 }
 
-func (x Xor) expand(w *dag.Workflow, heads []dag.TaskID, r *stats.RNG) []dag.TaskID {
-	u := r.Float64()
+func (o Xor) expand(x *expander, heads span) span {
+	u := x.r.Float64()
 	acc := 0.0
-	for i, b := range x.Branches {
-		acc += x.Probs[i]
-		if u < acc || i == len(x.Branches)-1 {
-			return b.expand(w, heads, r)
+	for i, b := range o.Branches {
+		acc += o.Probs[i]
+		if u < acc || i == len(o.Branches)-1 {
+			return b.expand(x, heads)
 		}
 	}
 	panic("ndwf: unreachable")
@@ -147,10 +175,10 @@ type Loop struct {
 	Max    int
 }
 
-func (l Loop) expand(w *dag.Workflow, heads []dag.TaskID, r *stats.RNG) []dag.TaskID {
-	heads = l.Body.expand(w, heads, r)
-	for i := 1; i < l.Max && r.Float64() < l.Repeat; i++ {
-		heads = l.Body.expand(w, heads, r)
+func (l Loop) expand(x *expander, heads span) span {
+	heads = l.Body.expand(x, heads)
+	for i := 1; i < l.Max && x.r.Float64() < l.Repeat; i++ {
+		heads = l.Body.expand(x, heads)
 	}
 	return heads
 }
@@ -189,9 +217,13 @@ func (t Template) Sample(seed uint64) (*dag.Workflow, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	w := dag.New(fmt.Sprintf("%s#%d", t.Name, seed))
-	r := stats.NewRNG(seed)
-	t.Root.expand(w, nil, r)
+	// The instance is named t.Name#seed.
+	var buf [64]byte
+	name := strconv.AppendUint(append(append(buf[:0], t.Name...), '#'), seed, 10)
+	x := &expander{w: dag.New(string(name)), r: *stats.NewRNG(seed)}
+	x.arena, x.spans = x.buf[:0], x.spanBuf[:0]
+	t.Root.expand(x, span{})
+	w := x.w
 	if err := w.Freeze(); err != nil {
 		return nil, fmt.Errorf("ndwf: sampled instance invalid: %w", err)
 	}

@@ -200,3 +200,31 @@ func TestQuickSampledInstancesScheduleEverywhere(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSampleAllocs guards the sampling layer, most of an online instance's
+// allocations: the expansion's arena and span stack live in one expander,
+// and the workflow keeps flat lists until Freeze lays out its rows. A
+// sample measures 18 allocations for order and 20 for montage2 (61 and 91
+// with per-block tail slices and map-backed edges); the ceilings leave
+// ~30% headroom.
+func TestSampleAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		max  float64
+	}{{"order", 24}, {"montage2", 26}} {
+		tpl, err := Named(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(0)
+		allocs := testing.AllocsPerRun(500, func() {
+			seed++
+			if _, err := tpl.Sample(seed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s: %.1f allocations per sample, want at most %v", c.name, allocs, c.max)
+		}
+	}
+}

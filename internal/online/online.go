@@ -208,7 +208,9 @@ type vm struct {
 	curExec  float64
 }
 
-// instance is an arrived workflow instance still in flight.
+// instance is an arrived workflow instance still in flight. A finished
+// instance's record, pending-count array included, goes to the next
+// arrival.
 type instance struct {
 	wf        *dag.Workflow
 	arrivedAt float64
@@ -249,7 +251,8 @@ type runner struct {
 
 	q          eventq.Heap[event]
 	now        float64
-	instances  []*instance // by arrival index; nil once complete
+	instances  []*instance // by slot; free holds the finished ones' slots
+	free       []int       // slots to reuse, the last freed first
 	responses  []float64   // response times in completion order
 	live       []*vm       // rented, not-yet-retired VMs in rent order
 	busyCount  int
@@ -269,6 +272,23 @@ type runner struct {
 
 // Run executes the online simulation.
 func Run(cfg Config) (*Result, error) {
+	r, err := newRunner(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		more, err := r.next()
+		if err != nil {
+			return nil, err
+		}
+		if !more {
+			return r.close()
+		}
+	}
+}
+
+// newRunner validates cfg and schedules the arrivals and the warm pool.
+func newRunner(cfg Config) (*runner, error) {
 	if err := checkConfig(&cfg); err != nil {
 		return nil, err
 	}
@@ -278,7 +298,6 @@ func Run(cfg Config) (*Result, error) {
 		rec:          cfg.Recorder,
 		res:          &Result{SLAMet: -1},
 		unit:         cloud.BTU,
-		instances:    make([]*instance, 0, cfg.Instances),
 		responses:    make([]float64, 0, cfg.Instances),
 		arrivalsLeft: cfg.Instances,
 	}
@@ -320,39 +339,46 @@ func Run(cfg Config) (*Result, error) {
 	for i := 0; i < cfg.MinVMs; i++ {
 		r.rent()
 	}
+	return r, nil
+}
 
-	for {
-		t, e, ok := r.q.Pop()
-		if !ok {
-			break
-		}
-		if t < r.now-1e-9 {
-			return nil, fmt.Errorf("online: time ran backwards (%v -> %v)", r.now, t)
-		}
-		r.now = t
-		r.res.Events++
-		switch e.kind {
-		case evArrive:
-			if err := r.arrive(e.i); err != nil {
-				return nil, err
-			}
-		case evUnit:
-			r.unitCheck(e.m)
-		case evCrash:
-			r.kill(e.m, false)
-		case evPreempt:
-			r.kill(e.m, true)
-		case evFinish:
-			r.finish(e.m)
-		}
+// next handles the earliest pending event; it reports false once none is
+// left.
+func (r *runner) next() (bool, error) {
+	t, e, ok := r.q.Pop()
+	if !ok {
+		return false, nil
 	}
+	if t < r.now-1e-9 {
+		return false, fmt.Errorf("online: time ran backwards (%v -> %v)", r.now, t)
+	}
+	r.now = t
+	r.res.Events++
+	switch e.kind {
+	case evArrive:
+		if err := r.arrive(e.i); err != nil {
+			return false, err
+		}
+	case evUnit:
+		r.unitCheck(e.m)
+	case evCrash:
+		r.kill(e.m, false)
+	case evPreempt:
+		r.kill(e.m, true)
+	case evFinish:
+		r.finish(e.m)
+	}
+	return true, nil
+}
 
-	// Close out: retire every surviving VM, in rent order.
+// close retires every surviving VM, in rent order, and completes the
+// result.
+func (r *runner) close() (*Result, error) {
 	for len(r.live) > 0 {
 		r.retire(r.live[0])
 	}
-	if len(r.responses) != cfg.Instances {
-		return nil, fmt.Errorf("online: %d of %d instances completed", len(r.responses), cfg.Instances)
+	if len(r.responses) != r.cfg.Instances {
+		return nil, fmt.Errorf("online: %d of %d instances completed", len(r.responses), r.cfg.Instances)
 	}
 	r.res.ResponseTimes = stats.Summarize(r.responses)
 	r.res.Responses = r.responses
@@ -374,12 +400,24 @@ func (r *runner) arrive(i int) error {
 	if err := wf.Freeze(); err != nil {
 		return fmt.Errorf("online: instance %d invalid: %w", i, err)
 	}
+	n := wf.Len()
 	r.arrivalsLeft--
-	r.tasksLeft += wf.Len()
-	inst := &instance{wf: wf, arrivedAt: r.now, remaining: wf.Len()}
-	inst.pending = make([]int, wf.Len())
+	r.tasksLeft += n
+	slot := len(r.instances)
+	if k := len(r.free); k > 0 {
+		slot = r.free[k-1]
+		r.free = r.free[:k-1]
+	} else {
+		r.instances = append(r.instances, &instance{})
+	}
+	inst := r.instances[slot]
+	inst.wf, inst.arrivedAt, inst.remaining = wf, r.now, n
+	if cap(inst.pending) < n {
+		inst.pending = make([]int, n)
+	}
+	inst.pending = inst.pending[:n]
 	totalWork := 0.0
-	for id := 0; id < wf.Len(); id++ {
+	for id := 0; id < n; id++ {
 		inst.pending[id] = len(wf.Pred(dag.TaskID(id)))
 		totalWork += wf.Task(dag.TaskID(id)).Work
 	}
@@ -394,9 +432,13 @@ func (r *runner) arrive(i int) error {
 		r.ewmaInstWork = ewmaAlpha*instExec + (1-ewmaAlpha)*r.ewmaInstWork
 	}
 	r.lastArrival = r.now
-	r.instances = append(r.instances, inst)
-	for _, e := range wf.Entries() {
-		r.pushReady(readyTask{inst: len(r.instances) - 1, task: e, readyAt: r.now, seq: r.nextSeq,
+	// The entry tasks, in ID order.
+	for id, p := range inst.pending {
+		if p > 0 {
+			continue
+		}
+		e := dag.TaskID(id)
+		r.pushReady(readyTask{inst: slot, task: e, readyAt: r.now, seq: r.nextSeq,
 			work: wf.Task(e).Work, id: r.nextTaskID, attempt: 1})
 		r.nextSeq++
 		r.nextTaskID++
@@ -478,6 +520,7 @@ func (r *runner) finish(m *vm) {
 	}
 	rt := m.cur
 	inst := r.instances[rt.inst]
+	wf := inst.wf
 	m.busy = false
 	r.busyCount--
 	m.busySum += m.curExec
@@ -498,13 +541,14 @@ func (r *runner) finish(m *vm) {
 		if r.met != nil {
 			r.met.instances.Inc()
 		}
-		r.instances[rt.inst] = nil // let the sampled DAG be collected
+		inst.wf = nil // let the sampled DAG be collected
+		r.free = append(r.free, rt.inst)
 	}
-	for _, s := range inst.wf.Succ(rt.task) {
+	for _, s := range wf.Succ(rt.task) {
 		inst.pending[s]--
 		if inst.pending[s] == 0 {
 			r.pushReady(readyTask{inst: rt.inst, task: s, readyAt: r.now, seq: r.nextSeq,
-				work: inst.wf.Task(s).Work, id: r.nextTaskID, attempt: 1})
+				work: wf.Task(s).Work, id: r.nextTaskID, attempt: 1})
 			r.nextSeq++
 			r.nextTaskID++
 		}
@@ -575,9 +619,10 @@ func (r *runner) dispatch() {
 	}
 	if r.perSecond && r.ready.Len() == 0 {
 		// Per-second billing has no sunk unit to ride out: surplus idle
-		// VMs release immediately (the degenerate billing boundary).
+		// VMs release immediately (the degenerate billing boundary). The
+		// scan stops once no live VM is idle.
 		drained := r.drained()
-		for i := len(r.live) - 1; i >= 0 && (len(r.live) > cfg.MinVMs || drained); i-- {
+		for i := len(r.live) - 1; i >= 0 && len(r.live) > r.busyCount && (len(r.live) > cfg.MinVMs || drained); i-- {
 			if m := r.live[i]; !m.busy {
 				r.retire(m)
 			}

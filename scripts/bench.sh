@@ -12,10 +12,11 @@
 #   OUT        artifact path (default BENCH_sweep.json; '-' for stdout)
 #   AGAINST    baseline artifact; fails when any row of cmd/bench's gate
 #              table regresses past its tolerance: the full-sweep cells/s,
-#              the SimReplay ns/op, the OnlineSoak instances/s, the
+#              the SimReplay ns/op, the OnlineSoak instances/s and
+#              allocs/op, the TemplateSample ns/op and allocs/op, the
 #              ServiceScheduleCached ns/op and allocs/op, the
-#              ServiceScheduleCold ns/op, the SLASearch ns/op and
-#              allocs/op, and the ScheduleGain ns/op
+#              ServiceScheduleCold ns/op and allocs/op, the SLASearch
+#              ns/op and allocs/op, and the ScheduleGain ns/op
 #   RAW        also save the raw `go test -bench` text here (benchstat input)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,7 +37,7 @@ if [ -n "$RAW" ]; then
 fi
 
 go test -run '^$' -count 1 -benchmem -benchtime "$BENCHTIME" \
-  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak|BenchmarkSLASearch|BenchmarkScheduleGain)$' . \
+  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak|BenchmarkSLASearch|BenchmarkScheduleGain|BenchmarkTemplateSample)$' . \
   | tee /dev/stderr | tee "$raw_sink" | go run ./cmd/bench "${args[@]}"
 
 if [ "$OUT" != "-" ]; then
