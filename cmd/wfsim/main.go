@@ -257,7 +257,7 @@ func run(wfArg, strategy, scenario string, seed uint64, regionName string, boot 
 		fmt.Printf("simulated with %.0fs boot: makespan %.1f s (+%.1f), cost $%.4f, idle %.1f s\n",
 			boot, res.Makespan, res.Makespan-s.Makespan(), res.RentalCost, res.IdleTime)
 	default:
-		if err := sim.Verify(s); err != nil {
+		if err := validate.PlanSim(s); err != nil {
 			return fmt.Errorf("simulator disagrees with planner: %w", err)
 		}
 		fmt.Printf("simulator check: OK (%d events, %d transfers)\n", res.Events, res.Transfers)

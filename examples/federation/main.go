@@ -18,7 +18,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/dag"
 	"repro/internal/plan"
-	"repro/internal/sim"
+	"repro/internal/validate"
 )
 
 func main() {
@@ -70,7 +70,7 @@ func main() {
 		name string
 		s    *plan.Schedule
 	}{{"data-local", local}, {"naive split", naive}} {
-		if err := sim.Verify(c.s); err != nil {
+		if err := validate.PlanSim(c.s); err != nil {
 			log.Fatalf("%s: %v", c.name, err)
 		}
 		fmt.Printf("%-12s makespan %7.0fs  rent $%6.3f  transfer $%6.3f  total $%6.3f\n",

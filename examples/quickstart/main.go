@@ -13,8 +13,8 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/validate"
 	"repro/internal/workflows"
 	"repro/internal/workload"
 )
@@ -53,7 +53,7 @@ func main() {
 
 	// 4. Every planned schedule replays exactly in the discrete-event
 	//    simulator — run it and show the Gantt chart.
-	if err := sim.Verify(s); err != nil {
+	if err := validate.PlanSim(s); err != nil {
 		log.Fatalf("simulator disagrees: %v", err)
 	}
 	fmt.Println(trace.Gantt(s, 96))

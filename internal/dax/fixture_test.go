@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/validate"
 )
 
@@ -63,10 +62,7 @@ func TestMontage25Fixture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
-		if err := validate.Schedule(s); err != nil {
-			t.Errorf("%s: %v", alg.Name(), err)
-		}
-		if err := sim.Verify(s); err != nil {
+		if err := validate.PlanSim(s); err != nil {
 			t.Errorf("%s: %v", alg.Name(), err)
 		}
 	}

@@ -200,7 +200,7 @@ const (
 
 // stream derives the decision stream for one (kind, a, b) identity.
 func (in *Injector) stream(kind, a, b uint64) *stats.RNG {
-	return stats.NewRNG(mix(in.cfg.Seed, kind, a, b))
+	return stats.NewRNG(stats.Hash(in.cfg.Seed, kind, a, b))
 }
 
 // CrashAfter returns how many seconds into its lease VM incarnation inc
@@ -260,23 +260,10 @@ func (in *Injector) Backoff(k int) float64 {
 func CellSeed(seed uint64, parts ...string) uint64 {
 	h := seed
 	for _, p := range parts {
-		h = mix(h, uint64(len(p)))
+		h = stats.Hash(h, uint64(len(p)))
 		for i := 0; i < len(p); i++ {
-			h = mix(h, uint64(p[i]))
+			h = stats.Hash(h, uint64(p[i]))
 		}
-	}
-	return h
-}
-
-// mix folds the values into one well-scrambled 64-bit hash (splitmix64
-// finalizer per step).
-func mix(vs ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, v := range vs {
-		h += v + 0x9E3779B97F4A7C15
-		h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-		h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-		h ^= h >> 31
 	}
 	return h
 }

@@ -16,9 +16,9 @@ import (
 // one-task-per-VM assignment (random types, a few prepaid VMs, VMs in a
 // shuffled task order), then takes steps random trials: retype a random
 // VM to a random type, price it with Retype, and keep or undo it at
-// random. Every price must equal Replayer.Cost of the same assignment
-// bit for bit; after the walk, a same-type retype must price the kept
-// assignment, and Replay of it must report the same TotalCost.
+// random. Every price must equal the TotalCost of a full Replay of the
+// same assignment, on a second replayer, bit for bit; after the walk, a
+// same-type retype must price the kept assignment.
 func retypeWalk(wf *dag.Workflow, m *market.Model, seed uint64, steps int) error {
 	n := wf.Len()
 	if n == 0 {
@@ -80,24 +80,17 @@ func retypeWalk(wf *dag.Workflow, m *market.Model, seed uint64, steps int) error
 		return fmt.Errorf("same-type retype after the walk priced %v, want %v", got, price)
 	}
 	rp.Undo()
+	return sameCost(price, ref, a)
+}
+
+// sameCost requires price to equal ref.Replay(a).TotalCost() bit for bit.
+func sameCost(price float64, ref *plan.Replayer, a plan.Assignment) error {
 	s, err := ref.Replay(a)
 	if err != nil {
 		return err
 	}
-	if got := s.TotalCost(); math.Float64bits(got) != math.Float64bits(price) {
-		return fmt.Errorf("Replay of the final assignment costs %v, the walk priced %v", got, price)
-	}
-	return nil
-}
-
-// sameCost requires price to equal ref.Cost(a) bit for bit.
-func sameCost(price float64, ref *plan.Replayer, a plan.Assignment) error {
-	want, err := ref.Cost(a)
-	if err != nil {
-		return err
-	}
-	if math.Float64bits(price) != math.Float64bits(want) {
-		return fmt.Errorf("priced %v, Cost %v", price, want)
+	if want := s.TotalCost(); math.Float64bits(price) != math.Float64bits(want) {
+		return fmt.Errorf("priced %v, Replay costs %v", price, want)
 	}
 	return nil
 }

@@ -45,13 +45,13 @@ func (c ColdStart) Validate() error {
 func (c ColdStart) Draw(seed uint64, id int) float64 {
 	switch c.Dist {
 	case "uniform":
-		u := stats.NewRNG(mix64(seed, 0xC01d, uint64(id))).Float64()
+		u := stats.NewRNG(stats.Hash(seed, 0xC01d, uint64(id))).Float64()
 		return c.Min + u*(c.Max-c.Min)
 	case "exp":
 		if c.Mean <= 0 {
 			return 0
 		}
-		u := stats.NewRNG(mix64(seed, 0xC01d, uint64(id))).Float64()
+		u := stats.NewRNG(stats.Hash(seed, 0xC01d, uint64(id))).Float64()
 		return -math.Log(1-u) * c.Mean
 	}
 	if c.Mean < 0 {

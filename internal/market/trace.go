@@ -85,7 +85,7 @@ func Synthetic(seed uint64, n int, step, vol float64) *Trace {
 	if vol <= 0 {
 		vol = 0.2
 	}
-	r := stats.NewRNG(mix64(seed, 0x5b07_7ace))
+	r := stats.NewRNG(stats.Hash(seed, 0x5b07_7ace))
 	times := make([]float64, n)
 	mult := make([]float64, n)
 	m := 1.0
@@ -138,18 +138,4 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("market: reading trace: %w", err)
 	}
 	return NewTrace(times, mult)
-}
-
-// mix64 folds the values into one well-scrambled 64-bit hash (splitmix64
-// finalizer per step) — the same construction internal/fault uses, local
-// so the market package stays at the bottom of the dependency graph.
-func mix64(vs ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, v := range vs {
-		h += v + 0x9E3779B97F4A7C15
-		h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
-		h = (h ^ (h >> 27)) * 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
 }

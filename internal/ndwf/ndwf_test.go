@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/validate"
 )
 
@@ -190,7 +189,7 @@ func TestQuickSampledInstancesScheduleEverywhere(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if validate.Schedule(s) != nil || sim.Verify(s) != nil {
+			if validate.PlanSim(s) != nil {
 				return false
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sync"
+
+	"repro/internal/stats"
 )
 
 // This file is the request-scoped tracing layer: Dapper-style wall-clock
@@ -147,10 +149,7 @@ func (t *Trace) ID() TraceID {
 // Callers hold t.mu.
 func (t *Trace) nextSpanID() SpanID {
 	t.seq++
-	z := t.base + t.seq*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := stats.Mix64(t.base + t.seq*stats.GoldenGamma)
 	if z == 0 {
 		z = 1
 	}

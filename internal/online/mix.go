@@ -20,12 +20,7 @@ type MixEntry struct {
 // are independent of every other instance's — the same order-independence
 // discipline as fault.CellSeed and market.ColdStart.Draw.
 func mixSeed(seed, i uint64) uint64 {
-	x := seed ^ 0x9E3779B97F4A7C15*(i+1)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	return x ^ x>>31
+	return stats.Mix64(seed ^ stats.GoldenGamma*(i+1))
 }
 
 // validateMix rejects impossible mixes.

@@ -11,6 +11,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cloud"
@@ -199,12 +200,17 @@ func (s *Schedule) RentalCost() float64 {
 // TransferCost returns the total inter-region data transfer price in USD.
 // It is zero for the paper's single-region experiments.
 func (s *Schedule) TransferCost() float64 {
+	return transferCost(s.Workflow, s.Platform, s.VMs, s.Placement)
+}
+
+// transferCost sums the transfer price of every cross-VM edge in the
+// workflow's sorted edge order.
+func transferCost(wf *dag.Workflow, p *cloud.Platform, vms []*VM, vmOf []VMID) float64 {
 	var c float64
-	for _, e := range s.Workflow.Edges() {
-		from := s.VMs[s.Placement[e.From]]
-		to := s.VMs[s.Placement[e.To]]
+	for _, e := range wf.Edges() {
+		from, to := vms[vmOf[e.From]], vms[vmOf[e.To]]
 		if from.ID != to.ID {
-			c += s.Platform.TransferCost(e.Data, from.Region, to.Region)
+			c += p.TransferCost(e.Data, from.Region, to.Region)
 		}
 	}
 	return c
@@ -257,19 +263,23 @@ type Builder struct {
 	end    []float64
 	vmOf   []VMID
 
-	// arena backs the first len(arena) VMs in one allocation. Its length
-	// is fixed at construction — NewVMIn hands out pointers into it, so it
-	// must never be reallocated; VMs beyond the arena fall back to
-	// individual allocations.
+	// arena backs the first len(arena) VMs in one allocation. NewVMIn
+	// hands out pointers into it, so only reset, which drops every VM,
+	// may resize it; VMs beyond the arena fall back to individual
+	// allocations.
 	arena     []VM
 	arenaUsed int
 
 	// market, when non-nil, stamps every rented VM with lease terms
 	// (market.Model.Terms); warmLeft counts the warm-pool slots not yet
 	// handed out. Nil market — the default — leaves every VM.Lease nil,
-	// the legacy economics.
-	market   *market.Model
-	warmLeft int
+	// the legacy economics. A builder with keepTerms set (a Replayer's)
+	// keeps every lease it draws in leases, by VM index and warmth, for
+	// its placements after a reset.
+	market    *market.Model
+	warmLeft  int
+	keepTerms bool
+	leases    []*market.Lease
 }
 
 // NewBuilder returns a Builder for one workflow on one platform, renting
@@ -278,21 +288,42 @@ func NewBuilder(wf *dag.Workflow, p *cloud.Platform, region cloud.Region) *Build
 	if err := wf.Freeze(); err != nil {
 		panic(fmt.Sprintf("plan: invalid workflow: %v", err))
 	}
-	n := wf.Len()
-	b := &Builder{
-		wf: wf, p: p, region: region,
-		vms:    make([]*VM, 0, n),
-		placed: make([]bool, n),
-		start:  make([]float64, n),
-		end:    make([]float64, n),
-		vmOf:   make([]VMID, n),
-		// One VM per task is the most any catalog planner rents.
-		arena: make([]VM, n),
-	}
+	b := &Builder{wf: wf, p: p, region: region}
+	// One VM per task is the most any catalog planner rents.
+	b.reset(wf.Len())
+	return b
+}
+
+// reset readies the builder for a fresh placement of its workflow under
+// its market, with an arena of nvms VMs, reusing every buffer whose
+// capacity suffices: NewBuilder starts from none, and a Replayer resets
+// its builder before every placement.
+func (b *Builder) reset(nvms int) {
+	n := b.wf.Len()
+	b.vms = resize(b.vms, nvms)[:0]
+	b.placed = resize(b.placed, n)
+	clear(b.placed)
+	b.start = resize(b.start, n)
+	b.end = resize(b.end, n)
+	b.vmOf = resize(b.vmOf, n)
 	for i := range b.vmOf {
 		b.vmOf[i] = -1
 	}
-	return b
+	b.arena = resize(b.arena, nvms)
+	b.arenaUsed = 0
+	b.warmLeft = 0
+	if b.market != nil {
+		b.warmLeft = b.market.WarmPool
+	}
+}
+
+// resize returns s with length n, on a new array when s's capacity is
+// short; reused elements keep their values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // SetMarket installs the market model whose terms every subsequently
@@ -338,7 +369,7 @@ func (b *Builder) NewVMIn(t cloud.InstanceType, region cloud.Region) *VM {
 		if warm {
 			b.warmLeft--
 		}
-		vm.Lease = b.market.Terms(int(vm.ID), warm)
+		vm.Lease = b.terms(int(vm.ID), warm)
 		if warm {
 			// A warm VM is held from t=0; even if it never runs a task it
 			// bills at least its keepalive (the cold start it amortizes).
@@ -349,6 +380,26 @@ func (b *Builder) NewVMIn(t cloud.InstanceType, region cloud.Region) *VM {
 	}
 	b.vms = append(b.vms, vm)
 	return vm
+}
+
+// terms returns the market's lease terms for VM id. Terms is a pure
+// function of the VM index and warmth, and a lease is immutable, so a
+// builder that keeps terms draws each pair once over all its resets.
+func (b *Builder) terms(id int, warm bool) *market.Lease {
+	if !b.keepTerms {
+		return b.market.Terms(id, warm)
+	}
+	k := 2 * id
+	if warm {
+		k++
+	}
+	for len(b.leases) <= k {
+		b.leases = append(b.leases, nil)
+	}
+	if b.leases[k] == nil {
+		b.leases[k] = b.market.Terms(id, warm)
+	}
+	return b.leases[k]
 }
 
 // NewPrepaidVM adds a private-cloud machine: capacity the user already
@@ -367,9 +418,6 @@ func (b *Builder) NewPrepaidVM(t cloud.InstanceType) *VM {
 	vm.Held = 0
 	return vm
 }
-
-// Placed reports whether the task has been placed.
-func (b *Builder) Placed(t dag.TaskID) bool { return b.placed[t] }
 
 // VMOf returns the VM a placed task runs on; it panics otherwise.
 func (b *Builder) VMOf(t dag.TaskID) *VM {
@@ -502,6 +550,31 @@ func (b *Builder) Done() *Schedule {
 		if !slotsSorted(vm.Slots) {
 			sort.Slice(vm.Slots, func(i, j int) bool { return vm.Slots[i].Start < vm.Slots[j].Start })
 		}
+	}
+	return s
+}
+
+// copySchedule returns the placed schedule in fresh buffers — the VMs in
+// one array, their slots in another, the per-task times copied — so the
+// builder can be reset and placed again without touching it. Only the
+// immutable lease terms are shared. Every task must have been placed.
+func (b *Builder) copySchedule() *Schedule {
+	vms := make([]VM, len(b.vms))
+	slots := make([]Slot, 0, len(b.start))
+	s := &Schedule{
+		Workflow:  b.wf,
+		Platform:  b.p,
+		VMs:       make([]*VM, len(b.vms)),
+		Placement: slices.Clone(b.vmOf),
+		Start:     slices.Clone(b.start),
+		End:       slices.Clone(b.end),
+	}
+	for i, vm := range b.vms {
+		off := len(slots)
+		slots = append(slots, vm.Slots...)
+		vms[i] = *vm
+		vms[i].Slots = slots[off:len(slots):len(slots)]
+		s.VMs[i] = &vms[i]
 	}
 	return s
 }

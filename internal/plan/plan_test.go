@@ -251,6 +251,15 @@ func TestBuilderPanics(t *testing.T) {
 	})
 }
 
+// replay is Replayer.Replay under the paper's economics.
+func replay(wf *dag.Workflow, p *cloud.Platform, region cloud.Region, a Assignment) (*Schedule, error) {
+	rp, err := NewReplayer(wf, p, region, nil)
+	if err != nil {
+		return nil, err
+	}
+	return rp.Replay(a)
+}
+
 func TestReplayMatchesBuilder(t *testing.T) {
 	w := newDiamond(t)
 	p := cloud.NewPlatform()
@@ -263,7 +272,7 @@ func TestReplayMatchesBuilder(t *testing.T) {
 	b.PlaceOn(3, vm0)
 	orig := b.Done()
 
-	re, err := ReplayMarket(w, p, cloud.USEastVirginia, nil, AssignmentOf(orig))
+	re, err := replay(w, p, cloud.USEastVirginia, AssignmentOf(orig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +296,7 @@ func TestReplayWithUpgradedType(t *testing.T) {
 		Types:  []cloud.InstanceType{cloud.Small},
 		Queues: [][]dag.TaskID{{0, 1}},
 	}
-	s, err := ReplayMarket(w, p, cloud.USEastVirginia, nil, a)
+	s, err := replay(w, p, cloud.USEastVirginia, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +304,7 @@ func TestReplayWithUpgradedType(t *testing.T) {
 		t.Errorf("small makespan = %v", s.Makespan())
 	}
 	a.Types[0] = cloud.XLarge
-	s2, err := ReplayMarket(w, p, cloud.USEastVirginia, nil, a)
+	s2, err := replay(w, p, cloud.USEastVirginia, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +337,7 @@ func TestReplayErrors(t *testing.T) {
 		},
 	}
 	for name, a := range cases {
-		if _, err := ReplayMarket(w, p, region, nil, a); err == nil {
+		if _, err := replay(w, p, region, a); err == nil {
 			t.Errorf("%s: Replay succeeded, want error", name)
 		}
 	}
@@ -344,6 +353,16 @@ func TestAssignmentClone(t *testing.T) {
 	c.Queues[0][0] = 9
 	if a.Types[0] != cloud.Small || a.Queues[0][0] != 0 {
 		t.Error("Clone shares state with original")
+	}
+	// The clone's queues share one array; growing one must not reach the
+	// next.
+	two := Assignment{
+		Types:  []cloud.InstanceType{cloud.Small, cloud.Small},
+		Queues: [][]dag.TaskID{{0}, {1}},
+	}.Clone()
+	two.Queues[0] = append(two.Queues[0], 9)
+	if two.Queues[1][0] != 1 {
+		t.Errorf("appending to one cloned queue overwrote the next: %v", two.Queues)
 	}
 }
 
@@ -382,7 +401,7 @@ func TestQuickReplayRoundTrip(t *testing.T) {
 			b.PlaceOn(id, vms[i%3])
 		}
 		orig := b.Done()
-		re, err := ReplayMarket(w, p, cloud.USEastVirginia, nil, AssignmentOf(orig))
+		re, err := replay(w, p, cloud.USEastVirginia, AssignmentOf(orig))
 		if err != nil {
 			return false
 		}

@@ -16,8 +16,8 @@ import (
 // over random DAGs under every market preset: half of them with work
 // quantized to BTU divisors, the other half with zero-work tasks, whose
 // retype moves no slot of their own but still changes their successors'
-// transfers. Every trial's price must equal Cost of the same assignment
-// bit for bit.
+// transfers. Every trial's price must equal Replay(a).TotalCost() of the
+// same assignment bit for bit.
 func TestRetypeMatchesCost(t *testing.T) {
 	n := 40
 	if testing.Short() {
@@ -95,7 +95,7 @@ func TestLoadRejectsOtherShapes(t *testing.T) {
 		t.Error("Load accepted a task assigned twice")
 	}
 	// Retype needs a loaded assignment and no pending trial: a failed
-	// Load and a Cost leave nothing loaded.
+	// Load and a Replay leave nothing loaded.
 	retypePanics := func(when string) {
 		t.Helper()
 		defer func() {
@@ -111,8 +111,8 @@ func TestLoadRejectsOtherShapes(t *testing.T) {
 	}
 	rp.Retype(1, cloud.Large)
 	retypePanics("with a trial pending")
-	if _, err := rp.Cost(oneVMPerTask(wf)); err != nil {
+	if _, err := rp.Replay(oneVMPerTask(wf)); err != nil {
 		t.Fatal(err)
 	}
-	retypePanics("after Cost")
+	retypePanics("after Replay")
 }

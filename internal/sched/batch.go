@@ -12,8 +12,9 @@ import (
 // them: the baseline HEFT + OneVMperTask-small schedule (which is both the
 // paper's reference strategy and the starting point of every
 // budget-constrained upgrade algorithm), its assignment skeleton, and one
-// plan.Replayer whose scratch arenas serve every load and trial the
-// upgrade loops price. HEFT rank vectors and level orders are already
+// plan.Replayer whose scratch serves every load, trial and final replay
+// of the upgrade loops. CPA-Eager's and GAIN's own Schedule run through a
+// batch of one. HEFT rank vectors and level orders are already
 // shared underneath via the frozen workflow's per-CostModel.Key memos, so
 // a batch turns the 19-strategy sweep into a handful of batched passes
 // over the same arrays instead of 19 cold starts.
@@ -104,14 +105,34 @@ func (b *Batch) init() error {
 	return nil
 }
 
-// upgradeState builds an upgrade state over the batch's shared baseline
-// and replayer, and returns the error of loading the assignment. The
-// assignment is cloned — upgrade loops mutate it — while the baseline
-// schedule and replayer scratch are shared across all strategies in the
-// batch.
+// upgradeState loads the batch's baseline assignment into its replayer
+// and returns an upgrade state over it, with the budget at budgetFactor
+// times the baseline cost (paper Sect. IV: 2x for CPA-Eager, 4x for
+// Gain). It returns the load's error for an assignment that is not one
+// valid task per VM. The assignment is cloned — upgrade loops mutate it —
+// while the baseline schedule, the gain tables and the replayer scratch
+// are shared across all strategies in the batch.
 func (b *Batch) upgradeState(budgetFactor float64) (*upgradeState, error) {
 	if err := b.init(); err != nil {
 		return nil, err
 	}
-	return initUpgradeState(b.wf, b.opts, b.base, b.baseAssign.Clone(), b.rp, b.et, b.lc, budgetFactor)
+	assign := b.baseAssign.Clone()
+	if _, err := b.rp.Load(assign); err != nil {
+		return nil, err
+	}
+	u := &upgradeState{
+		wf:     b.wf,
+		opts:   b.opts,
+		assign: assign,
+		taskVM: make([]int, b.wf.Len()),
+		base:   b.base,
+		rp:     b.rp,
+		et:     b.et,
+		lc:     b.lc,
+		budget: budgetFactor * b.base.TotalCost(),
+	}
+	for i, q := range assign.Queues {
+		u.taskVM[q[0]] = i
+	}
+	return u, nil
 }

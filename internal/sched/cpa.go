@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"repro/internal/dag"
 	"repro/internal/plan"
 )
@@ -25,31 +23,18 @@ func (CPAEager) Name() string { return "CPA-Eager" }
 // HEFT + OneVMperTask-small cost.
 const cpaBudgetFactor = 2.0
 
-// Schedule implements Algorithm.
+// Schedule implements Algorithm: the loop over a batch of one.
 func (c CPAEager) Schedule(wf *dag.Workflow, opts Options) (*plan.Schedule, error) {
-	opts.fill()
-	if err := wf.Freeze(); err != nil {
-		return nil, fmt.Errorf("sched: %w", err)
-	}
-	u, err := newUpgradeState(wf, opts, cpaBudgetFactor)
-	if err != nil {
-		return nil, err
-	}
-	return c.run(u)
+	return c.scheduleBatch(NewBatch(wf, opts))
 }
 
-// scheduleBatch implements batchScheduler: same loop, shared baseline and
-// replay scratch.
-func (c CPAEager) scheduleBatch(b *Batch) (*plan.Schedule, error) {
+// scheduleBatch implements batchScheduler: the critical-path upgrade loop
+// over the batch's shared baseline and replay scratch.
+func (CPAEager) scheduleBatch(b *Batch) (*plan.Schedule, error) {
 	u, err := b.upgradeState(cpaBudgetFactor)
 	if err != nil {
 		return nil, err
 	}
-	return c.run(u)
-}
-
-// run is the critical-path upgrade loop over a prepared state.
-func (CPAEager) run(u *upgradeState) (*plan.Schedule, error) {
 	for {
 		improved := false
 		for _, t := range u.criticalPath() {

@@ -54,8 +54,7 @@ func rebuildGainMatrix(u *upgradeState) gainMatrix {
 // first walk and after every upgrade. It returns the final schedule and
 // the number of upgrades.
 func CheckGainOrder(wf *dag.Workflow, opts Options) (*plan.Schedule, int, error) {
-	opts.fill()
-	u, err := newUpgradeState(wf, opts, gainBudgetFactor)
+	u, err := NewBatch(wf, opts).upgradeState(gainBudgetFactor)
 	if err != nil {
 		return nil, 0, err
 	}

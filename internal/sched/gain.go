@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -33,27 +32,9 @@ func (Gain) Name() string { return "GAIN" }
 // HEFT + OneVMperTask-small cost.
 const gainBudgetFactor = 4.0
 
-// Schedule implements Algorithm.
+// Schedule implements Algorithm: the loop over a batch of one.
 func (g Gain) Schedule(wf *dag.Workflow, opts Options) (*plan.Schedule, error) {
-	opts.fill()
-	if err := wf.Freeze(); err != nil {
-		return nil, fmt.Errorf("sched: %w", err)
-	}
-	u, err := newUpgradeState(wf, opts, gainBudgetFactor)
-	if err != nil {
-		return nil, err
-	}
-	return g.run(u)
-}
-
-// scheduleBatch implements batchScheduler: same loop, shared baseline and
-// replay scratch.
-func (g Gain) scheduleBatch(b *Batch) (*plan.Schedule, error) {
-	u, err := b.upgradeState(gainBudgetFactor)
-	if err != nil {
-		return nil, err
-	}
-	return g.run(u)
+	return g.scheduleBatch(NewBatch(wf, opts))
 }
 
 // gainCell is one (task, faster type) candidate of the gain matrix.
@@ -140,8 +121,13 @@ func (m *gainMatrix) replaceRow(u *upgradeState, t dag.TaskID) {
 	}
 }
 
-// run is the gain-matrix upgrade loop over a prepared state.
-func (Gain) run(u *upgradeState) (*plan.Schedule, error) {
+// scheduleBatch implements batchScheduler: the gain-matrix upgrade loop
+// over the batch's shared baseline and replay scratch.
+func (Gain) scheduleBatch(b *Batch) (*plan.Schedule, error) {
+	u, err := b.upgradeState(gainBudgetFactor)
+	if err != nil {
+		return nil, err
+	}
 	m := newGainMatrix(u)
 	for {
 		t, ok := m.upgrade(u)

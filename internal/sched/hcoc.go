@@ -60,6 +60,10 @@ func (h HCOC) Schedule(wf *dag.Workflow, opts Options) (*plan.Schedule, error) {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
 	clusters := pathClusters(wf, opts.Platform, h.PrivateType)
+	rp, err := plan.NewReplayer(wf, opts.Platform, opts.Region, opts.Market)
+	if err != nil {
+		return nil, err
+	}
 
 	// clusterVM[c] = -1 while cluster c sits on the private pool, else the
 	// index of its public VM.
@@ -122,7 +126,7 @@ func (h HCOC) Schedule(wf *dag.Workflow, opts Options) (*plan.Schedule, error) {
 		if err != nil {
 			return nil, err
 		}
-		return opts.Replay(wf, a)
+		return rp.Replay(a)
 	}
 
 	s, err := evaluate()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/dag/dagtest"
-	"repro/internal/sim"
 	"repro/internal/validate"
 	"repro/internal/workflows"
 	"repro/internal/workload"
@@ -22,10 +21,7 @@ func TestHCOCStaysPrivateUnderLooseDeadline(t *testing.T) {
 	if s.TotalCost() != 0 {
 		t.Errorf("loose deadline cost $%v, want 0 (all private)", s.TotalCost())
 	}
-	if err := validate.Schedule(s); err != nil {
-		t.Error(err)
-	}
-	if err := sim.Verify(s); err != nil {
+	if err := validate.PlanSim(s); err != nil {
 		t.Error(err)
 	}
 }
@@ -51,10 +47,7 @@ func TestHCOCOffloadsToMeetDeadline(t *testing.T) {
 	if s.TotalCost() <= 0 {
 		t.Error("met a tighter deadline for free — offloading is broken")
 	}
-	if err := validate.Schedule(s); err != nil {
-		t.Error(err)
-	}
-	if err := sim.Verify(s); err != nil {
+	if err := validate.PlanSim(s); err != nil {
 		t.Error(err)
 	}
 }

@@ -57,14 +57,6 @@ func (o Options) NewBuilder(wf *dag.Workflow) *plan.Builder {
 	return b
 }
 
-// Replay rebuilds the timed schedule of an assignment under the options'
-// market terms (plan.ReplayMarket); the iterating algorithms (CPA-Eager,
-// Gain, AllPar1LnSDyn, HCOC) re-time their candidate assignments
-// through it.
-func (o Options) Replay(wf *dag.Workflow, a plan.Assignment) (*plan.Schedule, error) {
-	return plan.ReplayMarket(wf, o.Platform, o.Region, o.Market, a)
-}
-
 // Algorithm produces a complete schedule for a workflow.
 type Algorithm interface {
 	// Name returns the strategy label used in the paper's figures, e.g.

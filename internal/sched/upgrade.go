@@ -27,8 +27,7 @@ type upgradeState struct {
 	// functions of (workflow, platform, region), so they are computed once
 	// and shared read-only across all strategies of a Batch.
 	et, lc [][]float64
-	cost   float64 // total cost of the current assignment
-	dirty  bool    // the assignment differs from the baseline
+	dirty  bool // the assignment differs from the baseline
 	budget float64
 }
 
@@ -54,52 +53,6 @@ func upgradeTables(wf *dag.Workflow, opts Options) (et, lc [][]float64) {
 		}
 	}
 	return et, lc
-}
-
-// newUpgradeState builds the baseline schedule and derives the budget as
-// budgetFactor times its cost (paper Sect. IV: 2x for CPA-Eager, 4x for
-// Gain).
-func newUpgradeState(wf *dag.Workflow, opts Options, budgetFactor float64) (*upgradeState, error) {
-	base, err := Baseline().Schedule(wf, opts)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := plan.NewReplayer(wf, opts.Platform, opts.Region, opts.Market)
-	if err != nil {
-		return nil, err
-	}
-	et, lc := upgradeTables(wf, opts)
-	return initUpgradeState(wf, opts, base, plan.AssignmentOf(base), rp, et, lc, budgetFactor)
-}
-
-// initUpgradeState wires an upgrade state over a prebuilt baseline and
-// loads the assignment into the replayer, returning the load's error for
-// an assignment that is not one valid task per VM. The assignment is
-// owned by the state (callers pass a fresh extraction or a clone); the
-// schedule and gain tables may be shared read-only, and the replayer's
-// scratch is reused by every state that loads into it.
-func initUpgradeState(wf *dag.Workflow, opts Options, base *plan.Schedule,
-	assign plan.Assignment, rp *plan.Replayer, et, lc [][]float64, budgetFactor float64) (*upgradeState, error) {
-	cost, err := rp.Load(assign)
-	if err != nil {
-		return nil, err
-	}
-	u := &upgradeState{
-		wf:     wf,
-		opts:   opts,
-		assign: assign,
-		taskVM: make([]int, wf.Len()),
-		base:   base,
-		rp:     rp,
-		et:     et,
-		lc:     lc,
-		cost:   cost,
-		budget: budgetFactor * base.TotalCost(),
-	}
-	for i, q := range u.assign.Queues {
-		u.taskVM[q[0]] = i
-	}
-	return u, nil
 }
 
 // typeOf returns the instance type currently assigned to a task's VM.
@@ -129,14 +82,12 @@ func (u *upgradeState) tryUpgrade(t dag.TaskID, typ cloud.InstanceType) bool {
 	if typ == u.assign.Types[vm] {
 		return false
 	}
-	c := u.rp.Retype(vm, typ)
-	if c > u.budget+1e-9 {
+	if u.rp.Retype(vm, typ) > u.budget+1e-9 {
 		u.rp.Undo()
 		return false
 	}
 	u.rp.Keep()
 	u.assign.Types[vm] = typ
-	u.cost = c
 	u.dirty = true
 	return true
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"testing"
 
-	"repro/internal/plan"
 	"repro/internal/workflows"
 	"repro/internal/workload"
 )
@@ -14,27 +13,14 @@ import (
 // trial as rejected and returning the baseline.
 func TestUpgradeStateReturnsLoadError(t *testing.T) {
 	wf := workload.Pareto.Apply(workflows.PaperMontage(), 42)
-	opts := DefaultOptions()
-	base, err := Baseline().Schedule(wf, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := plan.NewReplayer(wf, opts.Platform, opts.Region, opts.Market)
-	if err != nil {
-		t.Fatal(err)
-	}
-	et, lc := upgradeTables(wf, opts)
-	a := plan.AssignmentOf(base)
-	a.Queues[1][0] = a.Queues[0][0]
-	if _, err := initUpgradeState(wf, opts, base, a, rp, et, lc, gainBudgetFactor); err == nil {
-		t.Error("initUpgradeState loaded a corrupt assignment")
-	}
-
-	b := NewBatch(wf, opts)
+	b := NewBatch(wf, DefaultOptions())
 	if err := b.init(); err != nil {
 		t.Fatal(err)
 	}
 	b.baseAssign.Queues[1][0] = b.baseAssign.Queues[0][0]
+	if _, err := b.upgradeState(gainBudgetFactor); err == nil {
+		t.Error("upgradeState loaded a corrupt assignment")
+	}
 	for _, alg := range []Algorithm{NewGain(), NewCPAEager()} {
 		if s, err := b.Schedule(alg); err == nil {
 			t.Errorf("%s on a corrupt batch assignment: no error, schedule %v", alg.Name(), s)

@@ -70,31 +70,43 @@ type problem interface {
 	Key() spec.Key
 }
 
-// planner builds a planning endpoint: POST only, a strict decode of the
-// body into a request R (400 on failure), its mapping onto a spec P,
-// validation (422 on failure), then runCached under the spec's key.
-func planner[R any, P problem](s *Server, endpoint string, toSpec func(*R) (P, error),
-	plan func(context.Context, P) (any, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-			return
+// planner builds a planning endpoint's route handler: POST only, a strict
+// decode of the body into a request R (400 on failure), its mapping onto a
+// spec P, validation (422 on failure), then runCached under the spec's
+// key. Building it creates the endpoint's latency series, so the series
+// exists from the first scrape.
+func planner[R any, P problem](toSpec func(*R) (P, error),
+	plan func(*Server, context.Context, P) (any, error)) func(*Server, string) http.HandlerFunc {
+	return func(s *Server, endpoint string) http.HandlerFunc {
+		s.met.latency.With(endpoint)
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost {
+				s.writeError(w, http.StatusMethodNotAllowed, "POST only")
+				return
+			}
+			var req R
+			if !s.decodeBody(w, r, &req) {
+				return
+			}
+			p, err := toSpec(&req)
+			if err == nil {
+				err = p.Validate()
+			}
+			if err != nil {
+				s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
+				return
+			}
+			s.runCached(w, r, endpoint, p.Key(), func(ctx context.Context) (any, error) {
+				return plan(s, ctx, p)
+			})
 		}
-		var req R
-		if !s.decodeBody(w, r, &req) {
-			return
-		}
-		p, err := toSpec(&req)
-		if err == nil {
-			err = p.Validate()
-		}
-		if err != nil {
-			s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
-		s.runCached(w, r, endpoint, p.Key(), func(ctx context.Context) (any, error) {
-			return plan(ctx, p)
-		})
+	}
+}
+
+// method builds the route handler of a plain endpoint from its method.
+func method(h func(*Server, http.ResponseWriter, *http.Request)) func(*Server, string) http.HandlerFunc {
+	return func(s *Server, _ string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { h(s, w, r) }
 	}
 }
 

@@ -13,27 +13,12 @@ import (
 // slowest catalog sweep while keeping memory constant under load.
 var latencyBuckets = obs.ExponentialBuckets(10e-6, 2, 28)
 
-// endpointNames are the label values of wfservd_requests_total, fixed up
-// front so every series exists from the first scrape.
-var endpointNames = []string{"schedule", "compare", "sla", "catalog", "metrics", "healthz", "flight", "other"}
-
-// endpointOf maps a request path to its metrics label.
+// endpointOf maps a request path to its label in routes, or "other".
 func endpointOf(path string) string {
-	switch path {
-	case "/v1/schedule":
-		return "schedule"
-	case "/v1/compare":
-		return "compare"
-	case "/v1/sla":
-		return "sla"
-	case "/v1/catalog":
-		return "catalog"
-	case "/metrics":
-		return "metrics"
-	case "/healthz":
-		return "healthz"
-	case "/debug/flight":
-		return "flight"
+	for _, rt := range routes {
+		if rt.path == path {
+			return rt.label
+		}
 	}
 	return "other"
 }
@@ -79,9 +64,11 @@ func newServiceMetrics() *serviceMetrics {
 
 	m.requests = reg.Counter("wfservd_requests_total",
 		"HTTP requests seen, by endpoint.", "endpoint")
-	for _, ep := range endpointNames {
-		m.requests.With(ep)
+	// Every label exists from the first scrape.
+	for _, rt := range routes {
+		m.requests.With(rt.label)
 	}
+	m.requests.With("other")
 	m.rejected = reg.Counter("wfservd_rejected_total",
 		"Requests refused by admission control (429).").With()
 	m.timeouts = reg.Counter("wfservd_timeouts_total",
@@ -97,9 +84,6 @@ func newServiceMetrics() *serviceMetrics {
 	m.latency = reg.Histogram("wfservd_plan_duration_seconds",
 		"End-to-end planning latency of cache misses, by endpoint.",
 		latencyBuckets, "endpoint")
-	m.latency.With("schedule")
-	m.latency.With("compare")
-	m.latency.With("sla")
 	m.drainDone = reg.Counter("wfservd_drain_completed_total",
 		"Requests that completed after draining began.").With()
 	m.simReplays = reg.Counter("wfservd_sim_replays_total",

@@ -71,6 +71,8 @@ func TestEndpointOf(t *testing.T) {
 	for path, want := range map[string]string{
 		"/v1/schedule":  "schedule",
 		"/v1/compare":   "compare",
+		"/v1/sla":       "sla",
+		"/v1/online":    "online",
 		"/v1/catalog":   "catalog",
 		"/metrics":      "metrics",
 		"/healthz":      "healthz",

@@ -51,6 +51,29 @@ func TestOnlineRunsAndCaches(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("cached response differs")
 	}
+	// Both requests count under their own endpoint label, and the miss
+	// observed its latency under it.
+	if got := s.met.requests.With("online").Value(); got != 2 {
+		t.Errorf("wfservd_requests_total{endpoint=\"online\"} = %v, want 2", got)
+	}
+	if got := s.met.requests.With("other").Value(); got != 0 {
+		t.Errorf("wfservd_requests_total{endpoint=\"other\"} = %v, want 0", got)
+	}
+	var expo strings.Builder
+	if err := s.met.reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if want := `wfservd_plan_duration_seconds_count{endpoint="online"} 1`; !strings.Contains(expo.String(), want) {
+		t.Errorf("exposition lacks %s", want)
+	}
+	for _, rec := range s.flight.Records() {
+		if rec.Route != "online" {
+			t.Errorf("flight record of a /v1/online request has route %q", rec.Route)
+		}
+	}
+	if n := len(s.flight.Records()); n != 2 {
+		t.Errorf("%d flight records, want 2", n)
+	}
 
 	// Bit-identical across a fresh server too.
 	_, ts2 := newTestServer(t, Config{Workers: 4, QueueDepth: 8, CacheSize: 64})

@@ -120,15 +120,31 @@ func New(cfg Config) *Server {
 		logger: cfg.Logger,
 	}
 	s.met.registerRuntime(s)
-	s.mux.HandleFunc("/v1/schedule", planner(s, "schedule", (*ScheduleRequest).spec, s.planSchedule))
-	s.mux.HandleFunc("/v1/compare", planner(s, "compare", (*CompareRequest).spec, s.planCompare))
-	s.mux.HandleFunc("/v1/sla", planner(s, "sla", (*SLARequest).spec, s.planSLA))
-	s.mux.HandleFunc("/v1/online", planner(s, "online", (*OnlineRequest).spec, s.planOnline))
-	s.mux.HandleFunc("/v1/catalog", s.handleCatalog)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/debug/flight", s.handleFlight)
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.path, rt.handler(s, rt.label))
+	}
 	return s
+}
+
+// route is one endpoint of the daemon: the path New registers, the label
+// its requests carry in wfservd_requests_total, in flight records and,
+// for a planning endpoint, in the latency series, and its handler.
+type route struct {
+	path, label string
+	handler     func(s *Server, label string) http.HandlerFunc
+}
+
+// routes is every endpoint the daemon serves; requests to any other path
+// are labelled "other".
+var routes = []route{
+	{"/v1/schedule", "schedule", planner((*ScheduleRequest).spec, (*Server).planSchedule)},
+	{"/v1/compare", "compare", planner((*CompareRequest).spec, (*Server).planCompare)},
+	{"/v1/sla", "sla", planner((*SLARequest).spec, (*Server).planSLA)},
+	{"/v1/online", "online", planner((*OnlineRequest).spec, (*Server).planOnline)},
+	{"/v1/catalog", "catalog", method((*Server).handleCatalog)},
+	{"/metrics", "metrics", method((*Server).handleMetrics)},
+	{"/healthz", "healthz", method((*Server).handleHealthz)},
+	{"/debug/flight", "flight", method((*Server).handleFlight)},
 }
 
 // requestIDKey carries the request ID through the context into the

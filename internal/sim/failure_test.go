@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
-	"repro/internal/dag"
 	"repro/internal/dag/dagtest"
 	"repro/internal/plan"
 	"repro/internal/sched"
@@ -33,55 +32,6 @@ func TestSimDetectsDeadlockedQueues(t *testing.T) {
 	_, err := Run(s, Config{})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("err = %v, want deadlock", err)
-	}
-}
-
-func TestVerifyDetectsTamperedPlannedTimes(t *testing.T) {
-	w := dagtest.ForkJoin(3, 400)
-	s := mustSchedule(t, sched.Baseline(), w)
-	s.Start[2] += 5 // planner lies about a start time
-	if err := Verify(s); err == nil {
-		t.Error("tampered start time not detected")
-	}
-	s.Start[2] -= 5
-	s.End[2] += 5
-	if err := Verify(s); err == nil {
-		t.Error("tampered end time not detected")
-	}
-}
-
-func TestVerifyDetectsWrongVMType(t *testing.T) {
-	// Re-typing a VM after planning changes execution times; the replayed
-	// makespan diverges from the planned one.
-	w := dagtest.Chain(3, 1000)
-	s := mustSchedule(t, sched.Baseline(), w)
-	s.VMs[0].Type = cloud.XLarge
-	if err := Verify(s); err == nil {
-		t.Error("re-typed VM not detected")
-	}
-}
-
-func TestVerifyDetectsDroppedTransferData(t *testing.T) {
-	// Inflate an edge's payload after planning: the simulator sees a later
-	// ready time than the planner recorded.
-	w := dag.New("pair")
-	a := w.AddTask("a", 100)
-	b := w.AddTask("b", 100)
-	w.AddEdge(a, b, 0)
-	if err := w.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	s := mustSchedule(t, sched.Baseline(), w)
-	w2 := dag.New("pair")
-	w2.AddTask("a", 100)
-	w2.AddTask("b", 100)
-	w2.AddEdge(a, b, 8<<30)
-	if err := w2.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	s.Workflow = w2
-	if err := Verify(s); err == nil {
-		t.Error("inflated edge data not detected")
 	}
 }
 

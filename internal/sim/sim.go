@@ -5,7 +5,7 @@
 // repository's substitute for the paper's "custom made simulator", with one
 // extra guarantee: because the planner computes schedules analytically and
 // the simulator replays them operationally, any disagreement between the
-// two exposes a modelling bug (see Verify).
+// two exposes a modelling bug (see validate.PlanSim).
 //
 // The simulator also supports a non-zero VM boot time, the effect the paper
 // explicitly ignores (static scheduling allows pre-booting); setting it
@@ -792,35 +792,4 @@ func (r *runner) teardown() {
 			r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: end, VM: int32(vi), Task: -1, Value: cost})
 		}
 	}
-}
-
-// Verify replays the schedule with zero boot time and checks that the
-// simulator observes exactly the times, cost and idle time the planner
-// computed. It returns a descriptive error on the first disagreement —
-// which indicates a bug in either the planner or the simulator.
-func Verify(s *plan.Schedule) error {
-	res, err := Run(s, Config{})
-	if err != nil {
-		return err
-	}
-	for id := range res.TaskStart {
-		if !cloud.Close(res.TaskStart[id], s.Start[id]) {
-			return fmt.Errorf("sim: task %d start: simulated %v, planned %v",
-				id, res.TaskStart[id], s.Start[id])
-		}
-		if !cloud.Close(res.TaskEnd[id], s.End[id]) {
-			return fmt.Errorf("sim: task %d end: simulated %v, planned %v",
-				id, res.TaskEnd[id], s.End[id])
-		}
-	}
-	if !cloud.Close(res.Makespan, s.Makespan()) {
-		return fmt.Errorf("sim: makespan: simulated %v, planned %v", res.Makespan, s.Makespan())
-	}
-	if !cloud.Close(res.RentalCost, s.RentalCost()) {
-		return fmt.Errorf("sim: rental cost: simulated %v, planned %v", res.RentalCost, s.RentalCost())
-	}
-	if !cloud.Close(res.IdleTime, s.IdleTime()) {
-		return fmt.Errorf("sim: idle time: simulated %v, planned %v", res.IdleTime, s.IdleTime())
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cloud"
 	"repro/internal/dag"
@@ -11,8 +10,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/provision"
 	"repro/internal/sched"
-	"repro/internal/workflows"
-	"repro/internal/workload"
 )
 
 func mustSchedule(t *testing.T, alg sched.Algorithm, w *dag.Workflow) *plan.Schedule {
@@ -39,23 +36,6 @@ func TestRunSimpleChain(t *testing.T) {
 	}
 	if res.Events == 0 {
 		t.Error("no events dispatched")
-	}
-}
-
-func TestVerifyAgreesWithPlannerAcrossCatalog(t *testing.T) {
-	// The central integration check: for every paper workflow x scenario x
-	// strategy, the event-driven execution must observe exactly the times,
-	// cost and idle the planner computed.
-	for name, wf := range workflows.Paper() {
-		for _, sc := range workload.Scenarios() {
-			w := sc.Apply(wf, 99)
-			for _, alg := range sched.Catalog() {
-				s := mustSchedule(t, alg, w.Clone())
-				if err := Verify(s); err != nil {
-					t.Errorf("%s/%v/%s: %v", name, sc, alg.Name(), err)
-				}
-			}
-		}
 	}
 }
 
@@ -126,89 +106,5 @@ func TestCrossVMTransfersCounted(t *testing.T) {
 	}
 	if s2.VMCount() == 1 && res2.Transfers != 0 {
 		t.Errorf("single-VM schedule reported %d transfers", res2.Transfers)
-	}
-}
-
-func TestSimHandlesDataTransfersInReadyTimes(t *testing.T) {
-	// A cross-VM edge with real data must delay the consumer by the
-	// transfer time in both planner and simulator.
-	w := dag.New("xfer")
-	a := w.AddTask("a", 100)
-	b := w.AddTask("b", 100)
-	w.AddEdge(a, b, 1<<30)
-	if err := w.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	s := mustSchedule(t, sched.Baseline(), w)
-	if err := Verify(s); err != nil {
-		t.Error(err)
-	}
-	res, _ := Run(s, Config{})
-	xfer := s.Platform.TransferTime(1<<30, cloud.Small, cloud.Small)
-	if math.Abs(res.TaskStart[b]-(100+xfer)) > 1e-9 {
-		t.Errorf("consumer starts at %v, want %v", res.TaskStart[b], 100+xfer)
-	}
-}
-
-func TestSimBillsHeldLeases(t *testing.T) {
-	// Held reservations (plan.VM.Held) are paid leases the replay never
-	// touches: a held-but-empty VM bills its minimum BTU and a held tail
-	// extends an active lease past its last slot. The simulator must agree
-	// with the planner on both, or Verify rejects every speculative-
-	// provisioning schedule.
-	w := dagtest.Chain(2, 1000)
-	s := mustSchedule(t, sched.Baseline(), w)
-	base := s.RentalCost()
-	s.VMs = append(s.VMs, &plan.VM{
-		ID: plan.VMID(len(s.VMs)), Type: cloud.Small,
-		Region: cloud.USEastVirginia, Held: 100,
-	})
-	s.VMs[0].Held = s.VMs[0].Span() + cloud.BTU + 1 // tail: one extra BTU
-	if s.RentalCost() <= base {
-		t.Fatal("held leases did not raise the planned cost; test is vacuous")
-	}
-	res, err := Run(s, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cloud.Close(res.RentalCost, s.RentalCost()) {
-		t.Errorf("rental cost %v != planned %v", res.RentalCost, s.RentalCost())
-	}
-	if !cloud.Close(res.IdleTime, s.IdleTime()) {
-		t.Errorf("idle %v != planned %v", res.IdleTime, s.IdleTime())
-	}
-	// The hold is billed but must not move the makespan: it is reservation,
-	// not work.
-	if !cloud.Close(res.Makespan, s.Makespan()) {
-		t.Errorf("makespan %v != planned %v (held lease leaked into makespan)", res.Makespan, s.Makespan())
-	}
-	if err := Verify(s); err != nil {
-		t.Errorf("Verify rejects held leases: %v", err)
-	}
-}
-
-// Property: planner/simulator agreement holds on random DAGs under every
-// catalog strategy.
-func TestQuickVerifyRandomDAGs(t *testing.T) {
-	cat := sched.Catalog()
-	f := func(seed uint64) bool {
-		cfg := dagtest.DefaultConfig()
-		cfg.MaxTasks = 20
-		w := dagtest.Random(seed, cfg)
-		for _, alg := range cat {
-			s, err := alg.Schedule(w.Clone(), sched.DefaultOptions())
-			if err != nil {
-				t.Logf("%s: schedule: %v", alg.Name(), err)
-				return false
-			}
-			if err := Verify(s); err != nil {
-				t.Logf("%s: %v", alg.Name(), err)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }

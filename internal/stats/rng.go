@@ -25,11 +25,34 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next value of the stream.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += GoldenGamma
+	return Mix64(r.state)
+}
+
+// GoldenGamma is splitmix64's state increment: 2^64 over the golden
+// ratio, odd, so stepping by it visits every 64-bit state.
+const GoldenGamma uint64 = 0x9e3779b97f4a7c15
+
+// Mix64 is splitmix64's finalizer: a bijection of 64-bit values in which
+// every output bit depends on every input bit. The repository's
+// deterministic streams and identifiers all end in it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Hash folds the values into one well-scrambled 64-bit hash: it starts at
+// GoldenGamma and, per value, adds the value and GoldenGamma and applies
+// Mix64. Equal values give equal hashes, so a seed derived from an
+// entity's identity (a fault kind and VM, a market's VM index) does not
+// depend on how many draws came before it.
+func Hash(vs ...uint64) uint64 {
+	h := GoldenGamma
+	for _, v := range vs {
+		h = Mix64(h + v + GoldenGamma)
+	}
+	return h
 }
 
 // Float64 returns a uniformly distributed value in [0, 1).

@@ -15,6 +15,25 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestSplitmix64Reference pins the stream to the published splitmix64
+// outputs for seed 0, and Hash to its definition, so the fault, market,
+// online and span-ID seeds built on them keep every bit.
+func TestSplitmix64Reference(t *testing.T) {
+	r := NewRNG(0)
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := r.Uint64(); got != want {
+			t.Errorf("output %d = %#x, want %#x", i, got, want)
+		}
+	}
+	g := GoldenGamma
+	if got := Hash(); got != g {
+		t.Errorf("Hash() = %#x, want %#x", got, g)
+	}
+	if got, want := Hash(7, 9), Mix64(Mix64(g+7+g)+9+g); got != want {
+		t.Errorf("Hash(7, 9) = %#x, want %#x", got, want)
+	}
+}
+
 func TestRNGSeedsDiffer(t *testing.T) {
 	a, b := NewRNG(1), NewRNG(2)
 	same := 0
