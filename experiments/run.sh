@@ -29,7 +29,7 @@ go run ./cmd/sweep -table none -paranoid \
 # load"): the identical open-loop arrival stream — 500 instances of the
 # order:3/montage2:1 mix, one every 120 s on average, deadline-driven
 # scaler, 7200 s response SLA — priced on-demand per-second and on spot
-# with mild preemption. Arrivals are pre-drawn from the seed, so both
+# with mild preemption. Arrival times depend on the seed alone, so both
 # pools face bit-identical demand and the artifacts diff cleanly.
 go run ./cmd/wfload -mix order:3,montage2:1 -interarrival 120 -n 500 \
   -scaler deadline -deadline 7200 -max 64 -seed 42 \

@@ -73,6 +73,17 @@ func (h *Heap[T]) Pop() (float64, T, bool) {
 	return top.time, top.v, true
 }
 
+// Peek returns the earliest event's time and payload without removing
+// it: what Pop would return next. The boolean is false when the heap is
+// empty.
+func (h *Heap[T]) Peek() (float64, T, bool) {
+	if len(h.heap) == 0 {
+		var zero T
+		return 0, zero, false
+	}
+	return h.heap[0].time, h.heap[0].v, true
+}
+
 // less orders by time, then insertion sequence.
 func (h *Heap[T]) less(i, j int) bool {
 	if h.heap[i].time != h.heap[j].time {

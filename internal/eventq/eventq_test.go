@@ -38,6 +38,31 @@ func TestEmptyQueue(t *testing.T) {
 	}
 }
 
+// Peek reports what Pop returns next, ties in push order, and removes
+// nothing; on an empty heap it reports false.
+func TestPeekAgreesWithPop(t *testing.T) {
+	var h Heap[int]
+	if tm, v, ok := h.Peek(); ok || tm != 0 || v != 0 {
+		t.Fatalf("Peek on empty heap = %v, %v, %v", tm, v, ok)
+	}
+	for i, tm := range []float64{3, 1, 2, 1, 3, 1} {
+		h.Push(tm, i)
+	}
+	for n := h.Len(); n > 0; n-- {
+		pt, pv, pok := h.Peek()
+		if h.Len() != n {
+			t.Fatalf("Peek changed Len from %d to %d", n, h.Len())
+		}
+		tm, v, ok := h.Pop()
+		if !pok || !ok || pt != tm || pv != v {
+			t.Fatalf("Peek = %v, %v, %v; Pop = %v, %v, %v", pt, pv, pok, tm, v, ok)
+		}
+	}
+	if _, _, ok := h.Peek(); ok {
+		t.Error("Peek on drained heap reported an event")
+	}
+}
+
 func TestSimultaneousEventsAreFIFO(t *testing.T) {
 	var h Heap[int]
 	for i := 0; i < 10; i++ {

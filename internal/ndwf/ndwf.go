@@ -214,9 +214,28 @@ func (t Template) Validate() error {
 // returns a concrete, frozen DAG instance. Equal seeds yield identical
 // instances.
 func (t Template) Sample(seed uint64) (*dag.Workflow, error) {
-	if err := t.Validate(); err != nil {
+	c, err := t.Check()
+	if err != nil {
 		return nil, err
 	}
+	return c.Sample(seed)
+}
+
+// Checked is a template that has passed Validate. A loop that samples one
+// template many times checks it once and samples the Checked.
+type Checked struct{ t Template }
+
+// Check validates t for sampling.
+func (t Template) Check() (Checked, error) {
+	if err := t.Validate(); err != nil {
+		return Checked{}, err
+	}
+	return Checked{t}, nil
+}
+
+// Sample is Template.Sample without the validation.
+func (c Checked) Sample(seed uint64) (*dag.Workflow, error) {
+	t := c.t
 	// The instance is named t.Name#seed.
 	var buf [64]byte
 	name := strconv.AppendUint(append(append(buf[:0], t.Name...), '#'), seed, 10)

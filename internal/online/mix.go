@@ -23,44 +23,39 @@ func mixSeed(seed, i uint64) uint64 {
 	return stats.Mix64(seed ^ stats.GoldenGamma*(i+1))
 }
 
-// validateMix rejects impossible mixes.
-func validateMix(entries []MixEntry) error {
+// mixBuilder validates a mix and turns it into an instance builder:
+// instance i picks a template by weight and samples it, both from i's own
+// hash stream; the runner's shared stream goes unused. Each template is
+// validated here, once, not per sample.
+func mixBuilder(entries []MixEntry, seed uint64) (func(int, *stats.RNG) *dag.Workflow, error) {
+	checked := make([]ndwf.Checked, len(entries))
+	total := 0.0
 	for i, e := range entries {
 		if e.Weight <= 0 {
-			return fmt.Errorf("online: mix entry %d (%s) has non-positive weight %v",
+			return nil, fmt.Errorf("online: mix entry %d (%s) has non-positive weight %v",
 				i, e.Template.Name, e.Weight)
 		}
-		if err := e.Template.Validate(); err != nil {
-			return fmt.Errorf("online: mix entry %d: %w", i, err)
+		var err error
+		if checked[i], err = e.Template.Check(); err != nil {
+			return nil, fmt.Errorf("online: mix entry %d: %w", i, err)
 		}
-	}
-	return nil
-}
-
-// mixBuilder turns a validated mix into an instance builder: instance i
-// picks a template by weight and samples it, both from i's own hash
-// stream (the shared arrival RNG is deliberately unused, so a mix run's
-// arrival times match a fixed-builder run's under the same seed).
-func mixBuilder(entries []MixEntry, seed uint64) func(int, *stats.RNG) *dag.Workflow {
-	total := 0.0
-	for _, e := range entries {
 		total += e.Weight
 	}
 	return func(i int, _ *stats.RNG) *dag.Workflow {
 		r := stats.NewRNG(mixSeed(seed, uint64(i)))
 		u := r.Float64() * total
-		pick := entries[len(entries)-1].Template
-		for _, e := range entries {
+		pick := len(entries) - 1
+		for j, e := range entries {
 			if u < e.Weight {
-				pick = e.Template
+				pick = j
 				break
 			}
 			u -= e.Weight
 		}
-		wf, err := pick.Sample(r.Uint64())
+		wf, err := checked[pick].Sample(r.Uint64())
 		if err != nil {
-			panic(fmt.Sprintf("online: sampling mix template %q: %v", pick.Name, err))
+			panic(fmt.Sprintf("online: sampling mix template %q: %v", entries[pick].Template.Name, err))
 		}
 		return wf
-	}
+	}, nil
 }

@@ -22,6 +22,7 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -189,14 +190,15 @@ func (r *Result) Utilization() float64 {
 	return r.BusySeconds / r.PaidSeconds
 }
 
-// vm is one pool machine.
+// vm is one pool machine: a record in a slot of runner.vms, which the next
+// rental takes over once this one is retired or killed.
 type vm struct {
-	id        int
+	id        int32 // rental id, in rent order across the run
 	rentAt    float64
 	readyAt   float64 // boot completes; tasks cannot execute earlier
 	busy      bool
 	busySum   float64
-	dead      bool
+	dead      bool // retired or killed: the slot is free
 	paidUnits int
 	lease     *market.Lease
 	// cur is the running task while busy; curStart is its execution start
@@ -218,23 +220,25 @@ type instance struct {
 	remaining int
 }
 
-// The event kinds: an arrival names its instance (event.i), every other
-// kind the VM it concerns (event.m).
+// vmRef names one rental: the slot of its record and its rental id. The
+// slot alone is ambiguous once a later rental has taken it over.
+type vmRef struct{ slot, id int32 }
+
+// The event kinds, each about the VM rental its event names.
 const (
-	evArrive  uint8 = iota // instance i arrives
-	evUnit                 // m reaches a billing-unit boundary
-	evCrash                // m crashes
-	evPreempt              // m is reclaimed by the spot market
-	evFinish               // m's running task completes
+	evUnit    uint8 = iota // the VM reaches a billing-unit boundary
+	evCrash                // the VM crashes
+	evPreempt              // the VM is reclaimed by the spot market
+	evFinish               // the VM's running task completes
 )
 
-// event is one scheduled harness event. It holds its VM by pointer, not
-// by index into an arena: a retired VM must stay collectable, and the
-// number of rentals grows with the stream.
+// event is one scheduled harness event. It names its VM by vmRef, not by
+// pointer, so the queue holds no pointers for the collector to scan. An
+// event whose rental has since been retired or killed is stale: it is
+// still popped and counted, then skipped.
 type event struct {
 	kind uint8
-	i    int
-	m    *vm
+	vm   vmRef
 }
 
 // runner is one online simulation in progress; its methods are the event
@@ -242,24 +246,29 @@ type event struct {
 type runner struct {
 	cfg       Config
 	inj       *fault.Injector
-	rng       *stats.RNG
+	rng       *stats.RNG // the stream a Config.Instance builder draws from
 	rec       obs.Recorder
 	met       *poolMetrics
 	res       *Result
 	unit      float64
 	perSecond bool
 
-	q          eventq.Heap[event]
-	now        float64
-	instances  []*instance // by slot; free holds the finished ones' slots
-	free       []int       // slots to reuse, the last freed first
-	responses  []float64   // response times in completion order
-	live       []*vm       // rented, not-yet-retired VMs in rent order
-	busyCount  int
-	ready      taskHeap
-	queuedWork float64 // summed exec time of ready tasks
-	nextSeq    int
-	nextTaskID int32
+	q   eventq.Heap[event]
+	now float64
+	// The arrival cursor: the next arrival's time, and the copy of the
+	// seeded stream that draws the gap after it.
+	nextArrival float64
+	gaps        stats.RNG
+	instances   []*instance // by slot; free holds the finished ones' slots
+	free        []int       // slots to reuse, the last freed first
+	responses   []float64   // response times in completion order
+	vms         []vm        // by slot; freeVMs holds the dead ones' slots
+	freeVMs     []int32     // slots to reuse, the last freed first
+	idle        []vmRef     // the live VMs without a task, in rent order
+	ready       taskHeap
+	queuedWork  float64 // summed exec time of ready tasks
+	nextSeq     int
+	nextTaskID  int32
 	// Until every instance has arrived we cannot know the total; track
 	// arrivals separately so the pool does not retire early.
 	arrivalsLeft int
@@ -287,7 +296,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 }
 
-// newRunner validates cfg and schedules the arrivals and the warm pool.
+// newRunner validates cfg, sets the arrival cursor on the first arrival
+// and rents the warm pool.
 func newRunner(cfg Config) (*runner, error) {
 	if err := checkConfig(&cfg); err != nil {
 		return nil, err
@@ -295,6 +305,7 @@ func newRunner(cfg Config) (*runner, error) {
 	r := &runner{
 		cfg:          cfg,
 		rng:          stats.NewRNG(cfg.Seed),
+		gaps:         *stats.NewRNG(cfg.Seed),
 		rec:          cfg.Recorder,
 		res:          &Result{SLAMet: -1},
 		unit:         cloud.BTU,
@@ -326,14 +337,13 @@ func newRunner(cfg Config) (*runner, error) {
 		r.ready.less = fifoLess
 	}
 
-	// Pre-schedule all arrivals (exponential gaps). Drawing every gap up
-	// front keeps the arrival process independent of per-instance builder
-	// draws, so two configs differing only in the builder see the same
-	// arrival times.
-	at := 0.0
-	for i := 0; i < cfg.Instances; i++ {
-		r.q.Push(at, event{kind: evArrive, i: i})
-		at += expSample(r.rng, cfg.MeanInterarrival)
+	// The first arrival is at time zero; each later gap (exponential) is
+	// drawn from gaps as its predecessor arrives. The runner's own stream
+	// skips the same n gaps here, so a builder's draws do not depend on
+	// the arrivals, and two configs differing only in the builder see the
+	// same arrival times.
+	for range cfg.Instances {
+		expSample(r.rng, cfg.MeanInterarrival)
 	}
 	// Warm pool.
 	for i := 0; i < cfg.MinVMs; i++ {
@@ -342,31 +352,42 @@ func newRunner(cfg Config) (*runner, error) {
 	return r, nil
 }
 
-// next handles the earliest pending event; it reports false once none is
-// left.
+// next handles the earliest pending event, the next arrival or the head
+// of the queue; it reports false once none is left. An arrival wins a tie
+// with a queued event, as it would had it been queued first.
 func (r *runner) next() (bool, error) {
-	t, e, ok := r.q.Pop()
-	if !ok {
+	t, e, ok := r.q.Peek()
+	arrival := r.arrivalsLeft > 0 && (!ok || r.nextArrival <= t)
+	switch {
+	case arrival:
+		t = r.nextArrival
+	case !ok:
 		return false, nil
+	default:
+		r.q.Pop()
 	}
 	if t < r.now-1e-9 {
 		return false, fmt.Errorf("online: time ran backwards (%v -> %v)", r.now, t)
 	}
 	r.now = t
 	r.res.Events++
+	if arrival {
+		i := r.cfg.Instances - r.arrivalsLeft
+		r.nextArrival += expSample(&r.gaps, r.cfg.MeanInterarrival)
+		return true, r.arrive(i)
+	}
+	if m := &r.vms[e.vm.slot]; m.dead || m.id != e.vm.id {
+		return true, nil // stale: the rental was retired or killed
+	}
 	switch e.kind {
-	case evArrive:
-		if err := r.arrive(e.i); err != nil {
-			return false, err
-		}
 	case evUnit:
-		r.unitCheck(e.m)
+		r.unitCheck(e.vm.slot)
 	case evCrash:
-		r.kill(e.m, false)
+		r.kill(e.vm.slot, false)
 	case evPreempt:
-		r.kill(e.m, true)
+		r.kill(e.vm.slot, true)
 	case evFinish:
-		r.finish(e.m)
+		r.finish(e.vm.slot)
 	}
 	return true, nil
 }
@@ -374,8 +395,8 @@ func (r *runner) next() (bool, error) {
 // close retires every surviving VM, in rent order, and completes the
 // result.
 func (r *runner) close() (*Result, error) {
-	for len(r.live) > 0 {
-		r.retire(r.live[0])
+	for len(r.idle) > 0 {
+		r.retire(r.idle[0].slot)
 	}
 	if len(r.responses) != r.cfg.Instances {
 		return nil, fmt.Errorf("online: %d of %d instances completed", len(r.responses), r.cfg.Instances)
@@ -447,43 +468,39 @@ func (r *runner) arrive(i int) error {
 	return nil
 }
 
-// unitCheck fires at m's billing-unit boundaries: release the VM if it
-// idles with an empty queue (and the pool is above its floor, or the run
-// has drained), otherwise commit to another unit.
-func (r *runner) unitCheck(m *vm) {
-	if m.dead {
-		return
-	}
+// unitCheck fires at a billing-unit boundary of the VM in slot: release
+// the VM if it idles with an empty queue (and the pool is above its floor,
+// or the run has drained), otherwise commit to another unit.
+func (r *runner) unitCheck(slot int32) {
+	m := &r.vms[slot]
 	// After the last task of the last instance the warm-pool floor no
 	// longer applies: everything drains so the simulation terminates.
-	if !m.busy && r.ready.Len() == 0 && (len(r.live) > r.cfg.MinVMs || r.drained()) {
-		r.retire(m)
+	if !m.busy && r.ready.Len() == 0 && (r.liveVMs() > r.cfg.MinVMs || r.drained()) {
+		r.retire(slot)
 		return
 	}
 	m.paidUnits++
 	if r.rec != nil && m.lease.BTUBilled() {
-		r.rec.Record(obs.Event{Kind: obs.KindVMBTURollover, T: r.now, VM: int32(m.id), Task: -1})
+		r.rec.Record(obs.Event{Kind: obs.KindVMBTURollover, T: r.now, VM: m.id, Task: -1})
 	}
-	r.q.Push(m.rentAt+float64(m.paidUnits)*r.unit, event{kind: evUnit, m: m})
+	r.q.Push(m.rentAt+float64(m.paidUnits)*r.unit, event{kind: evUnit, vm: vmRef{slot, m.id}})
 }
 
 // drained reports that every instance has arrived and every task finished.
 func (r *runner) drained() bool { return r.arrivalsLeft == 0 && r.tasksLeft == 0 }
 
-// kill is a crash or spot preemption: the lease is billed for its held
-// span, the running task (if any) requeues with a fresh attempt, and the
-// scaler re-rents on demand.
-func (r *runner) kill(m *vm, preempt bool) {
-	if m.dead {
-		return
-	}
-	m.dead = true
-	r.removeLive(m)
+// liveVMs is the rented pool size: the slots not free.
+func (r *runner) liveVMs() int { return len(r.vms) - len(r.freeVMs) }
+
+// kill is a crash or spot preemption of the VM in slot: the lease is
+// billed for its held span, the running task (if any) requeues with a
+// fresh attempt, and the scaler re-rents on demand.
+func (r *runner) kill(slot int32, preempt bool) {
+	m := &r.vms[slot]
 	if m.busy {
 		if r.now > m.curStart {
 			m.busySum += r.now - m.curStart // partial execution was real work
 		}
-		r.busyCount--
 		rt := m.cur
 		rt.attempt++
 		rt.readyAt = r.now
@@ -491,6 +508,7 @@ func (r *runner) kill(m *vm, preempt bool) {
 		r.nextSeq++
 		r.pushReady(rt)
 	}
+	r.release(slot)
 	cost := r.bill(m, r.now-m.rentAt)
 	kind := obs.KindVMCrash
 	if preempt {
@@ -506,28 +524,28 @@ func (r *runner) kill(m *vm, preempt bool) {
 		}
 	}
 	if r.rec != nil {
-		r.rec.Record(obs.Event{Kind: kind, T: r.now, VM: int32(m.id), Task: -1})
-		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: r.now, VM: int32(m.id), Task: -1, Value: cost})
+		r.rec.Record(obs.Event{Kind: kind, T: r.now, VM: m.id, Task: -1})
+		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: r.now, VM: m.id, Task: -1, Value: cost})
 	}
 	r.dispatch()
 }
 
-// finish completes m's running task: successors whose last input it was
-// become ready, and the freed VM takes the next ready task.
-func (r *runner) finish(m *vm) {
-	if m.dead {
-		return // the lease died first; kill already requeued the task
-	}
+// finish completes the running task of the VM in slot: successors whose
+// last input it was become ready, and the freed VM takes the next ready
+// task.
+func (r *runner) finish(slot int32) {
+	m := &r.vms[slot]
 	rt := m.cur
 	inst := r.instances[rt.inst]
 	wf := inst.wf
-	m.busy = false
-	r.busyCount--
+	m.busy = false // idle again, at its place in rent order
+	i, _ := slices.BinarySearchFunc(r.idle, m.id, byID)
+	r.idle = slices.Insert(r.idle, i, vmRef{slot, m.id})
 	m.busySum += m.curExec
 	r.tasksLeft--
 	inst.remaining--
 	if r.rec != nil {
-		r.rec.Record(obs.Event{Kind: obs.KindTaskFinish, T: r.now, VM: int32(m.id), Task: rt.id, Attempt: rt.attempt})
+		r.rec.Record(obs.Event{Kind: obs.KindTaskFinish, T: r.now, VM: m.id, Task: rt.id, Attempt: rt.attempt})
 	}
 	if inst.remaining == 0 {
 		rtime := r.now - inst.arrivedAt
@@ -556,10 +574,11 @@ func (r *runner) finish(m *vm) {
 	r.dispatch()
 }
 
-// startTask runs rt on the idle VM m and schedules its finish.
-func (r *runner) startTask(m *vm, rt readyTask) {
+// startTask runs rt on the VM v, just taken from the idle set, and
+// schedules its finish.
+func (r *runner) startTask(v vmRef, rt readyTask) {
+	m := &r.vms[v.slot]
 	m.busy = true
-	r.busyCount++
 	st := r.now
 	if m.readyAt > st {
 		st = m.readyAt // a fresh VM cannot run work before its boot completes
@@ -567,10 +586,10 @@ func (r *runner) startTask(m *vm, rt readyTask) {
 	et := r.cfg.Platform.ExecTime(rt.work, r.cfg.Type)
 	m.cur, m.curStart, m.curExec = rt, st, et
 	if r.rec != nil {
-		r.rec.Record(obs.Event{Kind: obs.KindTaskStart, T: st, VM: int32(m.id), Task: rt.id,
+		r.rec.Record(obs.Event{Kind: obs.KindTaskStart, T: st, VM: m.id, Task: rt.id,
 			Attempt: rt.attempt, Value: et, Label: r.instances[rt.inst].wf.Task(rt.task).Name})
 	}
-	r.q.Push(st+et, event{kind: evFinish, m: m})
+	r.q.Push(st+et, event{kind: evFinish, vm: v})
 }
 
 // dispatch sizes the pool to the scaler's target and hands ready tasks to
@@ -580,8 +599,8 @@ func (r *runner) dispatch() {
 	if r.ready.Len() > 0 {
 		want := cfg.Scaler.Desired(PoolState{
 			Now:          r.now,
-			Live:         len(r.live),
-			Idle:         len(r.live) - r.busyCount,
+			Live:         r.liveVMs(),
+			Idle:         len(r.idle),
 			QueueDepth:   r.ready.Len(),
 			QueuedWork:   r.queuedWork,
 			ArrivalRate:  r.ewmaRate,
@@ -599,100 +618,111 @@ func (r *runner) dispatch() {
 		if want > cfg.MaxVMs {
 			want = cfg.MaxVMs
 		}
-		for len(r.live) < want {
+		for r.liveVMs() < want {
 			r.rent()
 		}
-		k := len(r.live) - r.busyCount
-		if k > r.ready.Len() {
-			k = r.ready.Len()
+		// The k earliest-rented idle VMs take the k first ready tasks.
+		k := min(len(r.idle), r.ready.Len())
+		for _, v := range r.idle[:k] {
+			r.startTask(v, r.popReady())
 		}
-		for _, m := range r.live {
-			if k == 0 {
-				break
-			}
-			if m.busy {
-				continue
-			}
-			r.startTask(m, r.popReady())
-			k--
-		}
+		r.idle = r.idle[:copy(r.idle, r.idle[k:])]
 	}
 	if r.perSecond && r.ready.Len() == 0 {
 		// Per-second billing has no sunk unit to ride out: surplus idle
-		// VMs release immediately (the degenerate billing boundary). The
-		// scan stops once no live VM is idle.
+		// VMs release immediately (the degenerate billing boundary), the
+		// latest rented first.
 		drained := r.drained()
-		for i := len(r.live) - 1; i >= 0 && len(r.live) > r.busyCount && (len(r.live) > cfg.MinVMs || drained); i-- {
-			if m := r.live[i]; !m.busy {
-				r.retire(m)
-			}
+		for len(r.idle) > 0 && (r.liveVMs() > cfg.MinVMs || drained) {
+			r.retire(r.idle[len(r.idle)-1].slot)
 		}
 	}
 	if r.met != nil {
 		r.met.queue.Set(float64(r.ready.Len()))
-		r.met.pool.Set(float64(len(r.live)))
+		r.met.pool.Set(float64(r.liveVMs()))
 	}
 }
 
-// rent opens a lease on a new VM and schedules its first billing-unit
-// boundary and, under a fault model, its death.
+// rent opens a lease on a new VM, idle in a free slot, and schedules its
+// first billing-unit boundary and, under a fault model, its death.
 func (r *runner) rent() {
 	cfg := &r.cfg
-	id := r.res.VMsRented
-	m := &vm{id: id, rentAt: r.now, readyAt: r.now, paidUnits: 1}
+	v := vmRef{slot: int32(len(r.vms)), id: int32(r.res.VMsRented)}
+	if k := len(r.freeVMs); k > 0 {
+		v.slot = r.freeVMs[k-1]
+		r.freeVMs = r.freeVMs[:k-1]
+	} else {
+		r.vms = append(r.vms, vm{})
+	}
+	m := &r.vms[v.slot]
+	*m = vm{id: v.id, rentAt: r.now, readyAt: r.now, paidUnits: 1}
 	if cfg.Market != nil {
-		m.lease = cfg.Market.Terms(id, false)
+		m.lease = cfg.Market.Terms(int(v.id), false)
 		delay := m.lease.ColdStartDelay()
 		m.readyAt = r.now + delay
 		r.res.ColdStartWaitS += delay
 	}
-	r.live = append(r.live, m)
+	r.idle = append(r.idle, v) // the latest rental ends the rent order
 	r.res.VMsRented++
-	if len(r.live) > r.res.PeakVMs {
-		r.res.PeakVMs = len(r.live)
-	}
+	r.res.PeakVMs = max(r.res.PeakVMs, r.liveVMs())
 	if !r.perSecond {
-		r.q.Push(m.rentAt+r.unit, event{kind: evUnit, m: m})
+		r.q.Push(m.rentAt+r.unit, event{kind: evUnit, vm: v})
 	}
 	if r.inj != nil {
-		killAt, kind := r.inj.CrashAfter(uint64(id)), evCrash
+		killAt, kind := r.inj.CrashAfter(uint64(v.id)), evCrash
 		if m.lease.IsSpot() {
-			if at := r.inj.PreemptAfter(uint64(id)); at < killAt {
+			if at := r.inj.PreemptAfter(uint64(v.id)); at < killAt {
 				killAt, kind = at, evPreempt
 			}
 		}
 		if !math.IsInf(killAt, 1) {
-			r.q.Push(m.rentAt+killAt, event{kind: kind, m: m})
+			r.q.Push(m.rentAt+killAt, event{kind: kind, vm: v})
 		}
 	}
 	if r.rec != nil {
-		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStart, T: m.rentAt, VM: int32(m.id), Task: -1,
+		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStart, T: m.rentAt, VM: m.id, Task: -1,
 			Value: m.readyAt - m.rentAt, Label: cfg.Type.String() + m.lease.LabelSuffix()})
 		if m.readyAt > m.rentAt {
-			r.rec.Record(obs.Event{Kind: obs.KindVMBootDone, T: m.readyAt, VM: int32(m.id), Task: -1})
+			r.rec.Record(obs.Event{Kind: obs.KindVMBootDone, T: m.readyAt, VM: m.id, Task: -1})
 		}
 	}
 	if r.met != nil {
 		r.met.rented.Inc()
-		r.met.pool.Set(float64(len(r.live)))
+		r.met.pool.Set(float64(r.liveVMs()))
 	}
 }
 
-// retire releases an idle VM: dead, out of the live set, billed for the
-// units it committed to (actual span under per-second billing, where
-// nothing is committed beyond the second in progress).
-func (r *runner) retire(m *vm) {
-	m.dead = true
-	r.removeLive(m)
+// retire releases the idle VM in slot, billed for the units it committed
+// to (actual span under per-second billing, where nothing is committed
+// beyond the second in progress).
+func (r *runner) retire(slot int32) {
+	m := &r.vms[slot]
+	r.release(slot)
 	span := r.now - m.rentAt
 	if !r.perSecond {
 		span = float64(m.paidUnits) * r.unit
 	}
 	cost := r.bill(m, span)
 	if r.rec != nil {
-		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: r.now, VM: int32(m.id), Task: -1, Value: cost})
+		r.rec.Record(obs.Event{Kind: obs.KindVMLeaseStop, T: r.now, VM: m.id, Task: -1, Value: cost})
 	}
 }
+
+// release takes the VM in slot out of the pool: dead, out of the idle set
+// if it idles, its slot free for the next rental. The record stays as it
+// is until then, for the caller to bill.
+func (r *runner) release(slot int32) {
+	m := &r.vms[slot]
+	m.dead = true
+	if !m.busy {
+		i, _ := slices.BinarySearchFunc(r.idle, m.id, byID)
+		r.idle = slices.Delete(r.idle, i, i+1)
+	}
+	r.freeVMs = append(r.freeVMs, slot)
+}
+
+// byID orders the idle set by rental id, which is rent order.
+func byID(v vmRef, id int32) int { return cmp.Compare(v.id, id) }
 
 // bill closes the books on m's lease held for span seconds and returns
 // the lease cost.
@@ -703,7 +733,7 @@ func (r *runner) bill(m *vm, span float64) float64 {
 	r.res.BusySeconds += m.busySum
 	if r.met != nil {
 		r.met.costs.Add(cost)
-		r.met.pool.Set(float64(len(r.live)))
+		r.met.pool.Set(float64(r.liveVMs()))
 	}
 	return cost
 }
@@ -725,20 +755,6 @@ func (r *runner) popReady() readyTask {
 	return rt
 }
 
-// removeLive drops m from the live set, preserving rent order (the order
-// dispatch scans for idle capacity, and the order the paper's pool demos
-// billed in).
-func (r *runner) removeLive(m *vm) {
-	for i, v := range r.live {
-		if v == m {
-			copy(r.live[i:], r.live[i+1:])
-			r.live[len(r.live)-1] = nil
-			r.live = r.live[:len(r.live)-1]
-			return
-		}
-	}
-}
-
 func checkConfig(cfg *Config) error {
 	if cfg.MeanInterarrival <= 0 {
 		return fmt.Errorf("online: non-positive mean interarrival %v", cfg.MeanInterarrival)
@@ -752,10 +768,11 @@ func checkConfig(cfg *Config) error {
 	case cfg.Instance != nil && len(cfg.Mix) > 0:
 		return fmt.Errorf("online: both Instance and Mix set")
 	case len(cfg.Mix) > 0:
-		if err := validateMix(cfg.Mix); err != nil {
+		build, err := mixBuilder(cfg.Mix, cfg.Seed)
+		if err != nil {
 			return err
 		}
-		cfg.Instance = mixBuilder(cfg.Mix, cfg.Seed)
+		cfg.Instance = build
 	}
 	if !slices.Contains(cloud.InstanceTypes(), cfg.Type) {
 		return fmt.Errorf("online: unknown instance type %v", cfg.Type)

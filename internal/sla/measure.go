@@ -102,10 +102,11 @@ func Measure(t ndwf.Template, alg sched.Algorithm, opts sched.Options,
 	if deadline <= 0 {
 		return Result{}, fmt.Errorf("sla: non-positive deadline %v", deadline)
 	}
-	if err := t.Validate(); err != nil {
+	ct, err := t.Check()
+	if err != nil {
 		return Result{}, err
 	}
-	rs, err := measure(t, []probe{{alg, opts}}, deadline, cfg)
+	rs, err := measure(ct, []probe{{alg, opts}}, deadline, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -132,7 +133,7 @@ type outcomes struct {
 // sequentially in index order afterwards, so it is bit-identical to
 // measuring the probe alone, at any worker count. A sampled DAG never
 // outlives its instance.
-func measure(t ndwf.Template, probes []probe, deadline float64, cfg Config) ([]Result, error) {
+func measure(t ndwf.Checked, probes []probe, deadline float64, cfg Config) ([]Result, error) {
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("sla: non-positive sample count %d", cfg.Samples)
 	}
@@ -199,7 +200,7 @@ type worker struct {
 
 // instance samples instance i once, then schedules and (optionally)
 // replays it under every probe, writing slot i of each probe's outcomes.
-func (wk *worker) instance(t ndwf.Template, probes []probe, cfg Config, i int, out []outcomes) error {
+func (wk *worker) instance(t ndwf.Checked, probes []probe, cfg Config, i int, out []outcomes) error {
 	wf, err := t.Sample(InstanceSeed(cfg.Seed, i))
 	if err != nil {
 		return err

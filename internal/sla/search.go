@@ -116,7 +116,8 @@ func Search(t ndwf.Template, cfg SearchConfig) (SearchResult, error) {
 	if cfg.Target <= 0 || cfg.Target > 1 {
 		return SearchResult{}, fmt.Errorf("sla: target probability %v outside (0, 1]", cfg.Target)
 	}
-	if err := t.Validate(); err != nil {
+	ct, err := t.Check()
+	if err != nil {
 		return SearchResult{}, err
 	}
 	cands := cfg.Candidates
@@ -182,7 +183,7 @@ func Search(t ndwf.Template, cfg SearchConfig) (SearchResult, error) {
 
 	if len(probes) > 0 {
 		sp := cfg.Trace.StartSpan("sla_measure", cfg.TraceParent)
-		results, err := measure(t, probes, cfg.Deadline, cfg.Config)
+		results, err := measure(ct, probes, cfg.Deadline, cfg.Config)
 		sp.End()
 		if err != nil {
 			return SearchResult{}, err

@@ -45,9 +45,13 @@ func evaluate(t ndwf.Template, algs []sched.Algorithm, opts sched.Options,
 		met            int
 		cost, makespan float64
 	}
+	ct, err := t.Check()
+	if err != nil {
+		return nil, err
+	}
 	acc := make([]sums, len(algs))
 	for i := 0; i < n; i++ {
-		wf, err := t.Sample(seed + uint64(i))
+		wf, err := ct.Sample(seed + uint64(i))
 		if err != nil {
 			return nil, err
 		}
