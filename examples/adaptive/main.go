@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -27,7 +28,7 @@ func main() {
 	fmt.Printf("evaluated %d (workflow, scenario, strategy) cells\n\n", sweep.Len())
 
 	// An incoming job: "a MapReduce-like workflow; I care about cost".
-	rec, err := sweep.Recommend("MapReduce", core.Savings)
+	rec, err := sweep.Recommend("MapReduce", metrics.Savings)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func main() {
 		rec.Strategy, rec.Point.SavingsPct())
 
 	// The same workflow for a deadline-driven user.
-	rec, err = sweep.Recommend("MapReduce", core.GainGoal)
+	rec, err = sweep.Recommend("MapReduce", metrics.Gain)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func main() {
 
 	// Adaptive dispatch: schedule the actual workflow with the strategy
 	// the recommender picked for the balance goal.
-	rec, err = sweep.Recommend("Montage", core.Balance)
+	rec, err = sweep.Recommend("Montage", metrics.Balance)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -115,37 +115,11 @@ func (s *Sweep) Table4() []Table4Row {
 	return rows
 }
 
-// Goal is a user objective for strategy selection (the axes of Table V).
-type Goal int
-
-// The three objectives of Table V.
-const (
-	Savings Goal = iota
-	GainGoal
-	Balance
-)
-
-// Goals lists all objectives.
-func Goals() []Goal { return []Goal{Savings, GainGoal, Balance} }
-
-// String names the goal as in Table V's column headers.
-func (g Goal) String() string {
-	switch g {
-	case Savings:
-		return "Savings"
-	case GainGoal:
-		return "Gain"
-	case Balance:
-		return "Balance"
-	}
-	return fmt.Sprintf("Goal(%d)", int(g))
-}
-
 // Recommendation is one cell of the paper's Table V: the strategy to pick
 // for a workflow class and user goal, with its supporting numbers.
 type Recommendation struct {
 	Workflow string
-	Goal     Goal
+	Goal     metrics.Goal
 	Strategy string
 	Point    metrics.Point
 }
@@ -165,7 +139,7 @@ type Recommendation struct {
 // This is the paper's "adaptive scheduling" conclusion turned into an API:
 // given workflow properties and a goal, select the SA + provisioning
 // combination.
-func (s *Sweep) Recommend(wf string, goal Goal) (Recommendation, error) {
+func (s *Sweep) Recommend(wf string, goal metrics.Goal) (Recommendation, error) {
 	type agg struct {
 		name                 string
 		meanGain, meanSaving float64
@@ -199,11 +173,11 @@ func (s *Sweep) Recommend(wf string, goal Goal) (Recommendation, error) {
 	score := func(a agg) (float64, bool) {
 		const eps = -1e-9
 		switch goal {
-		case Savings:
+		case metrics.Savings:
 			return a.meanSaving, a.minSaving >= eps
-		case GainGoal:
+		case metrics.Gain:
 			return a.meanGain, a.meanSaving >= eps
-		case Balance:
+		case metrics.Balance:
 			return math.Min(a.meanGain, a.meanSaving), a.meanGain >= eps && a.meanSaving >= eps
 		}
 		panic(fmt.Sprintf("core: invalid goal %d", int(goal)))
@@ -240,7 +214,7 @@ func (s *Sweep) Recommend(wf string, goal Goal) (Recommendation, error) {
 func (s *Sweep) Table5() ([]Recommendation, error) {
 	var out []Recommendation
 	for _, wf := range s.Workflows() {
-		for _, g := range Goals() {
+		for _, g := range metrics.Goals() {
 			rec, err := s.Recommend(wf, g)
 			if err != nil {
 				return nil, err

@@ -274,7 +274,7 @@ func TestTable5RecommendsForEveryWorkflowAndGoal(t *testing.T) {
 			t.Errorf("%s/%v: empty recommendation", rec.Workflow, rec.Goal)
 		}
 		// A savings recommendation must actually save money on average.
-		if rec.Goal == Savings && rec.Point.LossPct > 1e-9 {
+		if rec.Goal == metrics.Savings && rec.Point.LossPct > 1e-9 {
 			t.Errorf("%s: savings recommendation %s loses %v%% in the Pareto case",
 				rec.Workflow, rec.Strategy, rec.Point.LossPct)
 		}
@@ -283,7 +283,7 @@ func TestTable5RecommendsForEveryWorkflowAndGoal(t *testing.T) {
 	// never-losing strategies dominate. Assert the sequential workflow's
 	// savings pick is a single-VM-style strategy (huge savings available).
 	for _, rec := range recs {
-		if rec.Workflow == "Sequential" && rec.Goal == Savings {
+		if rec.Workflow == "Sequential" && rec.Goal == metrics.Savings {
 			if rec.Point.SavingsPct() < 50 {
 				t.Errorf("Sequential savings pick %s saves only %v%%", rec.Strategy, rec.Point.SavingsPct())
 			}
@@ -293,17 +293,26 @@ func TestTable5RecommendsForEveryWorkflowAndGoal(t *testing.T) {
 
 func TestRecommendUnknownWorkflow(t *testing.T) {
 	s := sweep(t)
-	if _, err := s.Recommend("NoSuchWorkflow", Savings); err == nil {
+	if _, err := s.Recommend("NoSuchWorkflow", metrics.Savings); err == nil {
 		t.Error("Recommend on unknown workflow succeeded")
 	}
 }
 
+// TestGoalStrings pins Table V's goal columns: their order in Table5 and
+// the names the table prints for them.
 func TestGoalStrings(t *testing.T) {
-	want := map[Goal]string{Savings: "Savings", GainGoal: "Gain", Balance: "Balance"}
-	for g, s := range want {
-		if g.String() != s {
-			t.Errorf("%d.String() = %q", g, g.String())
+	want := []string{"Savings", "Gain", "Balance"}
+	goals := metrics.Goals()
+	if len(goals) != len(want) {
+		t.Fatalf("%d goals, want %d", len(goals), len(want))
+	}
+	for i, g := range goals {
+		if g.String() != want[i] {
+			t.Errorf("goal %d = %q, want %q", i, g, want[i])
 		}
+	}
+	if got := metrics.Goal(7).String(); got != "Goal(7)" {
+		t.Errorf("unknown goal = %q", got)
 	}
 }
 

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/fault"
+	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/workflows"
@@ -108,5 +111,57 @@ func TestNoRecorderNoSpans(t *testing.T) {
 	}
 	if s.CellSpans != nil {
 		t.Errorf("CellSpans allocated without a recorder: %d", len(s.CellSpans))
+	}
+}
+
+// Recording changes no result: the paranoid grid under crashes, task
+// failures and spot preemptions evaluates to deep-equal cells with and
+// without a recorder, serial and parallel.
+func TestRecorderChangesNoResult(t *testing.T) {
+	fc, err := fault.Preset("flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.SpotPreemptRate, fc.Seed = 0.5, 9
+	m, err := market.Preset("spot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[Key]Result
+	for _, workers := range []int{1, 4} {
+		for _, record := range []bool{false, true} {
+			cfg := Config{Seed: 5, Paranoid: true, Faults: &fc, Market: m, Workers: workers}
+			var col obs.Collector
+			if record {
+				cfg.Recorder = &col
+			}
+			s, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if record && len(col.Events) == 0 {
+				t.Fatalf("%d workers: the recorder saw no events", workers)
+			}
+			if want == nil {
+				want = s.results
+				continue
+			}
+			if len(s.results) != len(want) {
+				t.Fatalf("%d workers, recording %v: %d cells, want %d", workers, record, len(s.results), len(want))
+			}
+			for k, r := range s.results {
+				if !reflect.DeepEqual(r, want[k]) {
+					t.Fatalf("%d workers, recording %v: %v differs:\n got %+v\nwant %+v",
+						workers, record, k, r, want[k])
+				}
+			}
+		}
+	}
+	preempted := false
+	for _, r := range want {
+		preempted = preempted || r.Reliability.SpotPreemptions > 0
+	}
+	if !preempted {
+		t.Error("no cell saw a spot preemption")
 	}
 }

@@ -60,36 +60,10 @@ func (p Point) String() string {
 type Cell struct {
 	Point
 	// Winner maps each goal to the strategy with the best mean score.
-	Winner map[Goal]string
+	Winner map[metrics.Goal]string
 	// Score maps each goal to the winning mean score (savings%, gain%, or
 	// min(gain, savings)% respectively).
-	Score map[Goal]float64
-}
-
-// Goal mirrors the Table V objectives.
-type Goal int
-
-// The exploration goals.
-const (
-	Savings Goal = iota
-	Gain
-	Balance
-)
-
-// Goals lists all exploration goals.
-func Goals() []Goal { return []Goal{Savings, Gain, Balance} }
-
-// String names the goal.
-func (g Goal) String() string {
-	switch g {
-	case Savings:
-		return "Savings"
-	case Gain:
-		return "Gain"
-	case Balance:
-		return "Balance"
-	}
-	return fmt.Sprintf("Goal(%d)", int(g))
+	Score map[metrics.Goal]float64
 }
 
 // Explore sweeps the grid and returns one cell per point, ordered by
@@ -126,8 +100,8 @@ func Explore(cfg Config) ([]Cell, error) {
 				}
 				dist := stats.Pareto{Alpha: alpha, Xm: xm}
 
-				sums := map[Goal]map[string]float64{}
-				for _, g := range Goals() {
+				sums := map[metrics.Goal]map[string]float64{}
+				for _, g := range metrics.Goals() {
 					sums[g] = map[string]float64{}
 				}
 				for rep := 0; rep < cfg.Reps; rep++ {
@@ -145,13 +119,13 @@ func Explore(cfg Config) ([]Cell, error) {
 							return nil, fmt.Errorf("frontier: %s/%s: %w", point, alg.Name(), err)
 						}
 						p := metrics.Compare(alg.Name(), s, base)
-						sums[Savings][alg.Name()] += p.SavingsPct()
-						sums[Gain][alg.Name()] += p.GainPct
-						sums[Balance][alg.Name()] += math.Min(p.GainPct, p.SavingsPct())
+						sums[metrics.Savings][alg.Name()] += p.SavingsPct()
+						sums[metrics.Gain][alg.Name()] += p.GainPct
+						sums[metrics.Balance][alg.Name()] += math.Min(p.GainPct, p.SavingsPct())
 					}
 				}
-				cell := Cell{Point: point, Winner: map[Goal]string{}, Score: map[Goal]float64{}}
-				for _, g := range Goals() {
+				cell := Cell{Point: point, Winner: map[metrics.Goal]string{}, Score: map[metrics.Goal]float64{}}
+				for _, g := range metrics.Goals() {
 					name, score := best(sums[g])
 					cell.Winner[g] = name
 					cell.Score[g] = score / float64(cfg.Reps)
@@ -184,7 +158,7 @@ func best(scores map[string]float64) (string, float64) {
 // combinations, columns the widths, cells the winning strategy.
 func Render(cells []Cell, cfg Config) string {
 	var b strings.Builder
-	for _, g := range Goals() {
+	for _, g := range metrics.Goals() {
 		fmt.Fprintf(&b, "== winning strategy per (scale, alpha) x width — goal: %s ==\n", g)
 		fmt.Fprintf(&b, "  %-22s", "scale x alpha \\ width")
 		for _, w := range cfg.Widths {
@@ -206,7 +180,7 @@ func Render(cells []Cell, cfg Config) string {
 	return b.String()
 }
 
-func lookup(cells []Cell, p Point, g Goal) string {
+func lookup(cells []Cell, p Point, g metrics.Goal) string {
 	for _, c := range cells {
 		if c.Point == p {
 			return c.Winner[g]

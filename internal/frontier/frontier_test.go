@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workflows"
 )
@@ -30,7 +31,7 @@ func TestExploreCoversGrid(t *testing.T) {
 		t.Fatalf("cells = %d, want %d", len(cells), want)
 	}
 	for _, c := range cells {
-		for _, g := range Goals() {
+		for _, g := range metrics.Goals() {
 			if c.Winner[g] == "" {
 				t.Errorf("%s: no winner for %v", c.Point, g)
 			}
@@ -48,7 +49,7 @@ func TestExploreIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a {
-		for _, g := range Goals() {
+		for _, g := range metrics.Goals() {
 			if a[i].Winner[g] != b[i].Winner[g] || a[i].Score[g] != b[i].Score[g] {
 				t.Fatalf("cell %d differs between identical runs", i)
 			}
@@ -62,9 +63,9 @@ func TestExploreSavingsWinnerActuallySaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if c.Score[Savings] < 0 {
+		if c.Score[metrics.Savings] < 0 {
 			t.Errorf("%s: best savings %v is negative — even OneVMperTask-s (score 0) beats it",
-				c.Point, c.Score[Savings])
+				c.Point, c.Score[metrics.Savings])
 		}
 	}
 }
@@ -80,9 +81,9 @@ func TestExploreWidthOneBehavesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if c.Score[Gain] < 30 {
+		if c.Score[metrics.Gain] < 30 {
 			t.Errorf("%s: best gain on a chain = %v, want >= 30 (speed-up driven)",
-				c.Point, c.Score[Gain])
+				c.Point, c.Score[metrics.Gain])
 		}
 	}
 }
@@ -107,7 +108,7 @@ func TestRenderShowsAllGoalsAndCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := Render(cells, cfg)
-	for _, g := range Goals() {
+	for _, g := range metrics.Goals() {
 		if !strings.Contains(out, g.String()) {
 			t.Errorf("render missing goal %v", g)
 		}

@@ -1,7 +1,8 @@
 // Package metrics computes the paper's evaluation quantities: makespan
 // gain and cost loss/savings relative to the HEFT + OneVMperTask-small
 // baseline (the filled square of Fig. 4), idle time (Fig. 5), and the
-// gain-vs-savings classification used to assemble Table III.
+// gain-vs-savings classification used to assemble Table III, and the user
+// goals Table V recommends for.
 package metrics
 
 import (
@@ -95,6 +96,33 @@ func (c Category) String() string {
 		return "out-of-square"
 	}
 	return fmt.Sprintf("Category(%d)", int(c))
+}
+
+// Goal is a user objective for strategy selection: the three columns of
+// the paper's Table V, which core.Recommend and frontier.Explore score.
+type Goal int
+
+// The three objectives of Table V.
+const (
+	Savings Goal = iota
+	Gain
+	Balance
+)
+
+// Goals lists all objectives.
+func Goals() []Goal { return []Goal{Savings, Gain, Balance} }
+
+// String names the goal as in Table V's column headers.
+func (g Goal) String() string {
+	switch g {
+	case Savings:
+		return "Savings"
+	case Gain:
+		return "Gain"
+	case Balance:
+		return "Balance"
+	}
+	return fmt.Sprintf("Goal(%d)", int(g))
 }
 
 // BalancedTolerance is the band (in percentage points) within which gain

@@ -9,17 +9,16 @@ import (
 
 // Flight is the always-on request flight recorder: a fixed-capacity ring
 // of per-request records (trace ID, route, status, outcome, spans),
-// overwriting the oldest once full. Unlike the OBSDEBUG-gated event
-// recorder it runs unconditionally — its contract is a fixed, tiny cost
-// per request (one mutex round trip and one slot store, no allocation;
-// see TestFlightRecordAllocBudget), so the last N requests are always
+// overwriting the oldest once full. Unlike the event recorders it runs
+// unconditionally — its contract is a fixed, tiny cost per request (one
+// mutex round trip and one slot store, no allocation; see
+// TestFlightRecordAllocBudget), so the last N requests are always
 // inspectable after the fact via /debug/flight.
 type Flight struct {
-	mu      sync.Mutex
-	buf     []FlightRecord
-	next    int
-	full    bool
-	dropped uint64
+	mu   sync.Mutex
+	buf  []FlightRecord
+	next int
+	full bool
 }
 
 // FlightRecord is one request's black-box entry. Start and Duration are
@@ -30,7 +29,7 @@ type FlightRecord struct {
 	Status   int    // HTTP status answered
 	Start    float64
 	Duration float64
-	Outcome  string // "ok", "cache_hit", "rejected", "timeout", "error"
+	Outcome  string // "ok", "cache_hit", "rejected", "timeout", "draining", "error"
 	Spans    []Span // the request trace's spans, ownership transferred
 }
 
@@ -47,9 +46,6 @@ func NewFlight(capacity int) *Flight {
 // ownership, typically via Trace.TakeSpans.
 func (f *Flight) Record(r FlightRecord) {
 	f.mu.Lock()
-	if f.full {
-		f.dropped++
-	}
 	f.buf[f.next] = r
 	f.next++
 	if f.next == len(f.buf) {

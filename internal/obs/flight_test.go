@@ -21,17 +21,14 @@ func flightRec(i int) FlightRecord {
 
 func TestFlightRingSemantics(t *testing.T) {
 	f := NewFlight(3)
-	if f.Len() != 0 || f.dropped != 0 {
-		t.Fatalf("fresh ring: len=%d dropped=%d", f.Len(), f.dropped)
+	if f.Len() != 0 {
+		t.Fatalf("fresh ring: len=%d", f.Len())
 	}
 	for i := 0; i < 5; i++ {
 		f.Record(flightRec(i))
 	}
 	if f.Len() != 3 {
 		t.Fatalf("len = %d, want 3", f.Len())
-	}
-	if f.dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", f.dropped)
 	}
 	recs := f.Records()
 	for i, r := range recs {

@@ -1,14 +1,15 @@
 // Package obs is the repository's unified telemetry layer: structured
-// lifecycle events for the discrete-event simulator and the serving
-// stack, a labeled metrics registry with Prometheus text exposition, and
-// exporters (NDJSON, Chrome trace-event/Perfetto JSON) that turn an event
-// stream into an explorable execution timeline.
+// lifecycle events for the discrete-event simulator and the online
+// harness, a labeled metrics registry with Prometheus text exposition,
+// request traces and the daemon's flight recorder, and exporters (NDJSON,
+// Chrome trace-event/Perfetto JSON) that turn an event stream into an
+// explorable execution timeline.
 //
 // The layer is built for a hot path that almost never records: every
 // emission site guards on a nil Recorder, the Event struct is a flat
 // value (no per-event allocation), and with recording disabled the cost
-// of instrumentation is one predictable branch. Sinks are deliberately
-// dumb — a ring buffer, an unbounded collector — so that the stream's
+// of instrumentation is one predictable branch. The one event sink is
+// deliberately dumb — an append-only Collector — so that the stream's
 // ordering is exactly the emission ordering, which the simulator
 // guarantees to be deterministic for a given seed. That determinism is
 // load-bearing: two runs with the same inputs produce byte-identical
@@ -21,18 +22,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 	"time"
 )
 
-// Kind enumerates the lifecycle event types of the simulator and the
-// service. The zero value is invalid, so an accidentally zero Event is
-// recognizable.
+// Kind enumerates the lifecycle event types of the simulator, the online
+// harness and the sweep's stream markers. The zero value is invalid, so
+// an accidentally zero Event is recognizable. Every writer prints a kind
+// by its String name, never by its number.
 type Kind uint8
 
 const (
-	// Simulated-time events, emitted by internal/sim during a replay.
+	// Simulated-time events, emitted by internal/sim during a replay and
+	// by internal/online during a run.
 
 	// KindVMLeaseStart marks a lease opening: the VM is requested (and
 	// billing starts). Value holds the boot lag; Label the instance type.
@@ -68,21 +69,6 @@ const (
 	// KindTransferEnd marks the transfer's arrival at the consumer's VM.
 	KindTransferEnd
 
-	// Service-time events, emitted by internal/service under wall-clock
-	// time (seconds since server start). Label carries the request ID.
-
-	// KindCacheHit and KindCacheMiss record result-cache lookups.
-	KindCacheHit
-	KindCacheMiss
-	// KindQueueAdmit and KindQueueReject record admission-control
-	// decisions of the worker pool's bounded queue.
-	KindQueueAdmit
-	KindQueueReject
-	// KindJobStart and KindJobEnd bracket one planning job on a pool
-	// worker; the VM field carries no meaning here.
-	KindJobStart
-	KindJobEnd
-
 	// KindCellStart is a stream marker separating the per-cell event
 	// groups of a sweep: the events that follow, up to the next marker,
 	// belong to the cell named by Label. T is always zero.
@@ -90,7 +76,7 @@ const (
 
 	// KindVMPreempt marks a spot lease reclaimed by the provider
 	// (internal/market) — the market layer's crash cause, counted apart
-	// from KindVMCrash. New kinds append here: wire values are stable.
+	// from KindVMCrash.
 	KindVMPreempt
 	// KindVMFallback marks the teardown-time accounting of an on-demand
 	// lease that replaced a preempted spot lease; Value holds the premium
@@ -127,18 +113,6 @@ func (k Kind) String() string {
 		return "transfer_start"
 	case KindTransferEnd:
 		return "transfer_end"
-	case KindCacheHit:
-		return "cache_hit"
-	case KindCacheMiss:
-		return "cache_miss"
-	case KindQueueAdmit:
-		return "queue_admit"
-	case KindQueueReject:
-		return "queue_reject"
-	case KindJobStart:
-		return "job_start"
-	case KindJobEnd:
-		return "job_end"
 	case KindCellStart:
 		return "cell_start"
 	case KindVMPreempt:
@@ -155,100 +129,31 @@ func (k Kind) String() string {
 // each kind's field semantics.
 type Event struct {
 	Kind    Kind
-	T       float64 // simulated seconds (sim kinds) or wall seconds (service kinds)
+	T       float64 // simulated seconds
 	VM      int32   // VM/lease-incarnation index, -1 when not applicable
 	Task    int32   // task ID, -1 when not applicable
 	Attempt int32   // execution attempt, counted from 1
 	Value   float64 // kind-specific quantity (duration, bytes, cost)
-	Label   string  // kind-specific annotation (type, task name, request ID)
+	Label   string  // kind-specific annotation (instance type, task name, cell)
 }
 
-// Recorder receives telemetry events. Implementations must be safe for
-// concurrent use when shared across goroutines (the simulator itself is
-// single-threaded, but the service records from every connection).
-// Emission sites hold a Recorder and skip the call when it is nil — the
-// zero-cost disabled path.
+// Recorder receives telemetry events from one producer goroutine (a
+// replay, an online run; a sweep replays its cells' streams after its
+// workers join). Emission sites hold a Recorder and skip the call when it
+// is nil — the zero-cost disabled path.
 type Recorder interface {
 	Record(Event)
 }
 
 // Collector is an unbounded, append-only Recorder for single-goroutine
 // producers (a CLI run, one sweep cell). It is not safe for concurrent
-// use; use Ring to share a Recorder across goroutines.
+// use.
 type Collector struct {
 	Events []Event
 }
 
 // Record appends the event.
 func (c *Collector) Record(ev Event) { c.Events = append(c.Events, ev) }
-
-// Ring is a fixed-capacity, thread-safe Recorder that keeps the most
-// recent events, overwriting the oldest once full — bounded memory no
-// matter how long the producer runs.
-type Ring struct {
-	mu          sync.Mutex
-	buf         []Event
-	next        int
-	full        bool
-	overwritten uint64
-}
-
-// NewRing returns a Ring holding up to capacity events (minimum 1).
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, capacity)}
-}
-
-// Record stores the event, overwriting the oldest when full.
-func (r *Ring) Record(ev Event) {
-	r.mu.Lock()
-	if r.full {
-		r.overwritten++
-	}
-	r.buf[r.next] = ev
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Len returns the number of retained events.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-// Default returns the process-wide recorder selected by the OBSDEBUG
-// environment variable: unset (or empty) disables recording and Default
-// returns nil; any other value enables a shared 64Ki-event Ring. The
-// simulator and the service fall back to Default when their configs
-// leave the recorder nil, so an entire test run can be re-executed with
-// recording enabled (OBSDEBUG=1 go test ./...) without touching code —
-// the toggle CI uses to keep the recording paths exercised.
-func Default() Recorder {
-	defaultOnce.Do(func() {
-		if os.Getenv("OBSDEBUG") != "" {
-			defaultRing = NewRing(1 << 16)
-		}
-	})
-	if defaultRing == nil {
-		return nil
-	}
-	return defaultRing
-}
-
-var (
-	defaultOnce sync.Once
-	defaultRing *Ring
-)
 
 // jsonEvent is the NDJSON wire shape of an Event. Field order is fixed by
 // the struct, so the encoding is deterministic.

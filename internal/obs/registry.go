@@ -84,8 +84,7 @@ func (f *atomicFloat) Add(v float64) {
 	}
 }
 
-func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
+func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // register adds (or returns) a family, panicking on a kind or label
 // mismatch with an earlier registration — a programming error.
@@ -212,9 +211,6 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 
 // Gauge is one gauge series.
 type Gauge struct{ s *series }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.s.value.Store(v) }
 
 // Add adds v (negative values decrement).
 func (g *Gauge) Add(v float64) { g.s.value.Add(v) }

@@ -59,7 +59,7 @@ func TestLabelArityMismatchPanics(t *testing.T) {
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth", "queue depth").With()
-	g.Set(5)
+	g.Add(5)
 	g.Add(-2)
 	if got := g.Value(); got != 3 {
 		t.Errorf("gauge = %v, want 3", got)

@@ -26,13 +26,32 @@ var update = flag.Bool("update", false, "rewrite testdata/streams.golden")
 // scaler × FIFO and SJF × an empty and a warm pool floor, plus two runs
 // of a builder that draws from the runner's stream. Each line of
 // the golden file is one run's name, the hash of its Result (responses
-// included) and the hash of its full obs event stream. An intended
-// change to the runner's outputs re-records the file with -update; a
-// change meant to keep them must leave it alone.
+// included) and the hash of its full obs event stream. Each run is
+// repeated without a recorder, which must give the same Result hash. An
+// intended change to the runner's outputs re-records the file with
+// -update; a change meant to keep them must leave it alone.
 func TestGoldenStreams(t *testing.T) {
 	mix := mixEntries(t)
 	var got []string
 	var col obs.Collector
+	run := func(name string, cfg Config) {
+		t.Helper()
+		col.Events = col.Events[:0]
+		cfg.Recorder = &col
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg.Recorder = nil
+		bare, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s without a recorder: %v", name, err)
+		}
+		if hashOf(*bare) != hashOf(*res) {
+			t.Errorf("%s: recording changes the result", name)
+		}
+		got = append(got, fmt.Sprintf("%s %s %s", name, hashOf(*res), hashOf(col.Events)))
+	}
 	for _, mk := range market.PresetNames() {
 		for _, fname := range []string{"none", "flaky", "preempt-storm"} {
 			for _, scaler := range ScalerNames() {
@@ -52,8 +71,7 @@ func TestGoldenStreams(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						col.Events = col.Events[:0]
-						res, err := Run(Config{
+						run(name, Config{
 							MeanInterarrival: 45,
 							Instances:        150,
 							Mix:              mix,
@@ -66,13 +84,8 @@ func TestGoldenStreams(t *testing.T) {
 							Dispatch:         dispatch,
 							Market:           m,
 							Faults:           &fc,
-							Recorder:         &col,
 							Seed:             11,
 						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						got = append(got, fmt.Sprintf("%s %s %s", name, hashOf(*res), hashOf(col.Events)))
 					}
 				}
 			}
@@ -87,8 +100,7 @@ func TestGoldenStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col.Events = col.Events[:0]
-		res, err := Run(Config{
+		run("builder/"+mk, Config{
 			MeanInterarrival: 45,
 			Instances:        150,
 			Instance: func(_ int, r *stats.RNG) *dag.Workflow {
@@ -98,17 +110,12 @@ func TestGoldenStreams(t *testing.T) {
 				}
 				return wf
 			},
-			Type:     cloud.Small,
-			Region:   cloud.USEastVirginia,
-			MaxVMs:   12,
-			Market:   m,
-			Recorder: &col,
-			Seed:     11,
+			Type:   cloud.Small,
+			Region: cloud.USEastVirginia,
+			MaxVMs: 12,
+			Market: m,
+			Seed:   11,
 		})
-		if err != nil {
-			t.Fatalf("builder/%s: %v", mk, err)
-		}
-		got = append(got, fmt.Sprintf("builder/%s %s %s", mk, hashOf(*res), hashOf(col.Events)))
 	}
 
 	path := filepath.Join("testdata", "streams.golden")

@@ -342,32 +342,6 @@ func TestChromeTraceRendersPoolTimeline(t *testing.T) {
 	}
 }
 
-func TestMetricsExposition(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := baseConfig()
-	cfg.Deadline = 2000
-	cfg.Metrics = reg
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`online_instances_total{scaler="reactive"} 20`,
-		`online_sla_met_total{scaler="reactive"}`,
-		`online_pool_vms{scaler="reactive"} 0`,
-		`online_vms_rented_total{scaler="reactive"}`,
-		`online_cost_usd_total{scaler="reactive"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestConfigValidationExtended(t *testing.T) {
 	cases := []struct {
 		name string

@@ -16,9 +16,9 @@
 // every rent, and a fault.Config injects VM crashes — plus spot
 // preemptions when the market is spot — that requeue the victim's running
 // task. Workflow mixes are drawn from ndwf templates (Config.Mix), and
-// an obs.Recorder/Registry expose per-VM lease tracks for the Perfetto
-// exporter and pool gauges for Prometheus. Every stochastic input is
-// seed-derived, so a run is a pure function of its Config.
+// an obs.Recorder receives per-VM lease tracks for the Perfetto
+// exporter. Every stochastic input is seed-derived, so a run is a pure
+// function of its Config.
 package online
 
 import (
@@ -89,10 +89,6 @@ type Config struct {
 	// obs events (lease/boot/rollover/task/crash/preempt), so the stream
 	// renders in the Perfetto exporter with one track per VM lease.
 	Recorder obs.Recorder
-	// Metrics, when non-nil, registers pool-size/queue-depth gauges and
-	// outcome counters (instances, SLA attainment, rentals, crashes,
-	// preemptions, cost) labelled by scaler.
-	Metrics *obs.Registry
 	// Seed drives arrivals and instance generation.
 	Seed uint64
 }
@@ -248,7 +244,6 @@ type runner struct {
 	inj       *fault.Injector
 	rng       *stats.RNG // the stream a Config.Instance builder draws from
 	rec       obs.Recorder
-	met       *poolMetrics
 	res       *Result
 	unit      float64
 	perSecond bool
@@ -328,9 +323,6 @@ func newRunner(cfg Config) (*runner, error) {
 		r.unit = cfg.Market.Gran.Unit()
 		r.perSecond = cfg.Market.Gran == market.PerSecond
 	}
-	if cfg.Metrics != nil {
-		r.met = newPoolMetrics(cfg.Metrics, cfg.Scaler.Name())
-	}
 	if cfg.Dispatch == SJF {
 		r.ready.less = sjfLess
 	} else {
@@ -404,10 +396,6 @@ func (r *runner) close() (*Result, error) {
 	r.res.ResponseTimes = stats.Summarize(r.responses)
 	r.res.Responses = r.responses
 	r.res.Makespan = r.now
-	if r.met != nil {
-		r.met.pool.Set(0)
-		r.met.queue.Set(0)
-	}
 	return r.res, nil
 }
 
@@ -514,14 +502,8 @@ func (r *runner) kill(slot int32, preempt bool) {
 	if preempt {
 		r.res.Preemptions++
 		kind = obs.KindVMPreempt
-		if r.met != nil {
-			r.met.preempts.Inc()
-		}
 	} else {
 		r.res.Crashes++
-		if r.met != nil {
-			r.met.crashes.Inc()
-		}
 	}
 	if r.rec != nil {
 		r.rec.Record(obs.Event{Kind: kind, T: r.now, VM: m.id, Task: -1})
@@ -552,12 +534,6 @@ func (r *runner) finish(slot int32) {
 		r.responses = append(r.responses, rtime)
 		if r.cfg.Deadline > 0 && rtime <= r.cfg.Deadline {
 			r.res.SLAMet++
-			if r.met != nil {
-				r.met.slaMet.Inc()
-			}
-		}
-		if r.met != nil {
-			r.met.instances.Inc()
 		}
 		inst.wf = nil // let the sampled DAG be collected
 		r.free = append(r.free, rt.inst)
@@ -637,10 +613,6 @@ func (r *runner) dispatch() {
 			r.retire(r.idle[len(r.idle)-1].slot)
 		}
 	}
-	if r.met != nil {
-		r.met.queue.Set(float64(r.ready.Len()))
-		r.met.pool.Set(float64(r.liveVMs()))
-	}
 }
 
 // rent opens a lease on a new VM, idle in a free slot, and schedules its
@@ -686,10 +658,6 @@ func (r *runner) rent() {
 			r.rec.Record(obs.Event{Kind: obs.KindVMBootDone, T: m.readyAt, VM: m.id, Task: -1})
 		}
 	}
-	if r.met != nil {
-		r.met.rented.Inc()
-		r.met.pool.Set(float64(r.liveVMs()))
-	}
 }
 
 // retire releases the idle VM in slot, billed for the units it committed
@@ -731,10 +699,6 @@ func (r *runner) bill(m *vm, span float64) float64 {
 	r.res.TotalCost += cost
 	r.res.PaidSeconds += m.lease.PaidSeconds(span)
 	r.res.BusySeconds += m.busySum
-	if r.met != nil {
-		r.met.costs.Add(cost)
-		r.met.pool.Set(float64(r.liveVMs()))
-	}
 	return cost
 }
 

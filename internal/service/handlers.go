@@ -114,29 +114,27 @@ func method(h func(*Server, http.ResponseWriter, *http.Request)) func(*Server, s
 // answer from the cache, or admit the planning job to the pool and cache
 // its compact JSON; writeCached indents either on the way out. A hit
 // builds nothing: the spec's workflow, if any, is built by the planning
-// job, on a pool worker. The endpoint name labels the latency series; the
-// request ID rides into the pool job's start/end events. Each stage marks
-// a span on the request trace — cache_lookup, then queue_wait covering
-// admission and queue time, then plan covering the worker's planning run —
-// and a cache miss's latency observation carries the trace ID as an
-// exemplar, linking /metrics histogram buckets back to /debug/flight.
+// job, on a pool worker. The endpoint name labels the latency series.
+// Each stage marks a span on the request trace — cache_lookup (result
+// hit or miss), then queue_wait covering admission and queue time
+// (admission admitted or rejected), then plan covering the worker's
+// planning run — and a cache miss's latency observation carries the trace
+// ID as an exemplar, linking /metrics histogram buckets back to
+// /debug/flight.
 func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint string, key spec.Key,
 	plan func(context.Context) (any, error)) {
-	rid := requestID(r.Context())
 	look, _ := obs.StartSpanCtx(r.Context(), "cache_lookup")
 	body, ok := s.cache.Get(key)
 	if ok {
 		look.SetAttr("result", "hit")
 		look.End()
 		s.met.cacheHits.Inc()
-		s.record(obs.KindCacheHit, rid, 0)
 		writeCached(w, body, true)
 		return
 	}
 	look.SetAttr("result", "miss")
 	look.End()
 	s.met.cacheMisses.Inc()
-	s.record(obs.KindCacheMiss, rid, 0)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -146,11 +144,9 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 		wait.SetAttr("admission", "admitted")
 		wait.End()
 		s.met.inflight.Add(1)
-		s.record(obs.KindJobStart, rid, 0)
 		job, ctx := obs.StartSpanCtx(ctx, "plan")
 		defer func() {
 			job.End()
-			s.record(obs.KindJobEnd, rid, time.Since(started).Seconds())
 			s.met.inflight.Add(-1)
 		}()
 		return plan(ctx)
@@ -160,7 +156,6 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 		wait.SetAttr("admission", "rejected")
 		wait.End()
 		s.met.rejected.Inc()
-		s.record(obs.KindQueueReject, rid, 0)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests, "submission queue full, retry later")
 		return
@@ -174,7 +169,6 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 		s.writeError(w, http.StatusInternalServerError, "planning failed: %v", err)
 		return
 	}
-	s.record(obs.KindQueueAdmit, rid, 0)
 	body, merr := json.Marshal(out)
 	if merr != nil {
 		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", merr)

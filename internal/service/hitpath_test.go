@@ -8,8 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // endpointRequests is one small request per planning endpoint, with the
@@ -91,9 +89,6 @@ func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 // the request built once outside the measured loop. Building the workflow
 // on every hit, as the handler once did, cost about 1,600 allocations.
 func TestScheduleHitAllocs(t *testing.T) {
-	if obs.Default() != nil {
-		t.Skip("OBSDEBUG is set; every hit also records events")
-	}
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Close()
 	h := s.Handler()

@@ -15,8 +15,9 @@
 //     queue counters plus a planning-latency histogram per endpoint);
 //     ?format=json keeps the legacy snapshot document. The same registry
 //     feeds an expvar bridge, structured request logs flow through
-//     log/slog with per-request IDs, and cache/queue/job lifecycle events
-//     go to an obs.Recorder for timeline export.
+//     log/slog with per-request IDs, and every request's trace (cache
+//     lookup, queue wait, plan) lands in the flight recorder behind
+//     GET /debug/flight.
 //
 // Endpoints: POST /v1/schedule (one workflow, one strategy), POST
 // /v1/compare (one workflow, the whole 19-strategy catalog via
@@ -25,7 +26,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -53,14 +53,9 @@ type Config struct {
 	// Logger receives one structured line per request (id, method, path,
 	// status, duration). Nil disables request logging.
 	Logger *slog.Logger
-	// Recorder receives the service's lifecycle events (cache hit/miss,
-	// queue admit/reject, job start/end), stamped with wall seconds since
-	// server start and the request ID. Nil falls back to obs.Default()
-	// (the OBSDEBUG env toggle).
-	Recorder obs.Recorder
 	// FlightSize bounds the always-on flight recorder: the last N requests
-	// (trace, route, status, outcome, spans) kept for GET /debug/flight
-	// regardless of OBSDEBUG. 0 selects 256.
+	// (trace, route, status, outcome, spans) kept for GET /debug/flight.
+	// 0 selects 256.
 	FlightSize int
 }
 
@@ -94,7 +89,6 @@ type Server struct {
 	cache    *cache
 	met      *serviceMetrics
 	mux      *http.ServeMux
-	rec      obs.Recorder
 	flight   *obs.Flight
 	logger   *slog.Logger
 	reqSeq   atomic.Uint64 // request-ID allocator
@@ -105,17 +99,12 @@ type Server struct {
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.Fill()
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = obs.Default()
-	}
 	s := &Server{
 		cfg:    cfg,
 		pool:   newPool(cfg.Workers, cfg.QueueDepth),
 		cache:  newCache(cfg.CacheSize),
 		met:    newServiceMetrics(),
 		mux:    http.NewServeMux(),
-		rec:    rec,
 		flight: obs.NewFlight(cfg.FlightSize),
 		logger: cfg.Logger,
 	}
@@ -145,16 +134,6 @@ var routes = []route{
 	{"/metrics", "metrics", method((*Server).handleMetrics)},
 	{"/healthz", "healthz", method((*Server).handleHealthz)},
 	{"/debug/flight", "flight", method((*Server).handleFlight)},
-}
-
-// requestIDKey carries the request ID through the context into the
-// planning closures, so pool job spans can name the request they serve.
-type requestIDKey struct{}
-
-// requestID returns the request's ID, or "" outside a request context.
-func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
 }
 
 // statusWriter captures the response status for the request log.
@@ -196,25 +175,25 @@ func (s *Server) Handler() http.Handler {
 		root := trace.StartSpan(r.Method+" "+r.URL.Path, obs.SpanID{})
 		root.SetAttr("request_id", id)
 
-		s.met.requests.With(endpointOf(r.URL.Path)).Inc()
+		route := endpointOf(r.URL.Path)
+		s.met.requests.With(route).Inc()
 		s.active.Add(1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		w.Header().Set("X-Request-ID", id)
 		w.Header().Set("traceparent", obs.Traceparent(traceID, root.ID()))
-		ctx := context.WithValue(r.Context(), requestIDKey{}, id)
-		ctx = obs.ContextWithTrace(ctx, trace)
+		ctx := obs.ContextWithTrace(r.Context(), trace)
 		ctx = obs.ContextWithSpan(ctx, root.ID())
 		r = r.WithContext(ctx)
 		s.mux.ServeHTTP(sw, r)
 		root.End()
 		s.flight.Record(obs.FlightRecord{
 			Trace:    traceID,
-			Route:    endpointOf(r.URL.Path),
+			Route:    route,
 			Status:   sw.code,
 			Start:    time.Since(s.met.start).Seconds() - time.Since(start).Seconds(),
 			Duration: time.Since(start).Seconds(),
-			Outcome:  outcomeOf(sw),
+			Outcome:  outcomeOf(route, sw),
 			Spans:    trace.TakeSpans(),
 		})
 		s.active.Add(-1)
@@ -235,12 +214,15 @@ func (s *Server) Handler() http.Handler {
 }
 
 // outcomeOf classifies a finished request for its flight record: the
-// admission-control and timeout statuses get their own labels, other
-// non-2xx answers are "error", and successes split on the cache header.
-func outcomeOf(sw *statusWriter) string {
+// admission-control, timeout and draining-health-check statuses get
+// their own labels, other non-2xx answers are "error", and successes
+// split on the cache header.
+func outcomeOf(route string, sw *statusWriter) string {
 	switch {
 	case sw.code == http.StatusTooManyRequests:
 		return "rejected"
+	case sw.code == http.StatusServiceUnavailable && route == "healthz":
+		return "draining"
 	case sw.code == http.StatusServiceUnavailable:
 		return "timeout"
 	case sw.code >= 400:
@@ -249,18 +231,6 @@ func outcomeOf(sw *statusWriter) string {
 		return "cache_hit"
 	}
 	return "ok"
-}
-
-// record emits one service lifecycle event, stamped with wall seconds
-// since server start. No-op without a recorder.
-func (s *Server) record(kind obs.Kind, label string, value float64) {
-	if s.rec == nil {
-		return
-	}
-	s.rec.Record(obs.Event{
-		Kind: kind, T: time.Since(s.met.start).Seconds(),
-		VM: -1, Task: -1, Value: value, Label: label,
-	})
 }
 
 // StartDraining flips /healthz to 503 so load balancers stop routing new

@@ -2,11 +2,14 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -57,6 +60,90 @@ func TestRequestTracePropagation(t *testing.T) {
 	if !ok || tid2.String() != "0af7651916cd43dd8448eb211c80319c" {
 		t.Errorf("inbound trace not continued: response traceparent %q", resp2.Header.Get("traceparent"))
 	}
+}
+
+// TestFlightOutcomes serves one request of each kind and checks what its
+// flight record says about it: the outcome, the cache_lookup span's
+// result, the queue_wait span's admission verdict, and a plan span only
+// for a job a worker started.
+func TestFlightOutcomes(t *testing.T) {
+	const body = `{"workflow_name":"Sequential","strategy":"GAIN","scenario":"Best case"}`
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Close()
+	// busy's only worker is held until the test ends, so a request to it
+	// waits out its deadline in the queue's one slot, and the next one
+	// finds the queue full.
+	busy := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: 20 * time.Millisecond})
+	defer busy.Close()
+	block, started := make(chan struct{}), make(chan struct{})
+	defer close(block)
+	go busy.pool.Submit(context.Background(), func(context.Context) (any, error) {
+		close(started)
+		<-block
+		return nil, nil
+	})
+	<-started
+
+	for _, tc := range []struct {
+		name, method, path, body string
+		srv                      *Server
+		drain                    bool
+		status                   int
+		outcome                  string
+		lookup, admission        string // span attributes; "" for no span or no attribute
+		plan                     bool
+	}{
+		{"miss", http.MethodPost, "/v1/schedule", body, s, false, http.StatusOK, "ok", "miss", "admitted", true},
+		{"hit", http.MethodPost, "/v1/schedule", body, s, false, http.StatusOK, "cache_hit", "hit", "", false},
+		{"timeout", http.MethodPost, "/v1/schedule", body, busy, false, http.StatusServiceUnavailable, "timeout", "miss", "", false},
+		{"rejected", http.MethodPost, "/v1/schedule", body, busy, false, http.StatusTooManyRequests, "rejected", "miss", "rejected", false},
+		{"invalid", http.MethodPost, "/v1/schedule", `{"workflow_name":"Sequential","strategy":"NoSuch"}`, s, false,
+			http.StatusUnprocessableEntity, "error", "", "", false},
+		{"draining", http.MethodGet, "/healthz", "", s, true, http.StatusServiceUnavailable, "draining", "", "", false},
+	} {
+		if tc.drain {
+			tc.srv.StartDraining()
+		}
+		w := httptest.NewRecorder()
+		tc.srv.Handler().ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		if w.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, w.Code, tc.status, w.Body)
+		}
+		recs := tc.srv.flight.Records()
+		rec := recs[len(recs)-1]
+		if rec.Status != tc.status || rec.Outcome != tc.outcome {
+			t.Errorf("%s: flight record status %d outcome %q, want %d %q", tc.name, rec.Status, rec.Outcome, tc.status, tc.outcome)
+		}
+		if got := spanAttr(rec.Spans, "cache_lookup", "result"); got != tc.lookup {
+			t.Errorf("%s: cache_lookup result %q, want %q", tc.name, got, tc.lookup)
+		}
+		if got := spanAttr(rec.Spans, "queue_wait", "admission"); got != tc.admission {
+			t.Errorf("%s: queue_wait admission %q, want %q", tc.name, got, tc.admission)
+		}
+		plan := false
+		for _, sp := range rec.Spans {
+			plan = plan || sp.Name == "plan"
+		}
+		if plan != tc.plan {
+			t.Errorf("%s: plan span %v, want %v", tc.name, plan, tc.plan)
+		}
+	}
+}
+
+// spanAttr returns the value of attribute key on the span named name, or
+// "" when there is no such span or attribute.
+func spanAttr(spans []obs.Span, name, key string) string {
+	for _, sp := range spans {
+		if sp.Name != name {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+	}
+	return ""
 }
 
 // TestSLAFlightAndExplain is the acceptance path: one traced POST /v1/sla

@@ -1,12 +1,16 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/cloud"
 	"repro/internal/dag/dagtest"
 	"repro/internal/fault"
+	"repro/internal/market"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/workflows"
@@ -282,5 +286,63 @@ func TestFaultsAcrossCatalogStrategiesComplete(t *testing.T) {
 		if !res.Completed && res.FailReason == "" {
 			t.Errorf("%s: incomplete without FailReason", alg.Name())
 		}
+	}
+}
+
+// Recording changes no result: under the hostile preset plus spot
+// preemptions, with each recovery policy and each market preset, every
+// catalog strategy's replay (and a private-cloud HCOC one's) returns the
+// same Result with and without a Collector. The comparison is on the %+v
+// form, which spells every float exactly and equates the NaN end times
+// of an aborted run's unfinished tasks.
+func TestRecorderChangesNoResult(t *testing.T) {
+	wf := workload.Pareto.Apply(workflows.Montage(6), 5)
+	hostile, err := fault.Preset("hostile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile.SpotPreemptRate = 1
+	faults := 0
+	check := func(name string, s *plan.Schedule, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, rc := range fault.Recoveries() {
+			fc := hostile
+			fc.Recovery, fc.Seed = rc, 13
+			bare, err := Run(s, Config{Faults: &fc})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, rc, err)
+			}
+			var col obs.Collector
+			recorded, err := Run(s, Config{Faults: &fc, Recorder: &col})
+			if err != nil {
+				t.Fatalf("%s/%s recorded: %v", name, rc, err)
+			}
+			if len(col.Events) == 0 {
+				t.Fatalf("%s/%s: the collector saw no events", name, rc)
+			}
+			if got, want := fmt.Sprintf("%+v", *recorded), fmt.Sprintf("%+v", *bare); got != want {
+				t.Errorf("%s/%s: recording changes the result:\n got %s\nwant %s", name, rc, got, want)
+			}
+			faults += bare.VMCrashes + bare.TaskFailures + bare.SpotPreemptions
+		}
+	}
+	for _, mk := range market.PresetNames() {
+		opts := sched.DefaultOptions()
+		if opts.Market, err = market.Preset(mk); err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range sched.Catalog() {
+			s, err := alg.Schedule(wf, opts)
+			check(mk+"/"+alg.Name(), s, err)
+		}
+		// HCOC keeps this workflow on its private, prepaid VMs.
+		s, err := sched.NewHCOC(2, 1e9, cloud.Large).Schedule(wf, opts)
+		check(mk+"/HCOC", s, err)
+	}
+	if faults == 0 {
+		t.Error("the hostile preset injected nothing")
 	}
 }

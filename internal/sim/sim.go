@@ -79,10 +79,9 @@ type Config struct {
 	// Recorder, when non-nil, receives the replay's lifecycle events
 	// (lease open/boot/BTU-rollover/stop/crash, task queued/start/finish/
 	// retry/resubmit, transfers) in simulated-time order. The stream is
-	// deterministic: same schedule + same config ⇒ identical events. Nil
-	// falls back to obs.Default() (the OBSDEBUG env toggle), which is
-	// itself nil in production — and a nil recorder costs one predictable
-	// branch per site, nothing more.
+	// deterministic: same schedule + same config ⇒ identical events, and
+	// recording changes no field of the Result. Nil records nothing, at
+	// one predictable branch per site.
 	Recorder obs.Recorder
 }
 
@@ -276,9 +275,6 @@ func (sc *Scratch) Run(s *plan.Schedule, cfg Config, res *Result) error {
 		return fmt.Errorf("sim: negative boot time %v", cfg.BootTime)
 	}
 	rec := cfg.Recorder
-	if rec == nil {
-		rec = obs.Default()
-	}
 	var inj *fault.Injector
 	var rebootS float64
 	if cfg.Faults != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/frontier"
 	"repro/internal/market"
 	"repro/internal/ndwf"
-	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -268,9 +267,6 @@ func TestSearchMatchesMeasure(t *testing.T) {
 // instance: one DAG per instance, shared by every candidate, and replay
 // state reused across the candidates and instances of a worker.
 func TestSearchAllocs(t *testing.T) {
-	if obs.Default() != nil {
-		t.Skip("OBSDEBUG is set; every replay also records events")
-	}
 	tpl, err := ndwf.Named("montage")
 	if err != nil {
 		t.Fatal(err)
