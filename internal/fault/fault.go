@@ -228,6 +228,19 @@ func (in *Injector) PreemptAfter(inc uint64) float64 {
 	return -math.Log(1-u) * 3600 / in.cfg.SpotPreemptRate
 }
 
+// Losses returns lease incarnation inc's loss draws, in seconds into the
+// lease: its crash (CrashAfter) and, for a spot lease, its preemption
+// (PreemptAfter); a fate the lease escapes is +Inf. The simulator arms a
+// lease's loss events from these draws, and its quiet-replay screen
+// reads the same ones, so the two cannot drift apart.
+func (in *Injector) Losses(inc uint64, spot bool) (crash, preempt float64) {
+	crash, preempt = in.CrashAfter(inc), math.Inf(1)
+	if spot {
+		preempt = in.PreemptAfter(inc)
+	}
+	return crash, preempt
+}
+
 // AttemptFails reports whether attempt (1-based) of the given task aborts,
 // and if so at which fraction of its execution time the abort hits.
 func (in *Injector) AttemptFails(task, attempt int) (bool, float64) {

@@ -36,8 +36,9 @@ func strategyIndex(t testing.TB, name string) int {
 // seedCorpus returns the golden minimal reproducers, keyed by corpus file
 // name. Each covers an edge class the harness historically got wrong or
 // the catalog cannot reach: held leases, zero-work tasks, single-task
-// DAGs, cross-region transfers, exact-BTU-boundary work, and faulty
-// replays under each recovery mode.
+// DAGs, cross-region transfers, exact-BTU-boundary work, faulty replays
+// under each recovery mode, and a warm lease the quiet-replay screen
+// must anchor at 0.
 func seedCorpus(t testing.TB) map[string]Case {
 	return map[string]Case{
 		"held-lease": {Tasks: 3, Seed: 7, EdgePct: 30,
@@ -64,6 +65,12 @@ func seedCorpus(t testing.TB) map[string]Case {
 			Strategy: strategyIndex(t, "SpotFallback"), Fault: faultIndex("preempt-storm"), FaultSeed: 8},
 		"warm-crash": {Tasks: 10, Seed: 31, EdgePct: 25,
 			Strategy: strategyIndex(t, "WarmPool4"), Fault: faultIndex("calm"), FaultSeed: 5},
+		// A warm lease's crash lands before its last slot's end counted
+		// from the lease's anchor at 0, but after it counted from the
+		// first slot: a screen that anchored warm leases at their first
+		// slot would call this replay quiet.
+		"warm-anchor": {Tasks: 2, Seed: 3960506127101540984, EdgePct: 45, Scenario: 1, // Pareto
+			Strategy: strategyIndex(t, StrategyWarmMin), Fault: faultIndex("flaky"), FaultSeed: 17496},
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/validate"
 	"repro/internal/workload"
@@ -276,8 +277,9 @@ func warmmin(w *dag.Workflow, seed uint64) (*plan.Schedule, error) {
 // Run executes the case through the differential harness and returns the
 // first divergence, or nil when planner, simulator and event-stream
 // accounting agree. Fault-free cases run the PlanSim oracle; faulty cases
-// run FaultReplay and additionally cross-check metrics.ReliabilityOf
-// against the event-derived ledger.
+// run FaultReplay, hold every replay sim.Screen proves quiet to the plan
+// (validate.QuietReplay), and cross-check metrics.ReliabilityOf against
+// the event-derived ledger.
 func (c Case) Run() error {
 	c = c.Normalize()
 	s, err := c.schedule()
@@ -298,6 +300,18 @@ func (c Case) Run() error {
 	res, acc, err := validate.FaultReplay(s, &fc)
 	if err != nil {
 		return fmt.Errorf("fuzzcheck: %v: %w", c, err)
+	}
+	// Where the screen proves the replay quiet, the SLA search takes the
+	// plan's makespan and rental cost instead of replaying: the replay
+	// must agree with them bit for bit.
+	screen, err := sim.NewScreen(sim.Config{Faults: &fc}, s.Workflow.Len())
+	if err != nil {
+		return fmt.Errorf("fuzzcheck: %v: %w", c, err)
+	}
+	if screen.Quiet(s) {
+		if err := validate.QuietReplay(s, res); err != nil {
+			return fmt.Errorf("fuzzcheck: %v: %w", c, err)
+		}
 	}
 	rel := metrics.ReliabilityOf(s, res)
 	n := s.Workflow.Len()

@@ -117,6 +117,7 @@ type Trace struct {
 	seq   uint64
 	base  uint64 // span-ID generator state, derived from the trace ID
 	spans []Span
+	taken bool // TakeSpans handed spans away; the trace records nothing more
 	clock func() float64
 }
 
@@ -160,7 +161,7 @@ func (t *Trace) nextSpanID() SpanID {
 
 // SpanHandle refers to one started span. The zero value (from a nil
 // trace) no-ops on every method, so instrumentation sites never branch
-// themselves.
+// themselves; so does every handle of a trace after its TakeSpans.
 type SpanHandle struct {
 	t   *Trace
 	idx int
@@ -168,12 +169,17 @@ type SpanHandle struct {
 }
 
 // StartSpan opens a span under the given parent (zero parents it on the
-// inbound remote span, i.e. makes it the root). Nil-safe.
+// inbound remote span, i.e. makes it the root). Nil-safe; after TakeSpans
+// it records nothing and returns the zero handle.
 func (t *Trace) StartSpan(name string, parent SpanID) SpanHandle {
 	if t == nil {
 		return SpanHandle{}
 	}
 	t.mu.Lock()
+	if t.taken {
+		t.mu.Unlock()
+		return SpanHandle{}
+	}
 	id := t.nextSpanID()
 	if parent.IsZero() {
 		parent = t.remote
@@ -189,24 +195,32 @@ func (t *Trace) StartSpan(name string, parent SpanID) SpanHandle {
 // ID returns the span's ID (zero for a no-op handle).
 func (h SpanHandle) ID() SpanID { return h.id }
 
-// SetAttr annotates the span. No-op on the zero handle.
+// SetAttr annotates the span. No-op on the zero handle and after the
+// trace's TakeSpans.
 func (h SpanHandle) SetAttr(key, value string) {
 	if h.t == nil {
 		return
 	}
 	h.t.mu.Lock()
-	sp := &h.t.spans[h.idx]
-	sp.Attrs = append(sp.Attrs, Attr{Key: key, Value: value})
+	if !h.t.taken {
+		sp := &h.t.spans[h.idx]
+		sp.Attrs = append(sp.Attrs, Attr{Key: key, Value: value})
+	}
 	h.t.mu.Unlock()
 }
 
 // End closes the span at the current clock reading. No-op on the zero
-// handle; ending twice keeps the first end time.
+// handle and after the trace's TakeSpans; ending twice keeps the first
+// end time.
 func (h SpanHandle) End() {
 	if h.t == nil {
 		return
 	}
 	h.t.mu.Lock()
+	if h.t.taken {
+		h.t.mu.Unlock()
+		return
+	}
 	sp := &h.t.spans[h.idx]
 	if sp.End == 0 {
 		sp.End = h.t.clock()
@@ -228,9 +242,12 @@ func (t *Trace) Spans() []Span {
 	return append([]Span(nil), t.spans...)
 }
 
-// TakeSpans hands the span slice to the caller and resets the trace —
-// the flight recorder's zero-copy path: the request is over, nobody else
-// appends, so ownership transfers without copying.
+// TakeSpans hands the span slice to the caller and retires the trace —
+// the flight recorder's zero-copy path: the request is over, so
+// ownership transfers without copying. Work the request left running (a
+// plan that outlived its timeout) may still hold span handles; from here
+// on they and StartSpan no-op, so nothing writes into the handed-over
+// slice.
 func (t *Trace) TakeSpans() []Span {
 	if t == nil {
 		return nil
@@ -238,7 +255,7 @@ func (t *Trace) TakeSpans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := t.spans
-	t.spans = nil
+	t.spans, t.taken = nil, true
 	return out
 }
 

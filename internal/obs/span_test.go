@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -205,5 +207,52 @@ func TestChromeTraceRequestTracks(t *testing.T) {
 	}
 	if !spans["POST /v1/sla"] || !spans["sla_search"] {
 		t.Errorf("request spans = %v", spans)
+	}
+}
+
+// TestSpansAfterTakeNoOp covers work that outlives its request: once
+// TakeSpans hands the spans to the flight recorder, the request's open
+// handles and new StartSpan calls no-op from any goroutine, and the
+// handed-over slice is never written again. Run under -race, the
+// concurrent reader below fails on any such write.
+func TestSpansAfterTakeNoOp(t *testing.T) {
+	tr := NewTrace(DeriveTraceID("late"), SpanID{}, func() float64 { return 1 })
+	root := tr.StartSpan("request", SpanID{})
+	plan := tr.StartSpan("plan", root.ID())
+	plan.SetAttr("strategy", "GAIN")
+	root.End()
+	taken := tr.TakeSpans()
+	want := append([]Span(nil), taken...)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plan.SetAttr("late", "yes")
+			plan.End()
+			h := tr.StartSpan("late", plan.ID())
+			h.SetAttr("k", "v")
+			h.End()
+			if !h.ID().IsZero() {
+				t.Error("StartSpan after TakeSpans returned a live handle")
+			}
+		}()
+	}
+	var open int
+	for _, sp := range taken {
+		if sp.End == 0 {
+			open++
+		}
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(taken, want) {
+		t.Errorf("handed-over spans changed:\n got %+v\nwant %+v", taken, want)
+	}
+	if tr.Len() != 0 || tr.Spans() != nil || tr.TakeSpans() != nil {
+		t.Error("the trace recorded spans after TakeSpans")
+	}
+	if open != 1 {
+		t.Errorf("%d open spans handed over, want the plan span only", open)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -20,17 +21,19 @@ type job struct {
 	done chan struct{}
 }
 
-// pool is a fixed-size worker pool draining a bounded queue. Admission is
-// non-blocking: a full queue rejects immediately rather than holding the
-// caller (and its HTTP connection) hostage. Jobs whose context expires
-// while queued are skipped, so a burst of abandoned requests cannot
-// occupy workers.
+// pool is a fixed-size worker pool draining a bounded FIFO queue.
+// Admission is non-blocking: a full queue rejects immediately rather than
+// holding the caller (and its HTTP connection) hostage. A job whose
+// caller gives up while it is queued leaves the queue at once, so the
+// bound counts only live work and a burst of abandoned requests can
+// occupy neither queue slots nor workers.
 type pool struct {
-	queue   chan *job
-	workers int
-	wg      sync.WaitGroup
+	depth int
+	wg    sync.WaitGroup
 
 	mu     sync.Mutex
+	ready  sync.Cond // signalled when a job is queued or the pool closes
+	queue  []*job    // admitted jobs no worker has started, oldest first
 	closed bool
 }
 
@@ -42,7 +45,8 @@ func newPool(workers, depth int) *pool {
 	if depth < 1 {
 		depth = 1
 	}
-	p := &pool{queue: make(chan *job, depth), workers: workers}
+	p := &pool{depth: depth, queue: make([]*job, 0, depth)}
+	p.ready.L = &p.mu
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -52,7 +56,7 @@ func newPool(workers, depth int) *pool {
 
 func (p *pool) worker() {
 	defer p.wg.Done()
-	for j := range p.queue {
+	for j := p.next(); j != nil; j = p.next() {
 		if err := j.ctx.Err(); err != nil {
 			j.err = err
 		} else {
@@ -62,37 +66,57 @@ func (p *pool) worker() {
 	}
 }
 
+// next waits for a queued job and dequeues it; it returns nil once the
+// pool is closed and drained.
+func (p *pool) next() *job {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.queue) == 0 {
+		if p.closed {
+			return nil
+		}
+		p.ready.Wait()
+	}
+	j := p.queue[0]
+	p.queue = slices.Delete(p.queue, 0, 1)
+	return j
+}
+
 // Submit enqueues run and waits for its result. It returns errQueueFull
 // without blocking when the queue is saturated, and ctx.Err() if the
-// context expires before the job completes (the job itself is then either
-// skipped by its worker or keeps running to completion for the cache's
-// benefit — its result is simply not awaited).
+// context expires before the job completes. A job still queued then
+// leaves the queue unrun; one already running finishes, unawaited.
 func (p *pool) Submit(ctx context.Context, run func(context.Context) (any, error)) (any, error) {
 	j := &job{ctx: ctx, run: run, done: make(chan struct{})}
 
 	p.mu.Lock()
-	if p.closed {
+	if p.closed || len(p.queue) >= p.depth {
 		p.mu.Unlock()
 		return nil, errQueueFull
 	}
-	select {
-	case p.queue <- j:
-		p.mu.Unlock()
-	default:
-		p.mu.Unlock()
-		return nil, errQueueFull
-	}
+	p.queue = append(p.queue, j)
+	p.ready.Signal()
+	p.mu.Unlock()
 
 	select {
 	case <-j.done:
 		return j.res, j.err
 	case <-ctx.Done():
+		p.mu.Lock()
+		if i := slices.Index(p.queue, j); i >= 0 {
+			p.queue = slices.Delete(p.queue, i, i+1)
+		}
+		p.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
 // Depth returns the current number of queued (not yet started) jobs.
-func (p *pool) Depth() int { return len(p.queue) }
+func (p *pool) Depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.queue)
+}
 
 // Close stops admission, drains every queued job, and waits for the
 // workers to exit. Safe to call more than once.
@@ -103,7 +127,7 @@ func (p *pool) Close() {
 		return
 	}
 	p.closed = true
-	close(p.queue)
+	p.ready.Broadcast()
 	p.mu.Unlock()
 	p.wg.Wait()
 }

@@ -7,10 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/spec"
 )
 
 // newTestServer spins up a service plus an HTTP front end for it.
@@ -302,6 +306,110 @@ func TestRequestTimeout(t *testing.T) {
 	}
 	if got := s.Metrics().TimeoutsTotal; got != 1 {
 		t.Fatalf("timeouts_total = %d, want 1", got)
+	}
+}
+
+// TestExpiredQueuedRequestFreesSlot: with the only worker busy and one
+// queue slot, a request that gives up while queued hands its slot back at
+// once, so the request sent right after it is admitted rather than
+// rejected, and is served once the worker frees.
+func TestExpiredQueuedRequestFreesSlot(t *testing.T) {
+	const body = `{"workflow_name":"Sequential","strategy":"GAIN","scenario":"Best case"}`
+	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: 10 * time.Second})
+	defer s.Close()
+	block, started := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(block) }) }
+	defer release()
+	go s.pool.Submit(context.Background(), func(context.Context) (any, error) {
+		close(started)
+		<-block
+		return nil, nil
+	})
+	<-started
+
+	// A's own deadline expires while it waits in the queue.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	a := httptest.NewRecorder()
+	s.Handler().ServeHTTP(a, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body)).WithContext(ctx))
+	if a.Code != http.StatusServiceUnavailable {
+		t.Fatalf("A: status %d, want 503: %s", a.Code, a.Body)
+	}
+	if d := s.pool.Depth(); d != 0 {
+		t.Fatalf("queue depth %d after A gave up, want 0", d)
+	}
+
+	b, bDone := httptest.NewRecorder(), make(chan struct{})
+	go func() {
+		defer close(bDone)
+		s.Handler().ServeHTTP(b, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(body)))
+	}()
+	for i := 0; s.pool.Depth() != 1; i++ {
+		select {
+		case <-bDone:
+			t.Fatalf("B: status %d while the worker was busy, want it queued: %s", b.Code, b.Body)
+		case <-time.After(time.Millisecond):
+		}
+		if i > 5000 {
+			t.Fatal("B never showed up in the queue")
+		}
+	}
+	release()
+	<-bDone
+	if b.Code != http.StatusOK {
+		t.Fatalf("B: status %d, want 200: %s", b.Code, b.Body)
+	}
+	if got := s.Metrics().RejectedTotal; got != 0 {
+		t.Fatalf("rejected_total = %d, want 0", got)
+	}
+}
+
+// TestPlanOutlivingTimeoutDrains runs a plan past its request's timeout:
+// the request answers 503 and files its trace in the flight recorder
+// while the plan still holds a span of that trace. Ending and annotating
+// the span late must leave the filed spans alone and the worker alive,
+// so Close, the drain on SIGTERM, returns.
+func TestPlanOutlivingTimeoutDrains(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: 20 * time.Millisecond})
+	release := make(chan struct{})
+	s.mux.HandleFunc("/v1/slow", func(w http.ResponseWriter, r *http.Request) {
+		s.runCached(w, r, "slow", spec.Key{}, func(ctx context.Context) (any, error) {
+			sp, _ := obs.StartSpanCtx(ctx, "schedule")
+			<-release
+			sp.SetAttr("strategy", "late")
+			sp.End()
+			return nil, nil
+		})
+	})
+
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/slow", nil))
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", w.Code, w.Body)
+	}
+	recs := s.flight.Records()
+	filed := recs[len(recs)-1].Spans
+	want := append([]obs.Span(nil), filed...)
+	close(release)
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return: the late span stranded the worker")
+	}
+	if !reflect.DeepEqual(filed, want) {
+		t.Errorf("the late span wrote into the filed spans:\n got %+v\nwant %+v", filed, want)
+	}
+	for _, sp := range filed {
+		if sp.Name == "schedule" && sp.End != 0 {
+			t.Errorf("filed schedule span ended at %v after its request was filed", sp.End)
+		}
 	}
 }
 

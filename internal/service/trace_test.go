@@ -71,8 +71,9 @@ func TestFlightOutcomes(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer s.Close()
 	// busy's only worker is held until the test ends, so a request to it
-	// waits out its deadline in the queue's one slot, and the next one
-	// finds the queue full.
+	// waits out its deadline in the queue's one slot. An expired request
+	// gives its slot back, so the rejected request first finds the slot
+	// taken by a live queued job.
 	busy := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: 20 * time.Millisecond})
 	defer busy.Close()
 	block, started := make(chan struct{}), make(chan struct{})
@@ -83,26 +84,35 @@ func TestFlightOutcomes(t *testing.T) {
 		return nil, nil
 	})
 	<-started
+	fillQueue := func() {
+		go busy.pool.Submit(context.Background(), func(context.Context) (any, error) { return nil, nil })
+		for i := 0; busy.pool.Depth() != 1; i++ {
+			if i > 1000 {
+				t.Fatal("queued job never showed up")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	for _, tc := range []struct {
 		name, method, path, body string
 		srv                      *Server
-		drain                    bool
+		before                   func()
 		status                   int
 		outcome                  string
 		lookup, admission        string // span attributes; "" for no span or no attribute
 		plan                     bool
 	}{
-		{"miss", http.MethodPost, "/v1/schedule", body, s, false, http.StatusOK, "ok", "miss", "admitted", true},
-		{"hit", http.MethodPost, "/v1/schedule", body, s, false, http.StatusOK, "cache_hit", "hit", "", false},
-		{"timeout", http.MethodPost, "/v1/schedule", body, busy, false, http.StatusServiceUnavailable, "timeout", "miss", "", false},
-		{"rejected", http.MethodPost, "/v1/schedule", body, busy, false, http.StatusTooManyRequests, "rejected", "miss", "rejected", false},
-		{"invalid", http.MethodPost, "/v1/schedule", `{"workflow_name":"Sequential","strategy":"NoSuch"}`, s, false,
+		{"miss", http.MethodPost, "/v1/schedule", body, s, nil, http.StatusOK, "ok", "miss", "admitted", true},
+		{"hit", http.MethodPost, "/v1/schedule", body, s, nil, http.StatusOK, "cache_hit", "hit", "", false},
+		{"timeout", http.MethodPost, "/v1/schedule", body, busy, nil, http.StatusServiceUnavailable, "timeout", "miss", "", false},
+		{"rejected", http.MethodPost, "/v1/schedule", body, busy, fillQueue, http.StatusTooManyRequests, "rejected", "miss", "rejected", false},
+		{"invalid", http.MethodPost, "/v1/schedule", `{"workflow_name":"Sequential","strategy":"NoSuch"}`, s, nil,
 			http.StatusUnprocessableEntity, "error", "", "", false},
-		{"draining", http.MethodGet, "/healthz", "", s, true, http.StatusServiceUnavailable, "draining", "", "", false},
+		{"draining", http.MethodGet, "/healthz", "", s, s.StartDraining, http.StatusServiceUnavailable, "draining", "", "", false},
 	} {
-		if tc.drain {
-			tc.srv.StartDraining()
+		if tc.before != nil {
+			tc.before()
 		}
 		w := httptest.NewRecorder()
 		tc.srv.Handler().ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))

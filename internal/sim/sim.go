@@ -268,24 +268,33 @@ type runner struct {
 	nextInc  uint64
 }
 
+// injector validates cfg and returns the injector that arms its faults,
+// or nil when cfg injects none.
+func (cfg Config) injector() (*fault.Injector, error) {
+	if cfg.BootTime < 0 {
+		return nil, fmt.Errorf("sim: negative boot time %v", cfg.BootTime)
+	}
+	if cfg.Faults == nil {
+		return nil, nil
+	}
+	inj, err := fault.NewInjector(*cfg.Faults)
+	if err != nil || !cfg.Faults.Active() {
+		return nil, err
+	}
+	return inj, nil
+}
+
 // Run executes the schedule into res, reusing the scratch's arenas. res is
 // fully overwritten; its task arrays are reused when large enough.
 func (sc *Scratch) Run(s *plan.Schedule, cfg Config, res *Result) error {
-	if cfg.BootTime < 0 {
-		return fmt.Errorf("sim: negative boot time %v", cfg.BootTime)
+	inj, err := cfg.injector()
+	if err != nil {
+		return err
 	}
 	rec := cfg.Recorder
-	var inj *fault.Injector
 	var rebootS float64
-	if cfg.Faults != nil {
-		in, err := fault.NewInjector(*cfg.Faults)
-		if err != nil {
-			return err
-		}
-		if cfg.Faults.Active() {
-			inj = in
-			rebootS = in.Config().RebootS
-		}
+	if inj != nil {
+		rebootS = inj.Config().RebootS
 	}
 	wf := s.Workflow
 	n := wf.Len()
@@ -536,22 +545,21 @@ func (r *runner) kill(vi int, preempted bool) {
 	}
 }
 
-// armFaults schedules the lease's loss draws from its anchor time: the
-// crash stream for every lease, plus the preemption stream for spot
-// leases. Both streams are keyed by the incarnation identity, so draws are
-// order-independent and replayable.
+// armFaults schedules the lease's loss draws (fault.Injector.Losses) from
+// its anchor time: the crash stream for every lease, plus the preemption
+// stream for spot leases. Both streams are keyed by the incarnation
+// identity, so draws are order-independent and replayable.
 func (r *runner) armFaults(vi int, at float64) {
 	if r.inj == nil {
 		return
 	}
 	st := &r.sc.vms[vi]
-	if life := r.inj.CrashAfter(st.inc); !math.IsInf(life, 1) {
-		r.sc.q.Push(at+life, ev{kind: evKill, vi: int32(vi), task: -1})
+	crash, preempt := r.inj.Losses(st.inc, st.vm.Lease.IsSpot())
+	if !math.IsInf(crash, 1) {
+		r.sc.q.Push(at+crash, ev{kind: evKill, vi: int32(vi), task: -1})
 	}
-	if st.vm.Lease.IsSpot() {
-		if life := r.inj.PreemptAfter(st.inc); !math.IsInf(life, 1) {
-			r.sc.q.Push(at+life, ev{kind: evPreempt, vi: int32(vi), task: -1})
-		}
+	if !math.IsInf(preempt, 1) {
+		r.sc.q.Push(at+preempt, ev{kind: evPreempt, vi: int32(vi), task: -1})
 	}
 }
 

@@ -30,13 +30,19 @@ type Config struct {
 	// Level is the two-sided confidence level of the Wilson interval on
 	// the meet probability; zero selects 0.95.
 	Level float64
-	// Faults, when active, replays every sampled schedule through the
-	// event simulator under an independent hash-derived fault stream per
-	// instance; makespan and cost become the *observed* values and an
-	// incomplete run counts as a missed deadline.
+	// Faults, when active, scores every sampled schedule by its replay
+	// through the event simulator under an independent hash-derived fault
+	// stream per instance; makespan and cost become the *observed* values
+	// (the cost is the replay's rental cost) and an incomplete run counts
+	// as a missed deadline. A replay that sim.Screen proves quiet is not
+	// run: it would return the plan's own makespan and rental cost, bit
+	// for bit, and the sample takes those.
 	Faults *fault.Config
 	// Paranoid cross-checks every fault-free sampled schedule against the
-	// event simulator (validate.PlanSim), mirroring core.Paranoid.
+	// event simulator (validate.PlanSim), mirroring core.Paranoid. Under
+	// Faults it also replays the samples the screen proved quiet and
+	// fails on any whose replay saw a fault or differs from the plan in a
+	// bit (validate.QuietReplay).
 	Paranoid bool
 }
 
@@ -198,18 +204,28 @@ type worker struct {
 	oracle *validate.Scratch
 }
 
-// instance samples instance i once, then schedules and (optionally)
-// replays it under every probe, writing slot i of each probe's outcomes.
+// instance samples instance i once, then schedules it under every probe
+// and, under faults, replays each schedule the screen cannot prove quiet
+// (every schedule under Paranoid), writing slot i of each probe's
+// outcomes.
 func (wk *worker) instance(t ndwf.Checked, probes []probe, cfg Config, i int, out []outcomes) error {
 	wf, err := t.Sample(InstanceSeed(cfg.Seed, i))
 	if err != nil {
 		return err
 	}
-	var sc sim.Config
+	var (
+		sc     sim.Config
+		screen sim.Screen
+	)
 	if cfg.Faults.Active() {
 		wk.faults = *cfg.Faults
 		wk.faults.Seed = fault.CellSeed(cfg.Faults.Seed, "sla-fault", strconv.Itoa(i))
 		sc.Faults = &wk.faults
+		// The screen rejects an invalid fault config as the replay would,
+		// so the error stands even where no replay runs.
+		if screen, err = sim.NewScreen(sc, wf.Len()); err != nil {
+			return fmt.Errorf("sla: fault replay on instance %d: %w", i, err)
+		}
 	}
 	for c, p := range probes {
 		s, err := p.alg.Schedule(wf, p.opts)
@@ -226,8 +242,20 @@ func (wk *worker) instance(t ndwf.Checked, probes []probe, cfg Config, i int, ou
 			o.makespans[i], o.costs[i], o.completed[i] = s.Makespan(), s.TotalCost(), true
 			continue
 		}
+		quiet := screen.Quiet(s)
+		if quiet && !cfg.Paranoid {
+			// The replay reports rental cost only, so a quiet sample
+			// takes RentalCost, not TotalCost.
+			o.makespans[i], o.costs[i], o.completed[i] = s.Makespan(), s.RentalCost(), true
+			continue
+		}
 		if err := wk.sim.Run(s, sc, &wk.res); err != nil {
 			return fmt.Errorf("sla: fault replay on instance %d: %w", i, err)
+		}
+		if quiet {
+			if err := validate.QuietReplay(s, &wk.res); err != nil {
+				return fmt.Errorf("sla: paranoid screen check of %s on instance %d: %w", p.alg.Name(), i, err)
+			}
 		}
 		o.makespans[i], o.costs[i], o.completed[i] = wk.res.Makespan, wk.res.RentalCost, wk.res.Completed
 	}

@@ -302,3 +302,57 @@ func TestSearchAllocs(t *testing.T) {
 	}
 	t.Logf("%.1f allocs per sampled instance", perInstance)
 }
+
+// TestSearchParanoidScreen searches under every fault preset on the none
+// and spot markets, with and without Paranoid. Paranoid replays the
+// samples the screen proved quiet and fails the search on any whose
+// replay saw a fault or differs from the plan in a bit, so equal results
+// mean the screen took exactly what the replays would have returned.
+func TestSearchParanoidScreen(t *testing.T) {
+	tpl, err := ndwf.Named("montage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, preset := range fault.PresetNames() {
+		fc, err := fault.Preset(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc.Seed = 13
+		for _, mkt := range []string{"none", "spot"} {
+			cfg := SearchConfig{
+				Deadline: 4000,
+				Target:   0.95,
+				Config:   Config{Samples: 40, Seed: 13, Faults: &fc},
+				Markets:  []string{mkt},
+				Opts:     sched.DefaultOptions(),
+			}
+			want, wantErr := Search(tpl, cfg)
+			if wantErr != nil && !errors.Is(wantErr, ErrNoStrategyMeets) {
+				t.Fatalf("%s/%s: %v", preset, mkt, wantErr)
+			}
+			cfg.Paranoid = true
+			got, err := Search(tpl, cfg)
+			if err != wantErr {
+				t.Fatalf("%s/%s: paranoid error %v, want %v", preset, mkt, err, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: the paranoid search differs", preset, mkt)
+			}
+		}
+	}
+}
+
+// TestSearchRejectsInvalidFaults pins the error an invalid fault config
+// fails the search with. The screen validates the config as the replay
+// does, so the error stands although a screened sample runs no replay.
+func TestSearchRejectsInvalidFaults(t *testing.T) {
+	cfg := orderSearchConfig(4000, 0.9)
+	cfg.Workers = 1
+	cfg.Faults = &fault.Config{CrashRate: 1e-12, TaskFailProb: 2}
+	_, err := Search(ndwf.Order(), cfg)
+	const want = "sla: fault replay on instance 0: fault: task failure probability 2 outside [0, 1]"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}

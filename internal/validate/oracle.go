@@ -588,3 +588,24 @@ func CrossCheck(res *sim.Result, acc *Accounting) error {
 	}
 	return nil
 }
+
+// QuietReplay checks a faulty replay that sim.Screen proved quiet
+// against what the screen promises: no crash, task failure or
+// preemption, a completed run, and the plan's own makespan and rental
+// cost, bit for bit — the values a caller takes in place of the replay.
+func QuietReplay(s *plan.Schedule, res *sim.Result) error {
+	switch {
+	case res.VMCrashes != 0 || res.TaskFailures != 0 || res.SpotPreemptions != 0:
+		return fmt.Errorf("oracle: screened quiet, but the replay saw %d crashes, %d task failures, %d preemptions",
+			res.VMCrashes, res.TaskFailures, res.SpotPreemptions)
+	case !res.Completed:
+		return fmt.Errorf("oracle: screened quiet, but the replay did not complete: %s", res.FailReason)
+	case res.Makespan != s.Makespan():
+		return fmt.Errorf("oracle: screened quiet, but the replay's makespan %v is not the plan's %v",
+			res.Makespan, s.Makespan())
+	case res.RentalCost != s.RentalCost():
+		return fmt.Errorf("oracle: screened quiet, but the replay's rental cost %v is not the plan's %v",
+			res.RentalCost, s.RentalCost())
+	}
+	return nil
+}
