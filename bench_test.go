@@ -424,11 +424,12 @@ func BenchmarkOnlineSoak(b *testing.B) {
 	}
 }
 
-// BenchmarkTemplateSample times one sampled instance of the soak mix:
-// each op picks order or montage2 by the soak's 3:1 weights and samples
-// the pick at a fresh seed, both from one stream, as online's mix builder
-// does per arriving instance. It is the sampling layer under OnlineSoak,
-// and scripts/bench.sh gates its ns/op and allocs/op.
+// BenchmarkTemplateSample times one fresh sampled instance of the soak
+// mix: each op picks order or montage2 by the soak's 3:1 weights and
+// samples the pick at a fresh seed, both from one stream, through
+// Template.Sample, which validates the template and lays the instance out
+// in arrays of its own, as every caller that keeps its instances does.
+// scripts/bench.sh gates its ns/op and allocs/op.
 func BenchmarkTemplateSample(b *testing.B) {
 	order, err := ndwf.Named("order")
 	if err != nil {
@@ -446,6 +447,37 @@ func BenchmarkTemplateSample(b *testing.B) {
 			pick = order
 		}
 		if _, err := pick.Sample(r.Uint64()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTemplateSampleReuse times BenchmarkTemplateSample's draws
+// through one ndwf.Sampler over the checked templates, as online's mix
+// builder samples each arriving instance: every instance is laid out in
+// the arrays of the ones before it, so an op allocates only the
+// instance's name. It is the sampling layer under OnlineSoak, and
+// scripts/bench.sh gates its ns/op and allocs/op.
+func BenchmarkTemplateSampleReuse(b *testing.B) {
+	var checked [2]ndwf.Checked
+	for i, name := range []string{"order", "montage2"} {
+		tpl, err := ndwf.Named(name)
+		if err == nil {
+			checked[i], err = tpl.Check()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	var s ndwf.Sampler
+	r := stats.NewRNG(42)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pick := checked[1]
+		if r.Float64()*4 < 3 {
+			pick = checked[0]
+		}
+		if _, err := s.Sample(pick, r.Uint64()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,8 +70,12 @@ type gateRow struct {
 // the cold request, whose allocations count the workflow it builds; the
 // SLASearch rows watch the deadline portfolio search, whose allocations
 // count the DAGs it samples; the ScheduleGain row watches one GAIN
-// schedule, the upgrade loop under both budget-limited algorithms. Hosted
-// runners are noisy, hence the wide tolerances.
+// schedule, the upgrade loop under both budget-limited algorithms. The
+// TemplateSample rows time a fresh sample, the path of every caller of
+// ndwf.Template.Sample, and the TemplateSampleReuse rows one into a
+// reused ndwf.Sampler, the path of online's mix builder, which allocates
+// only the instance's name. Hosted runners are noisy, hence the wide
+// tolerances.
 var gates = []gateRow{
 	{sweepBench, "cells/s", true, 0.20},
 	{"SimReplay", "ns/op", false, 0.20},
@@ -79,6 +83,8 @@ var gates = []gateRow{
 	{onlineBench, "allocs/op", false, 0.20},
 	{"TemplateSample", "ns/op", false, 0.20},
 	{"TemplateSample", "allocs/op", false, 0.20},
+	{"TemplateSampleReuse", "ns/op", false, 0.20},
+	{"TemplateSampleReuse", "allocs/op", false, 0.20},
 	{"ServiceScheduleCached", "ns/op", false, 0.20},
 	{"ServiceScheduleCached", "allocs/op", false, 0.20},
 	{"ServiceScheduleCold", "ns/op", false, 0.20},
@@ -120,31 +126,52 @@ func (b Bench) value(metric string) float64 {
 
 // Artifact is the BENCH_sweep.json schema.
 type Artifact struct {
-	GoVersion  string           `json:"go_version"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	Machine
 	Benchmarks map[string]Bench `json:"benchmarks"`
 }
 
-var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-\d+)?\s+(\d+)\s+(.+)$`)
+// Machine names what the rows were measured on: the CPU model from the
+// `cpu:` line of the `go test` header, and GOMAXPROCS from the -N suffix
+// of the benchmark names (none means 1).
+type Machine struct {
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+}
 
-func parse(lines *bufio.Scanner) (map[string]Bench, error) {
+var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-(\d+))?\s+(\d+)\s+(.+)$`)
+
+func parse(lines *bufio.Scanner) (map[string]Bench, Machine, error) {
 	out := map[string]Bench{}
+	var mach Machine
 	for lines.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(lines.Text()))
+		line := strings.TrimSpace(lines.Text())
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+			mach.CPU = strings.TrimSpace(cpu)
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		iters, err := strconv.Atoi(m[2])
+		if mach.GOMAXPROCS == 0 {
+			mach.GOMAXPROCS = 1
+			if m[2] != "" {
+				mach.GOMAXPROCS, _ = strconv.Atoi(m[2])
+			}
+		}
+		iters, err := strconv.Atoi(m[3])
 		if err != nil {
-			return nil, fmt.Errorf("bench: bad iteration count in %q", lines.Text())
+			return nil, mach, fmt.Errorf("bench: bad iteration count in %q", lines.Text())
 		}
 		b := Bench{Iterations: iters}
-		fields := strings.Fields(m[3])
+		fields := strings.Fields(m[4])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bench: bad value %q in %q", fields[i], lines.Text())
+				return nil, mach, fmt.Errorf("bench: bad value %q in %q", fields[i], lines.Text())
 			}
 			switch fields[i+1] {
 			case "ns/op":
@@ -165,7 +192,7 @@ func parse(lines *bufio.Scanner) (map[string]Bench, error) {
 		}
 		out[name] = b
 	}
-	return out, lines.Err()
+	return out, mach, lines.Err()
 }
 
 func main() {
@@ -185,7 +212,7 @@ func main() {
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	benches, err := parse(sc)
+	benches, mach, err := parse(sc)
 	if err != nil {
 		fatal(err)
 	}
@@ -196,6 +223,7 @@ func main() {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		Machine:    mach,
 		Benchmarks: benches,
 	}
 
@@ -275,6 +303,9 @@ func emitBenchText(path string) error {
 		return fmt.Errorf("bench: parsing artifact %s: %w", path, err)
 	}
 	fmt.Printf("goos: %s\ngoarch: %s\n", art.GOOS, art.GOARCH)
+	if art.CPU != "" {
+		fmt.Printf("cpu: %s\n", art.CPU)
+	}
 	names := make([]string, 0, len(art.Benchmarks))
 	for name := range art.Benchmarks {
 		names = append(names, name)

@@ -11,6 +11,7 @@ import (
 
 const benchText = `goos: linux
 goarch: amd64
+cpu: Intel(R) Xeon(R) Processor
 BenchmarkFullParanoidSweep-8   	     300	   7600000 ns/op	 1621560 B/op	    9496 allocs/op
 BenchmarkSimReplay-8           	   17000	    150000 ns/op	    3792 B/op	       3 allocs/op
 BenchmarkOnlineSoak-8          	      15	 200000000 ns/op	63958447 B/op	  854785 allocs/op
@@ -20,12 +21,13 @@ BenchmarkServiceScheduleCold-8  	    2400	    500000 ns/op	  190000 B/op	    110
 BenchmarkSLASearch-8            	      20	  60000000 ns/op	13800000 B/op	   89000 allocs/op
 BenchmarkScheduleGain-8         	    5000	    300000 ns/op	   30000 B/op	     200 allocs/op
 BenchmarkTemplateSample-8       	  600000	      4000 ns/op	    3600 B/op	      18 allocs/op
+BenchmarkTemplateSampleReuse-8  	 1000000	      2000 ns/op	      16 B/op	       1 allocs/op
 PASS
 `
 
 func parsed(t *testing.T, text string) map[string]Bench {
 	t.Helper()
-	out, err := parse(bufio.NewScanner(strings.NewReader(text)))
+	out, _, err := parse(bufio.NewScanner(strings.NewReader(text)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func parsed(t *testing.T, text string) map[string]Bench {
 
 func TestParseDerivesThroughputs(t *testing.T) {
 	out := parsed(t, benchText)
-	if len(out) != 9 {
+	if len(out) != 10 {
 		t.Fatalf("parsed %d benchmarks: %v", len(out), out)
 	}
 	sweep := out[sweepBench]
@@ -55,9 +57,29 @@ func TestParseDerivesThroughputs(t *testing.T) {
 	}
 }
 
+// TestParseRecordsMachine reads the CPU model from the header and
+// GOMAXPROCS from the first benchmark name's suffix, 1 when it has none.
+func TestParseRecordsMachine(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		want Machine
+	}{
+		{benchText, Machine{CPU: "Intel(R) Xeon(R) Processor", GOMAXPROCS: 8}},
+		{"BenchmarkHEFTRanks 9000000 280.0 ns/op\nBenchmarkSimReplay-8 17000 150000 ns/op\n", Machine{GOMAXPROCS: 1}},
+	} {
+		_, got, err := parse(bufio.NewScanner(strings.NewReader(c.text)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("machine %+v, want %+v", got, c.want)
+		}
+	}
+}
+
 func TestParseRejectsMalformedValues(t *testing.T) {
 	bad := "BenchmarkFullParanoidSweep-8 300 oops ns/op\n"
-	if _, err := parse(bufio.NewScanner(strings.NewReader(bad))); err == nil {
+	if _, _, err := parse(bufio.NewScanner(strings.NewReader(bad))); err == nil {
 		t.Error("malformed value accepted")
 	}
 }

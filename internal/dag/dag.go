@@ -66,33 +66,43 @@ type Edge struct {
 // upward-rank vectors are cached per cost-model identity (CostModel.Key),
 // so that a catalog of strategies scheduling the same workflow computes
 // each rank vector once instead of once per strategy.
+//
+// Reset ends a snapshot and starts a new workflow in its arrays: an owner
+// that builds many short-lived workflows, one at a time, reuses one.
 type Workflow struct {
 	Name string
 
 	tasks []Task
 	// edges is every AddEdge call in order until Freeze, and the distinct
-	// edges sorted by (From, To) after.
+	// edges sorted by (From, To) after, in the same array.
 	edges []Edge
 
 	frozen bool
+	// reused is set by Reset: such a workflow keeps Freeze's scratch
+	// for the next Freeze, which a snapshot that is never reset must not
+	// hold.
+	reused bool
 	// rows[id] is task id's row, subslices of the flat adjacency arrays.
 	// Reading a row is one slice-header load on the hot paths of the
 	// schedulers, the builders and the simulator.
 	rows []row
+	// ids backs the rows' task IDs, the topological order and the levels.
+	ids []TaskID
 	// data holds every row's data sizes: the successor rows' in [0, E),
-	// the predecessor rows' in [E, 2E). SetData writes edge k's new size
-	// through to data[succAt[k]] and data[E+predAt[k]].
-	data   []float64
-	succAt []int32
-	predAt []int32
-	// added lists the sorted indices of the edges in first-AddEdge order,
-	// the order Clone replays them in.
-	added []int32
+	// the predecessor rows' in [E, 2E). SetData writes sorted edge k's
+	// new size through to data[succAt[k]] and data[E+predAt[k]].
+	data []float64
+	// at is succAt, predAt and added, E each: added lists the sorted
+	// indices of the edges in first-AddEdge order, the order Clone
+	// replays them in.
+	at    []int32
 	topo  []TaskID
 	level []int
 	depth int
 	// levels groups task IDs by level, precomputed by Freeze.
 	levels [][]TaskID
+	// scratch is Freeze's working memory, kept only once reused is set.
+	scratch []int32
 
 	// ranks memoizes UpwardRanks (and rankOrders RankOrder) per
 	// CostModel.Key. Guarded by rankMu: rank queries on a shared frozen
@@ -157,6 +167,34 @@ func (w *Workflow) valid(id TaskID) bool {
 	return id >= 0 && int(id) < len(w.tasks)
 }
 
+// Reset empties the workflow for reuse under a new name, as New(name)
+// would, but keeps the capacity of every array: AddTask and AddEdge append
+// into the kept lists, and Freeze lays the next snapshot out into the kept
+// rows, adjacency and level arrays. From the first Reset on, Freeze keeps
+// its scratch as well. The rank and level memos are dropped.
+//
+// Reset ends the snapshot: every slice its queries returned aliases
+// arrays the next build overwrites. Only an owner that knows no reader
+// still holds the snapshot may reset it (DESIGN "Snapshot immutability &
+// memoization").
+func (w *Workflow) Reset(name string) {
+	w.Name = name
+	w.tasks = w.tasks[:0]
+	w.edges = w.edges[:0]
+	w.frozen = false
+	w.reused = true
+	w.ranks, w.rankOrders, w.workLevels = nil, nil, nil
+}
+
+// grow returns s resliced to length n, reallocated only when its capacity
+// is short. The elements are not cleared.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
 // Freeze validates the workflow (it must be a non-empty DAG) and makes it
 // immutable. Freeze is idempotent. Once frozen, the workflow is safe for
 // concurrent read access — see the type comment. A failed Freeze leaves
@@ -171,8 +209,9 @@ func (w *Workflow) Freeze() error {
 	}
 	raw := w.edges
 	// One scratch array, carved into per-task and per-edge parts.
-	sc := make([]int32, 4*(n+1)+3*m)
-	start, sc := sc[:n+1], sc[n+1:]
+	scratch := grow(w.scratch, 4*(n+1)+3*m)
+	start, sc := scratch[:n+1], scratch[n+1:]
+	clear(start)
 	cursor, sc := sc[:n+1], sc[n+1:]
 	last, sc := sc[:n+1], sc[n+1:]
 	heap, sc := sc[:n+1], sc[n+1:]
@@ -198,9 +237,9 @@ func (w *Workflow) Freeze() error {
 	// later ones add their data to it. last[v] is the slot of the pair
 	// (u, v) when it is at least the slot the row of u starts at. pos[i] is
 	// raw edge i's slot, or -1 for a duplicate.
-	ids := make([]TaskID, 2*m+2*n)
-	data := make([]float64, 2*m)
-	rows := make([]row, n)
+	ids := grow(w.ids, 2*m+2*n)
+	data := grow(w.data, 2*m)
+	rows := grow(w.rows, n)
 	for v := range last {
 		last[v] = -1
 	}
@@ -264,9 +303,9 @@ func (w *Workflow) Freeze() error {
 	// rows in target order fills each source's bucket, which spans the same
 	// slots as its successor row, in target order. sortedOf maps each
 	// successor slot to its sorted index, which orders added.
-	at := make([]int32, 3*nE)
-	succAt, predAt, added := at[:nE:nE], at[nE:2*nE:2*nE], at[2*nE:]
-	sorted := raw[:nE:nE]
+	at := grow(w.at, 3*nE)
+	succAt, predAt, added := edgeSlots(at, nE)
+	sorted := raw[:nE]
 	sortedOf := byFrom[:nE] // byFrom is spent
 	for v := 0; v < n; v++ {
 		for q := start[v]; q < start[v+1]; q++ {
@@ -288,14 +327,23 @@ func (w *Workflow) Freeze() error {
 	}
 
 	w.edges = sorted
-	w.rows = rows
-	w.data = data[: 2*nE : 2*nE]
-	w.succAt, w.predAt, w.added = succAt, predAt, added
+	w.rows, w.ids = rows, ids
+	w.data = data[:2*nE]
+	w.at = at
 	w.topo = topo
 	w.computeLevels()
 	w.groupLevels(ids[2*m+n:], last)
+	if w.reused {
+		w.scratch = scratch
+	}
 	w.frozen = true
 	return nil
+}
+
+// edgeSlots carves at, the snapshot's three per-edge arrays, for nE
+// distinct edges.
+func edgeSlots(at []int32, nE int) (succAt, predAt, added []int32) {
+	return at[:nE:nE], at[nE : 2*nE : 2*nE], at[2*nE : 3*nE : 3*nE]
 }
 
 // kahn writes a deterministic topological order into topo — Kahn's
@@ -375,7 +423,7 @@ func (w *Workflow) groupLevels(flat []TaskID, counts []int32) {
 	for _, l := range w.level {
 		counts[l]++
 	}
-	w.levels = make([][]TaskID, w.depth)
+	w.levels = grow(w.levels, w.depth)
 	off := int32(0)
 	for l, c := range counts {
 		w.levels[l] = flat[off : off : off+c]
@@ -417,7 +465,7 @@ func (w *Workflow) freezeOrPanic() {
 // every other task is one more than its deepest predecessor (longest-path
 // depth). This is the "level ranking" used by the AllPar* algorithms.
 func (w *Workflow) computeLevels() {
-	w.level = make([]int, len(w.tasks))
+	w.level = grow(w.level, len(w.tasks))
 	w.depth = 0
 	for _, id := range w.topo {
 		lvl := 0
@@ -488,7 +536,7 @@ func (w *Workflow) Data(from, to TaskID) (float64, bool) {
 // snapshot's own and must not be modified.
 func (w *Workflow) Edges() []Edge {
 	w.mustFreeze()
-	return w.edges
+	return slices.Clip(w.edges)
 }
 
 // SuccData returns the data sizes of the edges to a task's successors,
@@ -645,14 +693,15 @@ func (w *Workflow) SetWork(assign func(t Task) float64) {
 func (w *Workflow) SetData(assign func(e Edge) float64) {
 	w.mustFreeze()
 	pred := w.data[len(w.edges):]
+	succAt, predAt, _ := edgeSlots(w.at, len(w.edges))
 	for k, e := range w.edges {
 		d := assign(e)
 		if d < 0 {
 			panic(fmt.Sprintf("dag: negative data for edge %d->%d", e.From, e.To))
 		}
 		w.edges[k].Data = d
-		w.data[w.succAt[k]] = d
-		pred[w.predAt[k]] = d
+		w.data[succAt[k]] = d
+		pred[predAt[k]] = d
 	}
 	w.invalidateRanks()
 }
@@ -668,8 +717,9 @@ func (w *Workflow) Clone() *Workflow {
 		c.edges = slices.Clone(w.edges)
 		return c
 	}
-	c.edges = make([]Edge, len(w.added))
-	for j, k := range w.added {
+	_, _, added := edgeSlots(w.at, len(w.edges))
+	c.edges = make([]Edge, len(added))
+	for j, k := range added {
 		c.edges[j] = w.edges[k]
 	}
 	return c

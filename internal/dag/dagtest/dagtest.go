@@ -6,6 +6,8 @@ package dagtest
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/stats"
@@ -95,4 +97,91 @@ func ForkJoin(width int, work float64) *dag.Workflow {
 		panic(err)
 	}
 	return w
+}
+
+// Diff freezes two workflows and compares every query of them bit for bit:
+// the name and the tasks, each task's successor and predecessor rows with
+// their data sizes and its level, the sorted edges, the topological order,
+// the levels in ID and in work order, the entries and exits, the upward
+// ranks and rank order under a memoized and an unmemoized cost model, and
+// all of that again for their clones. It returns the first difference, or
+// nil when there is none.
+func Diff(got, want *dag.Workflow) error {
+	if err := diff(got, want); err != nil {
+		return err
+	}
+	if err := diff(got.Clone(), want.Clone()); err != nil {
+		return fmt.Errorf("clone: %w", err)
+	}
+	return nil
+}
+
+func diff(got, want *dag.Workflow) error {
+	if err := got.Freeze(); err != nil {
+		return err
+	}
+	if err := want.Freeze(); err != nil {
+		return err
+	}
+	if got.Name != want.Name {
+		return fmt.Errorf("name %q, want %q", got.Name, want.Name)
+	}
+	if gt, wt := got.Tasks(), want.Tasks(); !slices.EqualFunc(gt, wt, func(a, b dag.Task) bool {
+		return a.ID == b.ID && a.Name == b.Name && same(a.Work, b.Work)
+	}) {
+		return fmt.Errorf("tasks %v, want %v", gt, wt)
+	}
+	for i := range want.Len() {
+		id := dag.TaskID(i)
+		switch {
+		case !slices.Equal(got.Succ(id), want.Succ(id)):
+			return fmt.Errorf("task %d successors %v, want %v", i, got.Succ(id), want.Succ(id))
+		case !slices.Equal(got.Pred(id), want.Pred(id)):
+			return fmt.Errorf("task %d predecessors %v, want %v", i, got.Pred(id), want.Pred(id))
+		case !slices.EqualFunc(got.SuccData(id), want.SuccData(id), same):
+			return fmt.Errorf("task %d successor data %v, want %v", i, got.SuccData(id), want.SuccData(id))
+		case !slices.EqualFunc(got.PredData(id), want.PredData(id), same):
+			return fmt.Errorf("task %d predecessor data %v, want %v", i, got.PredData(id), want.PredData(id))
+		case got.Level(id) != want.Level(id):
+			return fmt.Errorf("task %d level %d, want %d", i, got.Level(id), want.Level(id))
+		}
+	}
+	if ge, we := got.Edges(), want.Edges(); !slices.EqualFunc(ge, we, func(a, b dag.Edge) bool {
+		return a.From == b.From && a.To == b.To && same(a.Data, b.Data)
+	}) {
+		return fmt.Errorf("edges %v, want %v", ge, we)
+	}
+	if !slices.Equal(got.TopoOrder(), want.TopoOrder()) {
+		return fmt.Errorf("topological order %v, want %v", got.TopoOrder(), want.TopoOrder())
+	}
+	if got.Depth() != want.Depth() || !equalLevels(got.Levels(), want.Levels()) {
+		return fmt.Errorf("levels %v, want %v", got.Levels(), want.Levels())
+	}
+	if !equalLevels(got.LevelsByWork(), want.LevelsByWork()) {
+		return fmt.Errorf("levels by work %v, want %v", got.LevelsByWork(), want.LevelsByWork())
+	}
+	if !slices.Equal(got.Entries(), want.Entries()) || !slices.Equal(got.Exits(), want.Exits()) {
+		return fmt.Errorf("entries %v exits %v, want %v %v", got.Entries(), got.Exits(), want.Entries(), want.Exits())
+	}
+	for _, key := range []string{"dagtest.Diff", ""} {
+		m := dag.CostModel{
+			Exec: func(t dag.Task) float64 { return t.Work / 3 },
+			Comm: func(e dag.Edge) float64 { return e.Data / 7 },
+			Key:  key,
+		}
+		if gr, wr := got.UpwardRanks(m), want.UpwardRanks(m); !slices.EqualFunc(gr, wr, same) {
+			return fmt.Errorf("upward ranks (key %q) %v, want %v", key, gr, wr)
+		}
+		if !slices.Equal(got.RankOrder(m), want.RankOrder(m)) {
+			return fmt.Errorf("rank order (key %q) %v, want %v", key, got.RankOrder(m), want.RankOrder(m))
+		}
+	}
+	return nil
+}
+
+// same compares two floats bit for bit.
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func equalLevels(a, b [][]dag.TaskID) bool {
+	return slices.EqualFunc(a, b, func(x, y []dag.TaskID) bool { return slices.Equal(x, y) })
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/dag/dagtest"
 )
 
 // refDAG is the map-backed construction the flat layout replaced, kept as
@@ -201,15 +202,105 @@ func fuzzGraph(in []byte) (work []float64, edges []dag.Edge) {
 
 func buildFuzz(work []float64, edges []dag.Edge) (*dag.Workflow, *refDAG) {
 	w := dag.New("fuzz")
-	for i, x := range work {
-		w.AddTask(fmt.Sprintf("t%d", i), x)
-	}
+	addAll(w, work, edges)
 	ref := newRef(work)
 	for _, e := range edges {
-		w.AddEdge(e.From, e.To, e.Data)
 		ref.addEdge(e.From, e.To, e.Data)
 	}
 	return w, ref
+}
+
+// addAll adds the tasks and then the edges to w.
+func addAll(w *dag.Workflow, work []float64, edges []dag.Edge) {
+	for i, x := range work {
+		w.AddTask(fmt.Sprintf("t%d", i), x)
+	}
+	for _, e := range edges {
+		w.AddEdge(e.From, e.To, e.Data)
+	}
+}
+
+// graph is a fuzz graph's task works and AddEdge sequence.
+type graph struct {
+	work  []float64
+	edges []dag.Edge
+}
+
+// resetSources derives from a fuzz graph the two acyclic graphs the reset
+// arm resets from: a larger one, with three more tasks chained after the
+// graph's own and every edge, turned forward, added twice; and a smaller
+// one, the graph's first half of tasks and those doubled edges among them.
+func resetSources(work []float64, edges []dag.Edge) []graph {
+	n := len(work)
+	big := graph{work: append(slices.Clone(work), 1, 2, 3)}
+	for _, e := range edges {
+		if e.From > e.To {
+			e.From, e.To = e.To, e.From
+		}
+		big.edges = append(big.edges, e, e)
+	}
+	for v := max(n, 1); v < n+3; v++ {
+		big.edges = append(big.edges, dag.Edge{From: dag.TaskID(v - 1), To: dag.TaskID(v), Data: 0.5})
+	}
+	half := max(n/2, 1)
+	small := graph{work: slices.Clone(big.work[:half])}
+	for _, e := range big.edges[:2*len(edges)] {
+		if int(e.To) < half {
+			small.edges = append(small.edges, e)
+		}
+	}
+	return []graph{big, small}
+}
+
+// checkReset is FuzzFreeze's reset arm: the graph is built into a workflow
+// Reset from each source, frozen with its rank memos warm. A cyclic or
+// empty graph must fail to freeze as a fresh build does, and leave the
+// workflow as it was: its tasks unchanged, ready to be reset again. An
+// acyclic one must match the fresh build query by query, also after a
+// second Reset that rebuilds it in its own arrays, and a clone taken
+// before that Reset must not see it.
+func checkReset(t *testing.T, work []float64, edges []dag.Edge, fresh *dag.Workflow, freezeErr error) {
+	t.Helper()
+	for i, src := range resetSources(work, edges) {
+		// Comparing the source with a fresh build of it warms the memos
+		// of every query the comparisons after the Reset make.
+		r, want := dag.New("source"), dag.New("source")
+		addAll(r, src.work, src.edges)
+		addAll(want, src.work, src.edges)
+		if err := dagtest.Diff(r, want); err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		r.Reset("fuzz")
+		addAll(r, work, edges)
+		if freezeErr != nil {
+			for range 2 {
+				if got := r.Freeze(); got == nil || got.Error() != freezeErr.Error() {
+					t.Fatalf("source %d: Freeze after Reset: error %v, want %v", i, got, freezeErr)
+				}
+			}
+			if r.Name != "fuzz" || !slices.Equal(r.Tasks(), fresh.Tasks()) {
+				t.Fatalf("source %d: failed Freeze changed the workflow: %s %v, want %v", i, r.Name, r.Tasks(), fresh.Tasks())
+			}
+			r.Reset("source")
+			addAll(r, src.work, src.edges)
+			if err := dagtest.Diff(r, want); err != nil {
+				t.Fatalf("source %d: rebuilt after a failed Freeze: %v", i, err)
+			}
+			continue
+		}
+		if err := dagtest.Diff(r, fresh); err != nil {
+			t.Fatalf("source %d: built after Reset: %v", i, err)
+		}
+		c := r.Clone()
+		r.Reset("fuzz")
+		addAll(r, work, edges)
+		if err := dagtest.Diff(r, fresh); err != nil {
+			t.Fatalf("source %d: rebuilt in its own arrays: %v", i, err)
+		}
+		if err := dagtest.Diff(c, fresh); err != nil {
+			t.Fatalf("source %d: clone after the next Reset: %v", i, err)
+		}
+	}
 }
 
 // sameBits compares float slices bit for bit.
@@ -289,8 +380,9 @@ func checkAgainst(t *testing.T, what string, w *dag.Workflow, ref *refDAG) {
 
 // FuzzFreeze checks the flat layout against the map-backed construction
 // it replaced: rows, data, sorted edges, topological order and levels;
-// Clone, SetData and TransitiveReduction on the result; and the errors for
-// empty and cyclic graphs.
+// Clone, SetData and TransitiveReduction on the result; the errors for
+// empty and cyclic graphs; and, in checkReset, the same graph built into
+// a workflow Reset from a larger and from a smaller one.
 func FuzzFreeze(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x14, 1, 2, 3, 4, 0, 1, 5, 0, 2, 7, 1, 3, 9, 2, 3, 11})            // diamond
@@ -308,6 +400,7 @@ func FuzzFreeze(f *testing.F) {
 					t.Fatalf("Freeze error %v, want %v", got, err)
 				}
 			}
+			checkReset(t, work, edges, w, err)
 			return
 		}
 		// Clone before freezing copies the raw list, duplicates included.
@@ -331,5 +424,6 @@ func FuzzFreeze(f *testing.F) {
 		checkAgainst(t, "SetData", c, rc)
 
 		checkAgainst(t, "TransitiveReduction", w.TransitiveReduction(), ref.reduce())
+		checkReset(t, work, edges, w, nil)
 	})
 }

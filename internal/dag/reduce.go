@@ -20,9 +20,10 @@ func (w *Workflow) TransitiveReduction() *Workflow {
 		drop[k] = e.Data == 0 && w.reachableWithout(e.From, e.To)
 	}
 	c := w.Clone()
+	_, _, added := edgeSlots(w.at, len(w.edges))
 	kept := c.edges[:0]
 	for j, e := range c.edges {
-		if !drop[w.added[j]] {
+		if !drop[added[j]] {
 			kept = append(kept, e)
 		}
 	}

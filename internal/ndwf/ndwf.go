@@ -233,20 +233,45 @@ func (t Template) Check() (Checked, error) {
 	return Checked{t}, nil
 }
 
-// Sample is Template.Sample without the validation.
+// Sample is Template.Sample without the validation. The instance is the
+// caller's to keep: it is a fresh Sampler's first.
 func (c Checked) Sample(seed uint64) (*dag.Workflow, error) {
+	return new(Sampler).Sample(c, seed)
+}
+
+// Sampler samples instances into one workflow it owns and reuses, with
+// one expander, so a loop that is done with each instance before it
+// samples the next allocates nothing per instance but its name. The zero
+// value is ready for use; a Sampler is not safe for concurrent use.
+type Sampler struct {
+	x expander // x.w is the workflow
+}
+
+// Sample resolves the runtime choices of c with the given seed into the
+// Sampler's workflow and returns it, frozen: bit for bit the instance
+// Checked.Sample returns. The workflow, and every slice its queries
+// return, stays valid only until the next call, which resets it.
+func (s *Sampler) Sample(c Checked, seed uint64) (*dag.Workflow, error) {
 	t := c.t
 	// The instance is named t.Name#seed.
 	var buf [64]byte
-	name := strconv.AppendUint(append(append(buf[:0], t.Name...), '#'), seed, 10)
-	x := &expander{w: dag.New(string(name)), r: *stats.NewRNG(seed)}
-	x.arena, x.spans = x.buf[:0], x.spanBuf[:0]
+	name := string(strconv.AppendUint(append(append(buf[:0], t.Name...), '#'), seed, 10))
+	x := &s.x
+	if x.w == nil {
+		// The first instance is laid out fresh, so the one Checked.Sample
+		// hands out holds no scratch for a reuse that never comes.
+		x.w = dag.New(name)
+		x.arena, x.spans = x.buf[:0], x.spanBuf[:0]
+	} else {
+		x.w.Reset(name)
+	}
+	x.r = *stats.NewRNG(seed)
+	x.arena, x.spans = x.arena[:0], x.spans[:0]
 	t.Root.expand(x, span{})
-	w := x.w
-	if err := w.Freeze(); err != nil {
+	if err := x.w.Freeze(); err != nil {
 		return nil, fmt.Errorf("ndwf: sampled instance invalid: %w", err)
 	}
-	return w, nil
+	return x.w, nil
 }
 
 // Outcome is the result distribution of scheduling n sampled instances.

@@ -200,12 +200,14 @@ func TestQuickSampledInstancesScheduleEverywhere(t *testing.T) {
 	}
 }
 
-// TestSampleAllocs guards the sampling layer, most of an online instance's
-// allocations: the expansion's arena and span stack live in one expander,
-// and the workflow keeps flat lists until Freeze lays out its rows. A
-// sample measures 18 allocations for order and 20 for montage2 (61 and 91
-// with per-block tail slices and map-backed edges); the ceilings leave
-// ~30% headroom.
+// TestSampleAllocs guards the sampling layer: the expansion's arena and
+// span stack live in one expander, and the workflow keeps flat lists until
+// Freeze lays out its rows. A fresh sample measures 18 allocations for
+// order and 20 for montage2 (61 and 91 with per-block tail slices and
+// map-backed edges); the ceilings leave ~30% headroom. A Sampler that has
+// sampled both templates before (AllocsPerRun's warm-up run) lays every
+// instance out in the arrays they left, so it allocates only the
+// instance's name.
 func TestSampleAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -225,5 +227,20 @@ func TestSampleAllocs(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("%s: %.1f allocations per sample, want at most %v", c.name, allocs, c.max)
 		}
+	}
+	var reused Sampler
+	co, _ := Order().Check()
+	cm, _ := MontageND(2).Check()
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(500, func() {
+		seed++
+		for _, c := range []Checked{co, cm} {
+			if _, err := reused.Sample(c, seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("a reused Sampler: %.1f allocations per two samples, want at most 2 (their names)", allocs)
 	}
 }

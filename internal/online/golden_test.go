@@ -53,39 +53,12 @@ func TestGoldenStreams(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s %s %s", name, hashOf(*res), hashOf(col.Events)))
 	}
 	for _, mk := range market.PresetNames() {
-		for _, fname := range []string{"none", "flaky", "preempt-storm"} {
+		for _, fname := range goldenFaults {
 			for _, scaler := range ScalerNames() {
 				for _, dispatch := range []Dispatch{FIFO, SJF} {
 					for _, minVMs := range []int{0, 3} {
 						name := fmt.Sprintf("%s/%s/%s/%s/min%d", mk, fname, scaler, dispatch, minVMs)
-						m, err := market.Preset(mk)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fc, err := fault.Preset(fname)
-						if err != nil {
-							t.Fatal(err)
-						}
-						fc.Seed = 5
-						s, err := ParseScaler(scaler)
-						if err != nil {
-							t.Fatal(err)
-						}
-						run(name, Config{
-							MeanInterarrival: 45,
-							Instances:        150,
-							Mix:              mix,
-							Type:             cloud.Small,
-							Region:           cloud.USEastVirginia,
-							MinVMs:           minVMs,
-							MaxVMs:           12,
-							Scaler:           s,
-							Deadline:         2400,
-							Dispatch:         dispatch,
-							Market:           m,
-							Faults:           &fc,
-							Seed:             11,
-						})
+						run(name, goldenConfig(t, mix, mk, fname, scaler, dispatch, minVMs))
 					}
 				}
 			}
@@ -140,6 +113,44 @@ func TestGoldenStreams(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("run differs from %s:\n got %s\nwant %s", path, got[i], want[i])
 		}
+	}
+}
+
+// goldenFaults are the fault presets of TestGoldenStreams' grid.
+var goldenFaults = []string{"none", "flaky", "preempt-storm"}
+
+// goldenConfig is the TestGoldenStreams run of the mix under the named
+// market preset, fault preset and scaler, with the given dispatch order
+// and pool floor.
+func goldenConfig(t *testing.T, mix []MixEntry, mk, fname, scaler string, dispatch Dispatch, minVMs int) Config {
+	t.Helper()
+	m, err := market.Preset(mk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := fault.Preset(fname)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.Seed = 5
+	s, err := ParseScaler(scaler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		MeanInterarrival: 45,
+		Instances:        150,
+		Mix:              mix,
+		Type:             cloud.Small,
+		Region:           cloud.USEastVirginia,
+		MinVMs:           minVMs,
+		MaxVMs:           12,
+		Scaler:           s,
+		Deadline:         2400,
+		Dispatch:         dispatch,
+		Market:           m,
+		Faults:           &fc,
+		Seed:             11,
 	}
 }
 

@@ -26,7 +26,9 @@ func mixSeed(seed, i uint64) uint64 {
 // mixBuilder validates a mix and turns it into an instance builder:
 // instance i picks a template by weight and samples it, both from i's own
 // hash stream; the runner's shared stream goes unused. Each template is
-// validated here, once, not per sample.
+// validated here, once, not per sample, and every instance is sampled
+// into the one workflow of the builder's Sampler, which the runner copies
+// from before it asks for the next.
 func mixBuilder(entries []MixEntry, seed uint64) (func(int, *stats.RNG) *dag.Workflow, error) {
 	checked := make([]ndwf.Checked, len(entries))
 	total := 0.0
@@ -41,6 +43,7 @@ func mixBuilder(entries []MixEntry, seed uint64) (func(int, *stats.RNG) *dag.Wor
 		}
 		total += e.Weight
 	}
+	var sampler ndwf.Sampler
 	return func(i int, _ *stats.RNG) *dag.Workflow {
 		r := stats.NewRNG(mixSeed(seed, uint64(i)))
 		u := r.Float64() * total
@@ -52,7 +55,7 @@ func mixBuilder(entries []MixEntry, seed uint64) (func(int, *stats.RNG) *dag.Wor
 			}
 			u -= e.Weight
 		}
-		wf, err := checked[pick].Sample(r.Uint64())
+		wf, err := sampler.Sample(checked[pick], r.Uint64())
 		if err != nil {
 			panic(fmt.Sprintf("online: sampling mix template %q: %v", entries[pick].Template.Name, err))
 		}

@@ -49,7 +49,9 @@ type Config struct {
 	Instances int
 	// Instance builds the i-th arriving workflow; it may use the RNG for
 	// per-instance variation. The returned workflow must be valid; Run
-	// stops with an error at the first instance that is not.
+	// stops with an error at the first instance that is not. Run copies
+	// what it needs of the workflow during the call, so a builder may
+	// reset and rebuild one workflow for every instance.
 	// Exactly one of Instance and Mix must be set.
 	Instance func(i int, r *stats.RNG) *dag.Workflow
 	// Mix draws each instance from weighted non-deterministic templates
@@ -206,14 +208,59 @@ type vm struct {
 	curExec  float64
 }
 
-// instance is an arrived workflow instance still in flight. A finished
-// instance's record, pending-count array included, goes to the next
-// arrival.
+// instance is an arrived workflow instance still in flight, with what the
+// runner reads of its DAG, copied at arrival: no workflow outlives the
+// builder call that returned it. A finished instance's record, arrays
+// included, goes to the next arrival.
 type instance struct {
-	wf        *dag.Workflow
 	arrivedAt float64
-	pending   []int // unfinished predecessor counts per task
 	remaining int
+	// tasks has one entry per task and one more, whose first ends the
+	// last task's successors.
+	tasks []instTask
+	succ  []int32  // every task's successors, in first-AddEdge order
+	names []string // task names, copied only for a recorder's labels
+}
+
+// instTask is one task of an instance: its reference work, its unfinished
+// predecessors, and where its successors start in the instance's succ.
+type instTask struct {
+	work    float64
+	pending int32
+	first   int32
+}
+
+// load copies what the runner reads of wf, a frozen workflow, into the
+// record's arrays, names only when asked, and returns wf's total work,
+// summed in ID order.
+func (inst *instance) load(wf *dag.Workflow, names bool) float64 {
+	n := wf.Len()
+	inst.tasks = resize(inst.tasks, n+1)
+	inst.succ = resize(inst.succ, len(wf.Edges()))[:0]
+	inst.names = inst.names[:0]
+	total := 0.0
+	for id := range n {
+		t := wf.Task(dag.TaskID(id))
+		inst.tasks[id] = instTask{work: t.Work, pending: int32(len(wf.Pred(t.ID))), first: int32(len(inst.succ))}
+		for _, s := range wf.Succ(t.ID) {
+			inst.succ = append(inst.succ, int32(s))
+		}
+		if names {
+			inst.names = append(inst.names, t.Name)
+		}
+		total += t.Work
+	}
+	inst.tasks[n] = instTask{first: int32(len(inst.succ))}
+	return total
+}
+
+// resize returns s resliced to length n, reallocated only when its
+// capacity is short.
+func resize[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
 }
 
 // vmRef names one rental: the slot of its record and its rental id. The
@@ -254,12 +301,12 @@ type runner struct {
 	// seeded stream that draws the gap after it.
 	nextArrival float64
 	gaps        stats.RNG
-	instances   []*instance // by slot; free holds the finished ones' slots
-	free        []int       // slots to reuse, the last freed first
-	responses   []float64   // response times in completion order
-	vms         []vm        // by slot; freeVMs holds the dead ones' slots
-	freeVMs     []int32     // slots to reuse, the last freed first
-	idle        []vmRef     // the live VMs without a task, in rent order
+	instances   []instance // by slot; free holds the finished ones' slots
+	free        []int      // slots to reuse, the last freed first
+	responses   []float64  // response times in completion order
+	vms         []vm       // by slot; freeVMs holds the dead ones' slots
+	freeVMs     []int32    // slots to reuse, the last freed first
+	idle        []vmRef    // the live VMs without a task, in rent order
 	ready       taskHeap
 	queuedWork  float64 // summed exec time of ready tasks
 	nextSeq     int
@@ -417,19 +464,11 @@ func (r *runner) arrive(i int) error {
 		slot = r.free[k-1]
 		r.free = r.free[:k-1]
 	} else {
-		r.instances = append(r.instances, &instance{})
+		r.instances = append(r.instances, instance{})
 	}
-	inst := r.instances[slot]
-	inst.wf, inst.arrivedAt, inst.remaining = wf, r.now, n
-	if cap(inst.pending) < n {
-		inst.pending = make([]int, n)
-	}
-	inst.pending = inst.pending[:n]
-	totalWork := 0.0
-	for id := 0; id < n; id++ {
-		inst.pending[id] = len(wf.Pred(dag.TaskID(id)))
-		totalWork += wf.Task(dag.TaskID(id)).Work
-	}
+	inst := &r.instances[slot]
+	inst.arrivedAt, inst.remaining = r.now, n
+	totalWork := inst.load(wf, r.rec != nil)
 	instExec := r.cfg.Platform.ExecTime(totalWork, r.cfg.Type)
 	if i == 0 {
 		r.ewmaRate = 1 / r.cfg.MeanInterarrival
@@ -442,13 +481,12 @@ func (r *runner) arrive(i int) error {
 	}
 	r.lastArrival = r.now
 	// The entry tasks, in ID order.
-	for id, p := range inst.pending {
-		if p > 0 {
+	for id, t := range inst.tasks[:n] {
+		if t.pending > 0 {
 			continue
 		}
-		e := dag.TaskID(id)
-		r.pushReady(readyTask{inst: slot, task: e, readyAt: r.now, seq: r.nextSeq,
-			work: wf.Task(e).Work, id: r.nextTaskID, attempt: 1})
+		r.pushReady(readyTask{inst: slot, task: dag.TaskID(id), readyAt: r.now, seq: r.nextSeq,
+			work: t.work, id: r.nextTaskID, attempt: 1})
 		r.nextSeq++
 		r.nextTaskID++
 	}
@@ -518,8 +556,7 @@ func (r *runner) kill(slot int32, preempt bool) {
 func (r *runner) finish(slot int32) {
 	m := &r.vms[slot]
 	rt := m.cur
-	inst := r.instances[rt.inst]
-	wf := inst.wf
+	inst := &r.instances[rt.inst]
 	m.busy = false // idle again, at its place in rent order
 	i, _ := slices.BinarySearchFunc(r.idle, m.id, byID)
 	r.idle = slices.Insert(r.idle, i, vmRef{slot, m.id})
@@ -535,14 +572,14 @@ func (r *runner) finish(slot int32) {
 		if r.cfg.Deadline > 0 && rtime <= r.cfg.Deadline {
 			r.res.SLAMet++
 		}
-		inst.wf = nil // let the sampled DAG be collected
 		r.free = append(r.free, rt.inst)
 	}
-	for _, s := range wf.Succ(rt.task) {
-		inst.pending[s]--
-		if inst.pending[s] == 0 {
-			r.pushReady(readyTask{inst: rt.inst, task: s, readyAt: r.now, seq: r.nextSeq,
-				work: wf.Task(s).Work, id: r.nextTaskID, attempt: 1})
+	for _, s := range inst.succ[inst.tasks[rt.task].first:inst.tasks[rt.task+1].first] {
+		t := &inst.tasks[s]
+		t.pending--
+		if t.pending == 0 {
+			r.pushReady(readyTask{inst: rt.inst, task: dag.TaskID(s), readyAt: r.now, seq: r.nextSeq,
+				work: t.work, id: r.nextTaskID, attempt: 1})
 			r.nextSeq++
 			r.nextTaskID++
 		}
@@ -563,7 +600,7 @@ func (r *runner) startTask(v vmRef, rt readyTask) {
 	m.cur, m.curStart, m.curExec = rt, st, et
 	if r.rec != nil {
 		r.rec.Record(obs.Event{Kind: obs.KindTaskStart, T: st, VM: m.id, Task: rt.id,
-			Attempt: rt.attempt, Value: et, Label: r.instances[rt.inst].wf.Task(rt.task).Name})
+			Attempt: rt.attempt, Value: et, Label: r.instances[rt.inst].names[rt.task]})
 	}
 	r.q.Push(st+et, event{kind: evFinish, vm: v})
 }

@@ -151,6 +151,7 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 		}()
 		return plan(ctx)
 	})
+	var pe *panicError
 	switch {
 	case errors.Is(err, errQueueFull):
 		wait.SetAttr("admission", "rejected")
@@ -163,6 +164,18 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 		wait.End()
 		s.met.timeouts.Inc()
 		s.writeError(w, http.StatusServiceUnavailable, "request timed out after %v", s.cfg.RequestTimeout)
+		return
+	case errors.As(err, &pe):
+		// The pool counted the panic. Its value and stack go to the
+		// flight record, not to the client.
+		sp, _ := obs.StartSpanCtx(r.Context(), "panic")
+		sp.SetAttr("value", fmt.Sprint(pe.value))
+		sp.SetAttr("stack", string(pe.stack))
+		sp.End()
+		if sw, ok := w.(*statusWriter); ok {
+			sw.panicked = true
+		}
+		s.writeError(w, http.StatusInternalServerError, "planning failed: internal error")
 		return
 	case err != nil:
 		wait.End()

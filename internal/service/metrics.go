@@ -36,6 +36,7 @@ type serviceMetrics struct {
 	requests    *obs.CounterVec // wfservd_requests_total{endpoint}
 	rejected    *obs.Counter    // wfservd_rejected_total
 	timeouts    *obs.Counter    // wfservd_timeouts_total
+	panics      *obs.Counter    // wfservd_panics_total
 	errors      *obs.Counter    // wfservd_errors_total
 	cacheReq    *obs.CounterVec // wfservd_cache_requests_total{result}
 	cacheHits   *obs.Counter
@@ -73,6 +74,8 @@ func newServiceMetrics() *serviceMetrics {
 		"Requests refused by admission control (429).").With()
 	m.timeouts = reg.Counter("wfservd_timeouts_total",
 		"Planning requests that exceeded their deadline.").With()
+	m.panics = reg.Counter("wfservd_panics_total",
+		"Planning jobs that panicked, recovered by their worker.").With()
 	m.errors = reg.Counter("wfservd_errors_total",
 		"Requests answered 4xx/5xx, excluding 429 rejections.").With()
 	m.cacheReq = reg.Counter("wfservd_cache_requests_total",

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"slices"
 	"sync"
 )
@@ -11,6 +13,15 @@ import (
 // cannot take another job — the admission-control signal the handlers map
 // to 429 + Retry-After.
 var errQueueFull = errors.New("service: submission queue full")
+
+// panicError is a job's recovered panic: its value and the stack of the
+// goroutine that raised it.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("service: planning panicked: %v", e.value) }
 
 // job is one unit of planning work queued for the pool.
 type job struct {
@@ -30,6 +41,9 @@ type job struct {
 type pool struct {
 	depth int
 	wg    sync.WaitGroup
+	// onPanic, when set, learns of every job that panicked, whether or not
+	// its caller still waits.
+	onPanic func(*panicError)
 
 	mu     sync.Mutex
 	ready  sync.Cond // signalled when a job is queued or the pool closes
@@ -38,14 +52,16 @@ type pool struct {
 }
 
 // newPool starts workers goroutines draining a queue of the given depth.
-func newPool(workers, depth int) *pool {
+// A job that panics fails with a *panicError, which onPanic (if not nil)
+// also receives, and its worker goes on to the next job.
+func newPool(workers, depth int, onPanic func(*panicError)) *pool {
 	if workers < 1 {
 		workers = 1
 	}
 	if depth < 1 {
 		depth = 1
 	}
-	p := &pool{depth: depth, queue: make([]*job, 0, depth)}
+	p := &pool{depth: depth, onPanic: onPanic, queue: make([]*job, 0, depth)}
 	p.ready.L = &p.mu
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -60,10 +76,25 @@ func (p *pool) worker() {
 		if err := j.ctx.Err(); err != nil {
 			j.err = err
 		} else {
-			j.res, j.err = j.run(j.ctx)
+			j.res, j.err = p.run(j)
 		}
 		close(j.done)
 	}
+}
+
+// run runs j, recovering a panic into a *panicError: a planner's panic on
+// a crafted request must cost that request, not the daemon.
+func (p *pool) run(j *job) (res any, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			pe := &panicError{value: v, stack: debug.Stack()}
+			if p.onPanic != nil {
+				p.onPanic(pe)
+			}
+			res, err = nil, pe
+		}
+	}()
+	return j.run(j.ctx)
 }
 
 // next waits for a queued job and dequeues it; it returns nil once the

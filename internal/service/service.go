@@ -101,13 +101,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.Fill()
 	s := &Server{
 		cfg:    cfg,
-		pool:   newPool(cfg.Workers, cfg.QueueDepth),
 		cache:  newCache(cfg.CacheSize),
 		met:    newServiceMetrics(),
 		mux:    http.NewServeMux(),
 		flight: obs.NewFlight(cfg.FlightSize),
 		logger: cfg.Logger,
 	}
+	s.pool = newPool(cfg.Workers, cfg.QueueDepth, func(*panicError) { s.met.panics.Inc() })
 	s.met.registerRuntime(s)
 	for _, rt := range routes {
 		s.mux.HandleFunc(rt.path, rt.handler(s, rt.label))
@@ -136,10 +136,13 @@ var routes = []route{
 	{"/debug/flight", "flight", method((*Server).handleFlight)},
 }
 
-// statusWriter captures the response status for the request log.
+// statusWriter captures the response status for the request log, and
+// whether the request's plan panicked, which the status alone (500) does
+// not tell apart from other failures.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code     int
+	panicked bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -213,12 +216,14 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// outcomeOf classifies a finished request for its flight record: the
-// admission-control, timeout and draining-health-check statuses get
-// their own labels, other non-2xx answers are "error", and successes
-// split on the cache header.
+// outcomeOf classifies a finished request for its flight record: a
+// panicked plan, the admission-control, timeout and
+// draining-health-check statuses get their own labels, other non-2xx
+// answers are "error", and successes split on the cache header.
 func outcomeOf(route string, sw *statusWriter) string {
 	switch {
+	case sw.panicked:
+		return "panic"
 	case sw.code == http.StatusTooManyRequests:
 		return "rejected"
 	case sw.code == http.StatusServiceUnavailable && route == "healthz":

@@ -13,8 +13,8 @@
 #   AGAINST    baseline artifact; fails when any row of cmd/bench's gate
 #              table regresses past its tolerance: the full-sweep cells/s,
 #              the SimReplay ns/op, the OnlineSoak instances/s and
-#              allocs/op, the TemplateSample ns/op and allocs/op, the
-#              ServiceScheduleCached ns/op and allocs/op, the
+#              allocs/op, the TemplateSample and TemplateSampleReuse ns/op
+#              and allocs/op, the ServiceScheduleCached ns/op and allocs/op, the
 #              ServiceScheduleCold ns/op and allocs/op, the SLASearch
 #              ns/op and allocs/op, and the ScheduleGain ns/op
 #   RAW        also save the raw `go test -bench` text here (benchstat input)
@@ -37,7 +37,7 @@ if [ -n "$RAW" ]; then
 fi
 
 go test -run '^$' -count 1 -benchmem -benchtime "$BENCHTIME" \
-  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak|BenchmarkSLASearch|BenchmarkScheduleGain|BenchmarkTemplateSample)$' . \
+  -bench '^(BenchmarkFullParanoidSweep|BenchmarkScheduleLargeMapReduce|BenchmarkScheduleMontage|BenchmarkHEFTRanks|BenchmarkSimReplay|BenchmarkServiceScheduleCached|BenchmarkServiceScheduleCold|BenchmarkOnlineSoak|BenchmarkSLASearch|BenchmarkScheduleGain|BenchmarkTemplateSample|BenchmarkTemplateSampleReuse)$' . \
   | tee /dev/stderr | tee "$raw_sink" | go run ./cmd/bench "${args[@]}"
 
 if [ "$OUT" != "-" ]; then
