@@ -483,25 +483,6 @@ func BenchmarkTemplateSampleReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkNdwfDistribution times sampling + scheduling 100 realized
-// instances of a non-deterministic template.
-func BenchmarkNdwfDistribution(b *testing.B) {
-	tpl := ndwf.Template{
-		Name: "bench",
-		Root: ndwf.Seq{
-			ndwf.Task{Name: "in", Work: 100},
-			ndwf.Par{ndwf.Task{Name: "a", Work: 700}, ndwf.Task{Name: "b", Work: 500}},
-			ndwf.Loop{Body: ndwf.Task{Name: "retry", Work: 300}, Repeat: 0.4, Max: 4},
-		},
-	}
-	alg := sched.NewAllPar1LnS()
-	for i := 0; i < b.N; i++ {
-		if _, err := ndwf.Distribution(tpl, alg, sched.DefaultOptions(), 100, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDAXRoundTrip times serializing and re-parsing the Montage DAG
 // through the Pegasus DAX format.
 func BenchmarkDAXRoundTrip(b *testing.B) {

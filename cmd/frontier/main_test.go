@@ -18,6 +18,19 @@ func TestParseErrors(t *testing.T) {
 	if err := run("1", "1.5", "", 2, 1, 1, false); err == nil {
 		t.Error("bad scale accepted")
 	}
+	// Values that parse but no grid can take are errors, not panics.
+	for _, c := range []struct{ widths, alphas, scales string }{
+		{"0", "1.5", "0.2"},
+		{"-3", "1.5", "0.2"},
+		{"1", "1.5", "0"},
+		{"1", "1.5", "-1"},
+		{"1", "NaN", "0.2"},
+		{"1", "1.5", "Inf"},
+	} {
+		if err := run(c.widths, c.alphas, c.scales, 2, 1, 1, false); err == nil {
+			t.Errorf("-widths %s -alphas %s -scales %s accepted", c.widths, c.alphas, c.scales)
+		}
+	}
 }
 
 func TestParseHelpers(t *testing.T) {

@@ -1,102 +1,77 @@
 // Command ndflow works with non-deterministic workflow templates (XOR
 // splits and loops resolved at runtime, the paper's second workflow class):
-// it emits example templates as JSON, samples concrete DAG instances from
-// a template, and reports the makespan/cost distribution a strategy
-// induces across realized instances.
+// it emits templates as JSON, samples concrete DAG instances from a
+// template, and reports the makespan/cost distribution a strategy induces
+// across realized instances. Deadline questions over a template go to
+// wfsim -wf <template> -deadline.
 //
 // Usage:
 //
 //	ndflow -emit template > order.json
 //	ndflow -in order.json -emit instance -seed 7 > instance.json
-//	ndflow -in order.json -emit stats -n 200 -strategy AllPar1LnSDyn
-//	ndflow -in order.json -emit sla -deadline 2400 -target 0.95
+//	ndflow -in montage12 -emit stats -n 200 -strategy AllPar1LnSDyn
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/ndwf"
 	"repro/internal/sched"
 	"repro/internal/sla"
+	"repro/internal/spec"
 	"repro/internal/wfio"
 )
 
 func main() {
 	var (
-		in       = flag.String("in", "", "template JSON file (empty = the built-in example)")
-		emit     = flag.String("emit", "template", "what to emit: template, instance, stats, or sla")
+		in       = flag.String("in", "order", "built-in template name or template JSON file")
+		emit     = flag.String("emit", "template", "what to emit: template, instance, or stats")
 		seed     = flag.Uint64("seed", 42, "sampling seed")
-		n        = flag.Int("n", 100, "instances for -emit stats / -emit sla")
+		n        = flag.Int("n", 100, "instances for -emit stats")
 		strategy = flag.String("strategy", "OneVMperTask-s", "strategy for -emit stats")
-		deadline = flag.Float64("deadline", 3600, "deadline in seconds for -emit sla")
-		target   = flag.Float64("target", 0.95, "required meet probability for -emit sla")
 	)
 	flag.Parse()
-	if err := run(*in, *emit, *seed, *n, *strategy, *deadline, *target); err != nil {
+	if err := run(*in, *emit, *seed, *n, *strategy, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ndflow:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, emit string, seed uint64, n int, strategy string, deadline, target float64) error {
-	tpl := ndwf.Order()
-	if in != "" {
-		f, err := os.Open(in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if tpl, err = ndwf.DecodeJSON(f); err != nil {
-			return err
-		}
+func run(in, emit string, seed uint64, n int, strategy string, w io.Writer) error {
+	sp := spec.TemplateArg(in)
+	if err := sp.Validate(); err != nil {
+		return err
 	}
+	tpl := sp.Value()
 	switch emit {
 	case "template":
-		return ndwf.EncodeJSON(os.Stdout, tpl)
+		return ndwf.EncodeJSON(w, tpl)
 	case "instance":
 		wf, err := tpl.Sample(seed)
 		if err != nil {
 			return err
 		}
-		return wfio.Encode(os.Stdout, wf)
+		return wfio.Encode(w, wf)
 	case "stats":
 		alg, err := core.StrategyByName(strategy)
 		if err != nil {
 			return err
 		}
-		out, err := ndwf.Distribution(tpl, alg, sched.DefaultOptions(), n, seed)
+		// With no deadline every instance meets it; the pass is wanted
+		// for its makespan and cost distributions.
+		res, err := sla.Measure(tpl, alg, sched.DefaultOptions(), math.Inf(1), sla.Config{Samples: n, Seed: seed})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("template %s, %d realized instances, strategy %s\n", tpl.Name, n, strategy)
-		fmt.Printf("  tasks     %2.0f .. %2.0f (mean %.1f)\n", out.Tasks.Min, out.Tasks.Max, out.Tasks.Mean)
-		fmt.Printf("  makespan  p50 %7.0fs  p90 %7.0fs  p99 %7.0fs  max %7.0fs\n",
-			out.Makespan.Median, out.Makespan.P90, out.Makespan.P99, out.Makespan.Max)
-		fmt.Printf("  cost      mean $%.3f  p99 $%.3f\n", out.Cost.Mean, out.Cost.P99)
-		fmt.Printf("  idle      mean %.0fs\n", out.Idle.Mean)
-		return nil
-	case "sla":
-		best, all, err := sla.CheapestMeeting(tpl, sched.Catalog(), sched.DefaultOptions(),
-			deadline, target, n, seed)
-		if err != nil && !errors.Is(err, sla.ErrNoStrategyMeets) {
-			return err
-		}
-		fmt.Printf("deadline %.0fs at p >= %.2f over %d instances:\n", deadline, target, n)
-		for _, est := range all {
-			marker := " "
-			if est.Strategy == best.Strategy {
-				marker = ">"
-			}
-			fmt.Printf(" %s %-22s meet %5.2f  mean cost $%7.3f  mean makespan %7.0fs\n",
-				marker, est.Strategy, est.MeetProbability, est.MeanCost, est.MeanMakespan)
-		}
-		if errors.Is(err, sla.ErrNoStrategyMeets) {
-			fmt.Println("no strategy reaches the target; '>' marks the best effort")
-		}
+		fmt.Fprintf(w, "template %s, %d realized instances, strategy %s\n", tpl.Name, n, strategy)
+		fmt.Fprintf(w, "  makespan  p50 %7.0fs  p90 %7.0fs  p99 %7.0fs  max %7.0fs\n",
+			res.Makespan.Median, res.Makespan.P90, res.Makespan.P99, res.Makespan.Max)
+		fmt.Fprintf(w, "  cost      mean $%.3f  p99 $%.3f\n", res.Cost.Mean, res.Cost.P99)
 		return nil
 	}
 	return fmt.Errorf("unknown -emit %q", emit)

@@ -41,19 +41,33 @@ func main() {
 }
 
 func run(typ string, n, m, r int, format, scenario string, seed uint64) error {
+	// Each shape's size is checked before its constructor, which panics
+	// on a size it cannot take.
 	var wf *dag.Workflow
 	switch typ {
 	case "montage":
+		if n < 2 {
+			return fmt.Errorf("montage needs -n >= 2 images, got %d", n)
+		}
 		wf = workflows.Montage(n)
 	case "cstem":
 		wf = workflows.CSTEM()
 	case "mapreduce":
+		if m < 1 || r < 1 {
+			return fmt.Errorf("mapreduce needs -m >= 1 and -r >= 1, got %d and %d", m, r)
+		}
 		wf = workflows.MapReduce(m, r)
 	case "sequential":
+		if n < 1 {
+			return fmt.Errorf("sequential needs -n >= 1 tasks, got %d", n)
+		}
 		wf = workflows.Sequential(n)
 	case "fig1":
 		wf = workflows.Fig1SubWorkflow()
 	case "random":
+		if n < 1 {
+			return fmt.Errorf("random needs -n >= 1 tasks, got %d", n)
+		}
 		cfg := dagtest.DefaultConfig()
 		cfg.MinTasks, cfg.MaxTasks = n, n
 		wf = dagtest.Random(seed, cfg)

@@ -137,7 +137,7 @@ func runSLA(wfArg, strategy string, strategySet bool, deadline, confidence float
 		return err
 	}
 	tpl, cfg := sp.Template.Value(), sp.Search()
-	exp, err := tpl.Expected()
+	tasks, err := tpl.ExpectedTasks()
 	if err != nil {
 		return err
 	}
@@ -146,7 +146,7 @@ func runSLA(wfArg, strategy string, strategySet bool, deadline, confidence float
 		return searchErr
 	}
 	fmt.Printf("template   %s (%d tasks expected, %d samples, seed %d)\n",
-		tpl.Name, exp.Len(), sp.Samples, seed)
+		tpl.Name, tasks, sp.Samples, seed)
 	fmt.Printf("region     %s\n\n", sp.Region)
 	fmt.Print(sla.Render(sr))
 	if explain {

@@ -84,6 +84,22 @@ func Explore(cfg Config) ([]Cell, error) {
 	if len(cfg.Widths) == 0 || len(cfg.Alphas) == 0 || len(cfg.Scales) == 0 {
 		return nil, fmt.Errorf("frontier: empty axis")
 	}
+	// Every axis value is checked before the first cell is scheduled.
+	for _, width := range cfg.Widths {
+		if width < 1 {
+			return nil, fmt.Errorf("frontier: width %d below 1", width)
+		}
+	}
+	for _, alpha := range cfg.Alphas {
+		if !(alpha > 1) || math.IsInf(alpha, 1) {
+			return nil, fmt.Errorf("frontier: alpha %v is not a finite shape above 1 (the Pareto mean must be finite)", alpha)
+		}
+	}
+	for _, scale := range cfg.Scales {
+		if !(scale > 0) || math.IsInf(scale*cloud.BTU, 1) {
+			return nil, fmt.Errorf("frontier: scale %v is not a positive finite task length", scale)
+		}
+	}
 	baseline := sched.Baseline()
 	var cells []Cell
 	r := stats.NewRNG(cfg.Seed)
@@ -95,9 +111,6 @@ func Explore(cfg Config) ([]Cell, error) {
 				// mean = alpha·xm/(alpha−1).
 				mean := scale * cloud.BTU
 				xm := mean * (alpha - 1) / alpha
-				if alpha <= 1 {
-					return nil, fmt.Errorf("frontier: alpha %v has no finite mean", alpha)
-				}
 				dist := stats.Pareto{Alpha: alpha, Xm: xm}
 
 				sums := map[metrics.Goal]map[string]float64{}

@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -98,6 +99,48 @@ func TestExploreRejectsBadConfig(t *testing.T) {
 	cfg.Alphas = []float64{1.0}
 	if _, err := Explore(cfg); err == nil {
 		t.Error("alpha=1 (infinite mean) accepted")
+	}
+}
+
+// TestExploreRejectsBadAxes checks every axis before any cell runs: a
+// bad value is an error wherever it sits on its axis, never a panic in
+// the workflow builder or the metrics.
+func TestExploreRejectsBadAxes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		widths []int
+		alphas []float64
+		scales []float64
+	}{
+		{"width 0", []int{0}, nil, nil},
+		{"width -3", []int{-3}, nil, nil},
+		{"width 0 after a good one", []int{1, 0}, nil, nil},
+		{"alpha 1", nil, []float64{1}, nil},
+		{"alpha 0.5", nil, []float64{0.5}, nil},
+		{"alpha NaN", nil, []float64{math.NaN()}, nil},
+		{"alpha +Inf", nil, []float64{math.Inf(1)}, nil},
+		{"alpha 1 after a good one", nil, []float64{2, 1}, nil},
+		{"scale 0", nil, nil, []float64{0}},
+		{"scale -1", nil, nil, []float64{-1}},
+		{"scale NaN", nil, nil, []float64{math.NaN()}},
+		{"scale +Inf", nil, nil, []float64{math.Inf(1)}},
+		{"scale overflowing the BTU", nil, nil, []float64{1e306}},
+		{"scale 0 after a good one", nil, nil, []float64{0.2, 0}},
+	} {
+		cfg := smallConfig()
+		if c.widths != nil {
+			cfg.Widths = c.widths
+		}
+		if c.alphas != nil {
+			cfg.Alphas = c.alphas
+		}
+		if c.scales != nil {
+			cfg.Scales = c.scales
+		}
+		cells, err := Explore(cfg)
+		if err == nil || cells != nil {
+			t.Errorf("%s: Explore = %d cells, %v; want an error", c.name, len(cells), err)
+		}
 	}
 }
 

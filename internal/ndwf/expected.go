@@ -3,89 +3,40 @@ package ndwf
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/dag"
 )
 
-// Expected builds the deterministic planning DAG of a template: the
-// workflow a scheduler can provision for before any runtime choice is
-// made, in the spirit of biCPA's ahead-of-time allocations for
-// non-deterministic workflows (the paper's ref. [1]).
-//
-//   - Xor becomes a parallel section containing every branch, with each
-//     branch's task works scaled by its probability — the capacity view:
-//     on average that much compute materializes on each alternative.
-//   - Loop unrolls to the expected iteration count of the truncated
-//     geometric distribution, rounded to at least one iteration.
-//
-// The expected DAG's total work equals the template's expected total work
-// (up to loop-count rounding), so budgets and pool sizes derived from it
-// are unbiased.
-func (t Template) Expected() (*dag.Workflow, error) {
+// ExpectedTasks counts the tasks of the template's capacity view, the
+// workflow a planner provisions for before any runtime choice is made (in
+// the spirit of biCPA's ahead-of-time allocations, the paper's ref. [1]):
+// every Xor branch, and each Loop run for its expected number of
+// iterations, rounded.
+func (t Template) ExpectedTasks() (int, error) {
 	if err := t.Validate(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	w := dag.New(t.Name + "#expected")
-	expectedExpand(t.Root, w, nil, 1)
-	if err := w.Freeze(); err != nil {
-		return nil, fmt.Errorf("ndwf: expected DAG invalid: %w", err)
-	}
-	return w, nil
+	return expectedTasks(t.Root), nil
 }
 
-// expectedExpand mirrors Block.expand but resolves choices by expectation.
-// scale multiplies task works (nested Xor probabilities compose).
-func expectedExpand(b Block, w *dag.Workflow, heads []dag.TaskID, scale float64) []dag.TaskID {
+func expectedTasks(b Block) int {
+	var kids []Block
 	switch v := b.(type) {
 	case Task:
-		id := w.AddTask(v.Name, v.Work*scale)
-		for _, h := range heads {
-			w.AddEdge(h, id, v.Data)
-		}
-		return []dag.TaskID{id}
-	case Seq:
-		for _, c := range v {
-			heads = expectedExpand(c, w, heads, scale)
-		}
-		return heads
-	case Par:
-		var tails []dag.TaskID
-		for _, c := range v {
-			tails = append(tails, expectedExpand(c, w, heads, scale)...)
-		}
-		return tails
-	case Xor:
-		var tails []dag.TaskID
-		for i, c := range v.Branches {
-			tails = append(tails, expectedExpand(c, w, heads, scale*v.Probs[i])...)
-		}
-		return tails
+		return 1
 	case Loop:
-		for i := 0; i < expectedIterations(v.Repeat, v.Max); i++ {
-			heads = expectedExpand(v.Body, w, heads, scale)
-		}
-		return heads
+		mean, _ := v.Iterations()
+		return int(math.Round(mean)) * expectedTasks(v.Body)
+	case Seq:
+		kids = v
+	case Par:
+		kids = v
+	case Xor:
+		kids = v.Branches
+	default:
+		panic(fmt.Sprintf("ndwf: unknown block %T", b))
 	}
-	panic(fmt.Sprintf("ndwf: unknown block %T", b))
-}
-
-// expectedIterations returns round(E[n]) for the truncated geometric loop
-// (1 iteration plus a repeat with probability p, capped at max), with a
-// floor of one.
-func expectedIterations(p float64, max int) int {
-	// E[n] = sum_{k=1..max} k * P(n=k) with P(n=k) = p^(k-1)(1-p) for
-	// k < max and P(n=max) = p^(max-1).
-	e := 0.0
-	for k := 1; k < max; k++ {
-		e += float64(k) * math.Pow(p, float64(k-1)) * (1 - p)
-	}
-	e += float64(max) * math.Pow(p, float64(max-1))
-	n := int(math.Round(e))
-	if n < 1 {
-		n = 1
-	}
-	if n > max {
-		n = max
+	n := 0
+	for _, c := range kids {
+		n += expectedTasks(c)
 	}
 	return n
 }

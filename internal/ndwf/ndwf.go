@@ -3,18 +3,18 @@
 // runtime through loop, split and join constructs (the class the cited
 // biCPA work targets). A Template composes tasks with Seq/Par/Xor/Loop
 // blocks; Sample resolves the runtime choices into a concrete DAG instance
-// that every scheduler in this repository can plan, and Distribution
-// schedules many sampled instances to expose the makespan/cost
-// distribution a strategy induces on a non-deterministic application.
+// that every scheduler in this repository can plan. The package is the
+// model only: package sla samples and schedules many instances to expose
+// the makespan/cost distribution a strategy induces on a
+// non-deterministic application.
 package ndwf
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/dag"
-	"repro/internal/plan"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -196,6 +196,27 @@ func (l Loop) validate() error {
 	return l.Body.validate()
 }
 
+// Iterations returns E[N] and Var[N] of the loop's truncated geometric
+// iteration count: P(N=k) = p^(k-1)(1-p) for k < Max, P(N=Max) =
+// p^(Max-1), with p = Repeat.
+func (l Loop) Iterations() (mean, vr float64) {
+	p, max := l.Repeat, l.Max
+	var e, e2 float64
+	for k := 1; k < max; k++ {
+		pk := math.Pow(p, float64(k-1)) * (1 - p)
+		e += float64(k) * pk
+		e2 += float64(k) * float64(k) * pk
+	}
+	tail := math.Pow(p, float64(max-1))
+	e += float64(max) * tail
+	e2 += float64(max) * float64(max) * tail
+	vr = e2 - e*e
+	if vr < 0 {
+		vr = 0
+	}
+	return e, vr
+}
+
 // Template is a named non-deterministic workflow.
 type Template struct {
 	Name string
@@ -272,47 +293,4 @@ func (s *Sampler) Sample(c Checked, seed uint64) (*dag.Workflow, error) {
 		return nil, fmt.Errorf("ndwf: sampled instance invalid: %w", err)
 	}
 	return x.w, nil
-}
-
-// Outcome is the result distribution of scheduling n sampled instances.
-type Outcome struct {
-	Makespan stats.Summary
-	Cost     stats.Summary
-	Idle     stats.Summary
-	// Tasks summarizes instance sizes (loops and splits vary them).
-	Tasks stats.Summary
-}
-
-// Distribution samples n instances of the template (seeds seed, seed+1,
-// ...), schedules each with the strategy, and summarizes the outcomes.
-// This is how a static per-DAG scheduler is evaluated on a
-// non-deterministic application: plan each realized path.
-func Distribution(t Template, alg sched.Algorithm, opts sched.Options, n int, seed uint64) (Outcome, error) {
-	if n <= 0 {
-		return Outcome{}, fmt.Errorf("ndwf: non-positive sample count %d", n)
-	}
-	makespans := make([]float64, 0, n)
-	costs := make([]float64, 0, n)
-	idles := make([]float64, 0, n)
-	sizes := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		wf, err := t.Sample(seed + uint64(i))
-		if err != nil {
-			return Outcome{}, err
-		}
-		var s *plan.Schedule
-		if s, err = alg.Schedule(wf, opts); err != nil {
-			return Outcome{}, fmt.Errorf("ndwf: instance %d: %w", i, err)
-		}
-		makespans = append(makespans, s.Makespan())
-		costs = append(costs, s.TotalCost())
-		idles = append(idles, s.IdleTime())
-		sizes = append(sizes, float64(wf.Len()))
-	}
-	return Outcome{
-		Makespan: stats.Summarize(makespans),
-		Cost:     stats.Summarize(costs),
-		Idle:     stats.Summarize(idles),
-		Tasks:    stats.Summarize(sizes),
-	}, nil
 }

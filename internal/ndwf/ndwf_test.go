@@ -148,32 +148,6 @@ func TestValidateRejectsBadTemplates(t *testing.T) {
 	}
 }
 
-func TestDistributionSummaries(t *testing.T) {
-	out, err := Distribution(pipeline(), sched.Baseline(), sched.DefaultOptions(), 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Makespan.N != 60 {
-		t.Errorf("samples = %d", out.Makespan.N)
-	}
-	// Loops and splits must induce spread.
-	if out.Makespan.Min >= out.Makespan.Max {
-		t.Error("no makespan spread over sampled instances")
-	}
-	if out.Tasks.Min < 6 || out.Tasks.Max > 10 {
-		t.Errorf("task counts [%v, %v] outside template bounds", out.Tasks.Min, out.Tasks.Max)
-	}
-	if out.Cost.Mean <= 0 {
-		t.Errorf("cost mean = %v", out.Cost.Mean)
-	}
-}
-
-func TestDistributionRejectsBadCount(t *testing.T) {
-	if _, err := Distribution(pipeline(), sched.Baseline(), sched.DefaultOptions(), 0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-}
-
 // Property: every sampled instance schedules validly under the whole
 // catalog and agrees with the simulator.
 func TestQuickSampledInstancesScheduleEverywhere(t *testing.T) {

@@ -198,7 +198,7 @@ func (s *Server) planSLA(ctx context.Context, sp *spec.SLA) (any, error) {
 		Samples:          sp.Samples,
 		Seed:             sp.Seed,
 		Region:           string(sp.Region),
-		CILevel:          0.95,
+		CILevel:          sla.CILevel,
 		Met:              met,
 		Candidates:       make([]SLACandidateJSON, 0, len(sr.Results)),
 		Considered:       sr.Considered,

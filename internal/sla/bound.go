@@ -113,30 +113,10 @@ func boundBlock(b ndwf.Block, speed float64) (min, mean, vr float64) {
 		return min, mean, vr
 	case ndwf.Loop:
 		m, e, vv := boundBlock(v.Body, speed)
-		en, varn := loopIterations(v.Repeat, v.Max)
+		en, varn := v.Iterations()
 		return m, en * e, en*vv + varn*e*e
 	}
 	panic(fmt.Sprintf("sla: unknown block %T", b))
-}
-
-// loopIterations returns E[N] and Var[N] of the truncated geometric
-// iteration count: P(N=k) = p^(k-1)(1-p) for k < max, P(N=max) =
-// p^(max-1).
-func loopIterations(p float64, max int) (mean, vr float64) {
-	var e, e2 float64
-	for k := 1; k < max; k++ {
-		pk := math.Pow(p, float64(k-1)) * (1 - p)
-		e += float64(k) * pk
-		e2 += float64(k) * float64(k) * pk
-	}
-	tail := math.Pow(p, float64(max-1))
-	e += float64(max) * tail
-	e2 += float64(max) * float64(max) * tail
-	vr = e2 - e*e
-	if vr < 0 {
-		vr = 0
-	}
-	return e, vr
 }
 
 // BoundType maps a strategy name to the fastest instance type its

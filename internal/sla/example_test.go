@@ -3,6 +3,7 @@ package sla_test
 import (
 	"fmt"
 
+	"repro/internal/frontier"
 	"repro/internal/ndwf"
 	"repro/internal/sched"
 	"repro/internal/sla"
@@ -26,23 +27,26 @@ func Example() {
 		},
 	}
 	opts := sched.DefaultOptions()
-	// With a target of 0 every strategy qualifies, so the one given comes
-	// back with its estimate.
-	est, _, err := sla.CheapestMeeting(tpl, []sched.Algorithm{sched.Baseline()},
-		opts, 1200, 0, 1000, 1)
+	res, err := sla.Measure(tpl, sched.Baseline(), opts, 1200, sla.Config{Samples: 1000, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("baseline meets a 1200s deadline with p = %.2f\n", est.MeetProbability)
+	fmt.Printf("baseline meets a 1200s deadline with p = %.2f, %.0f%% CI [%.2f, %.2f]\n",
+		res.MeetProbability, 100*sla.CILevel, res.MeetCI.Lo, res.MeetCI.Hi)
 
-	best, _, err := sla.CheapestMeeting(tpl,
-		[]sched.Algorithm{sched.Baseline(), sched.NewGain()},
-		opts, 1650, 0.95, 400, 1)
+	sr, err := sla.Search(tpl, sla.SearchConfig{
+		Deadline:   1650,
+		Target:     0.95,
+		Config:     sla.Config{Samples: 400, Seed: 1},
+		Candidates: frontier.Portfolio([]string{sched.Baseline().Name(), "GAIN"}, nil),
+		Opts:       opts,
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("cheapest strategy at p >= 0.95 for 1650s: %s\n", best.Strategy)
+	fmt.Printf("cheapest strategy at p >= 0.95 for 1650s: %s (p = %.2f)\n",
+		sr.Best.Strategy, sr.Best.MeetProbability)
 	// Output:
-	// baseline meets a 1200s deadline with p = 0.91
-	// cheapest strategy at p >= 0.95 for 1650s: GAIN
+	// baseline meets a 1200s deadline with p = 0.91, 95% CI [0.89, 0.92]
+	// cheapest strategy at p >= 0.95 for 1650s: GAIN (p = 1.00)
 }

@@ -27,9 +27,6 @@ type Config struct {
 	// gets seed InstanceSeed(Seed, i) and writes into slot i, and the
 	// aggregation is a sequential pass in index order.
 	Workers int
-	// Level is the two-sided confidence level of the Wilson interval on
-	// the meet probability; zero selects 0.95.
-	Level float64
 	// Faults, when active, scores every sampled schedule by its replay
 	// through the event simulator under an independent hash-derived fault
 	// stream per instance; makespan and cost become the *observed* values
@@ -46,15 +43,8 @@ type Config struct {
 	Paranoid bool
 }
 
-func (c Config) fill() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Level == 0 {
-		c.Level = 0.95
-	}
-	return c
-}
+// CILevel is the two-sided confidence level of every Result's MeetCI.
+const CILevel = 0.95
 
 // InstanceSeed returns the sampling seed of instance i: a hash-derived
 // stream (fault.CellSeed) rather than seed+i, so adjacent measurements
@@ -75,9 +65,8 @@ type Result struct {
 	N   int
 	Met int
 	// MeetProbability is Met/N; MeetCI is its Wilson score interval at
-	// the configured level. SLA decisions compare MeetProbability to the
-	// target; the interval says how much the sample budget can be
-	// trusted.
+	// CILevel. SLA decisions compare MeetProbability to the target; the
+	// interval says how much the sample budget can be trusted.
 	MeetProbability float64
 	MeetCI          stats.CI
 
@@ -143,8 +132,10 @@ func measure(t ndwf.Checked, probes []probe, deadline float64, cfg Config) ([]Re
 	if cfg.Samples <= 0 {
 		return nil, fmt.Errorf("sla: non-positive sample count %d", cfg.Samples)
 	}
-	cfg = cfg.fill()
-	n := cfg.Samples
+	n, workers := cfg.Samples, cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	out := make([]outcomes, len(probes))
 	for c := range out {
 		out[c] = outcomes{make([]float64, n), make([]float64, n), make([]bool, n)}
@@ -157,7 +148,7 @@ func measure(t ndwf.Checked, probes []probe, deadline float64, cfg Config) ([]Re
 		errMu    sync.Mutex
 		firstErr error
 	)
-	for w := 0; w < min(cfg.Workers, n); w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -189,7 +180,7 @@ func measure(t ndwf.Checked, probes []probe, deadline float64, cfg Config) ([]Re
 
 	rs := make([]Result, len(probes))
 	for c, p := range probes {
-		rs[c] = out[c].result(p.alg.Name(), deadline, cfg.Level)
+		rs[c] = out[c].result(p.alg.Name(), deadline)
 	}
 	return rs, nil
 }
@@ -264,7 +255,7 @@ func (wk *worker) instance(t ndwf.Checked, probes []probe, cfg Config, i int, ou
 
 // result aggregates the outcomes in index order: the result does not
 // depend on which worker computed which slot.
-func (o outcomes) result(strategy string, deadline, level float64) Result {
+func (o outcomes) result(strategy string, deadline float64) Result {
 	n := len(o.makespans)
 	res := Result{
 		Strategy:  strategy,
@@ -282,7 +273,7 @@ func (o outcomes) result(strategy string, deadline, level float64) Result {
 		}
 	}
 	res.MeetProbability = float64(res.Met) / float64(n)
-	res.MeetCI = stats.WilsonCI(res.Met, n, level)
+	res.MeetCI = stats.WilsonCI(res.Met, n, CILevel)
 	res.Makespan = stats.Summarize(o.makespans)
 	res.Cost = stats.Summarize(o.costs)
 	return res

@@ -151,54 +151,3 @@ func TestMeasureRejectsBadInputs(t *testing.T) {
 		t.Error("no error for invalid template")
 	}
 }
-
-// TestEvaluateMeanAccumulation pins the sum-then-divide-once semantics of
-// evaluate's means: they must equal, bit for bit, a reference loop that
-// sums the per-instance outcomes and divides exactly once. (The old code
-// divided every term by n inside the loop, compounding a rounding step
-// per iteration.)
-func TestEvaluateMeanAccumulation(t *testing.T) {
-	tpl := ndwf.Order()
-	alg := sched.Baseline()
-	opts := sched.DefaultOptions()
-	const n, seed = 7, 42
-	est, err := estimate(tpl, alg, opts, 1200, n, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var costSum, makespanSum float64
-	for i := 0; i < n; i++ {
-		wf, err := tpl.Sample(seed + uint64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := alg.Schedule(wf, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		costSum += s.TotalCost()
-		makespanSum += s.Makespan()
-	}
-	if est.MeanCost != costSum/n || est.MeanMakespan != makespanSum/n {
-		t.Fatalf("means not sum-then-divide-once: got (%.17g, %.17g), want (%.17g, %.17g)",
-			est.MeanCost, est.MeanMakespan, costSum/n, makespanSum/n)
-	}
-	// A deterministic template: every instance identical, so the mean must
-	// equal the single-instance value up to one rounding step.
-	det := ndwf.Template{Name: "det", Root: ndwf.Task{Name: "only", Work: 500}}
-	wf, err := det.Sample(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := alg.Schedule(wf, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	destEst, err := estimate(det, alg, opts, 1e6, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(destEst.MeanCost-s.TotalCost()) > 1e-12*s.TotalCost() {
-		t.Fatalf("deterministic mean cost %v != %v", destEst.MeanCost, s.TotalCost())
-	}
-}

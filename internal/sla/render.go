@@ -12,7 +12,7 @@ func Render(sr SearchResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "deadline %.0f s at P >= %.2f\n\n", sr.Deadline, sr.Target)
 	fmt.Fprintf(&b, "  %-22s %-14s %7s %15s %10s %10s %10s\n",
-		"strategy", "market", "P(meet)", "95% CI", "mean (s)", "p90 (s)", "cost ($)")
+		"strategy", "market", "P(meet)", fmt.Sprintf("%.0f%% CI", 100*CILevel), "mean (s)", "p90 (s)", "cost ($)")
 	for i := range sr.Results {
 		r := &sr.Results[i]
 		mark := " "

@@ -20,7 +20,7 @@ type SearchConfig struct {
 	Deadline float64
 	Target   float64
 	// Config embeds the per-candidate sampling parameters (Samples, Seed,
-	// Workers, Level, Faults, Paranoid).
+	// Workers, Faults, Paranoid).
 	Config
 	// Candidates restricts the portfolio. Nil enumerates
 	// frontier.Portfolio(nil, Markets): the full strategy registry
@@ -88,6 +88,11 @@ type survivor struct {
 	bound   Bound
 	verdict int
 }
+
+// ErrNoStrategyMeets reports that no candidate reached the target
+// probability; the SearchResult's Best is then the closest sampled one,
+// or nil when every candidate was pruned.
+var ErrNoStrategyMeets = fmt.Errorf("sla: no strategy meets the target probability")
 
 // pruneMargin keeps the analytic prune strictly conservative against
 // float rounding: a candidate is dropped only when its certain lower
