@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -120,8 +122,14 @@ func TestRunErrors(t *testing.T) {
 		{"unknown template", "nope", "template", "GAIN", 10},
 		{"n=0", "order", "stats", "GAIN", 0},
 	} {
-		if err := run(c.in, c.emit, 1, c.n, c.strategy, io.Discard); err == nil {
+		err := run(c.in, c.emit, 1, c.n, c.strategy, io.Discard)
+		if err == nil {
 			t.Errorf("%s accepted", c.name)
+		}
+		// A path is a file: a missing one reports its open error, not an
+		// unknown template name.
+		if c.name == "missing file" && !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: err %v, want the file's open error", c.name, err)
 		}
 	}
 }

@@ -19,7 +19,7 @@
 //	GET  /debug/flight  flight recorder: the last -flight-size requests as
 //	                    NDJSON (?format=trace for a Chrome-trace document)
 //	GET  /debug/pprof/  runtime profiles     (only with -pprof)
-//	GET  /debug/vars    expvar metric bridge (only with -pprof)
+//	GET  /debug/vars    the Go runtime's expvar variables (only with -pprof)
 //
 // Requests are logged through log/slog with per-request IDs (inbound
 // X-Request-ID is honored). On SIGTERM or SIGINT the daemon stops
@@ -98,7 +98,6 @@ func run(ctx context.Context, addr string, cfg service.Config, drain time.Durati
 		// Explicit mounts rather than the pprof package's init side
 		// effects on http.DefaultServeMux: the service's own mux stays in
 		// charge of everything outside /debug/.
-		svc.Registry().PublishExpvar("wfservd")
 		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -95,6 +96,18 @@ func TestRunErrors(t *testing.T) {
 	for name, f := range cases {
 		if f() == nil {
 			t.Errorf("%s: succeeded", name)
+		}
+	}
+
+	// An argument spelled as a path is a file, so a missing one reports
+	// its open error, not an unknown registry name.
+	missing := filepath.Join(t.TempDir(), "nope", "missing.json")
+	for name, err := range map[string]error{
+		"missing workflow file": run("missing.json", "GAIN", "none", 1, "us-east-virginia", 0, false, "", "", "", "", spec.Faults{}, spec.Market{}),
+		"missing template file": runSLA(missing, "", false, 100, 0.95, 5, 1, "us-east-virginia", "", spec.Faults{}, false),
+	} {
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: err %v, want the file's open error", name, err)
 		}
 	}
 }

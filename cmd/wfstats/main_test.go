@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,5 +62,10 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("Montage", "Typical", 1, false); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+	// A path is a file: a missing one reports its open error, not a
+	// generator spec's bad size suffix.
+	if err := run("./missing.dax", "none", 1, false); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing DAX file: err %v, want the file's open error", err)
 	}
 }

@@ -258,7 +258,7 @@ func resolve(f File, baseDir string) (core.Config, error) {
 			return cfg, fmt.Errorf("online block: %w", err)
 		}
 		ocfg := sp.Config()
-		ocfg.Platform, ocfg.Market, ocfg.Faults = cfg.Platform, cfg.Market, cfg.Faults
+		ocfg.Market, ocfg.Faults = cfg.Market, cfg.Faults
 		cfg.Online = &ocfg
 	}
 	return cfg, nil

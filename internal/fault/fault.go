@@ -203,10 +203,10 @@ func (in *Injector) stream(kind, a, b uint64) *stats.RNG {
 	return stats.NewRNG(stats.Hash(in.cfg.Seed, kind, a, b))
 }
 
-// CrashAfter returns how many seconds into its lease VM incarnation inc
+// crashAfter returns how many seconds into its lease VM incarnation inc
 // crashes, or +Inf when it survives. Lifetimes are exponential with rate
 // CrashRate per hour, the waiting time of the Poisson crash process.
-func (in *Injector) CrashAfter(inc uint64) float64 {
+func (in *Injector) crashAfter(inc uint64) float64 {
 	if in.cfg.CrashRate <= 0 {
 		return math.Inf(1)
 	}
@@ -214,13 +214,13 @@ func (in *Injector) CrashAfter(inc uint64) float64 {
 	return -math.Log(1-u) * 3600 / in.cfg.CrashRate
 }
 
-// PreemptAfter returns how many seconds into its lease spot VM
+// preemptAfter returns how many seconds into its lease spot VM
 // incarnation inc is reclaimed by the provider, or +Inf when it survives.
 // Lifetimes are exponential with rate SpotPreemptRate per hour, drawn
-// from a stream disjoint from CrashAfter's — the same incarnation can
+// from a stream disjoint from crashAfter's — the same incarnation can
 // draw both fates, and whichever fires first wins, so crashes and
 // preemptions compose without perturbing each other's draws.
-func (in *Injector) PreemptAfter(inc uint64) float64 {
+func (in *Injector) preemptAfter(inc uint64) float64 {
 	if in.cfg.SpotPreemptRate <= 0 {
 		return math.Inf(1)
 	}
@@ -229,14 +229,15 @@ func (in *Injector) PreemptAfter(inc uint64) float64 {
 }
 
 // Losses returns lease incarnation inc's loss draws, in seconds into the
-// lease: its crash (CrashAfter) and, for a spot lease, its preemption
-// (PreemptAfter); a fate the lease escapes is +Inf. The simulator arms a
-// lease's loss events from these draws, and its quiet-replay screen
-// reads the same ones, so the two cannot drift apart.
+// lease: its crash (crashAfter) and, for a spot lease, its preemption
+// (preemptAfter); a fate the lease escapes is +Inf. It is the only way
+// to them: the simulator and the online runner arm a lease's loss events
+// from these draws, and the simulator's quiet-replay screen reads the
+// same ones, so the three cannot drift apart.
 func (in *Injector) Losses(inc uint64, spot bool) (crash, preempt float64) {
-	crash, preempt = in.CrashAfter(inc), math.Inf(1)
+	crash, preempt = in.crashAfter(inc), math.Inf(1)
 	if spot {
-		preempt = in.PreemptAfter(inc)
+		preempt = in.preemptAfter(inc)
 	}
 	return crash, preempt
 }

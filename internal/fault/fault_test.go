@@ -88,8 +88,8 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	b, _ := NewInjector(cfg)
 	for inc := uint64(0); inc < 50; inc++ {
-		if a.CrashAfter(inc) != b.CrashAfter(inc) {
-			t.Fatalf("CrashAfter(%d) differs between equal injectors", inc)
+		if a.crashAfter(inc) != b.crashAfter(inc) {
+			t.Fatalf("crashAfter(%d) differs between equal injectors", inc)
 		}
 	}
 	for task := 0; task < 20; task++ {
@@ -102,8 +102,8 @@ func TestInjectorDeterminism(t *testing.T) {
 		}
 	}
 	// Draws are order-independent: asking again returns the same value.
-	if a.CrashAfter(7) != a.CrashAfter(7) {
-		t.Error("CrashAfter is not a pure function of its identity")
+	if a.crashAfter(7) != a.crashAfter(7) {
+		t.Error("crashAfter is not a pure function of its identity")
 	}
 }
 
@@ -112,7 +112,7 @@ func TestInjectorSeedMatters(t *testing.T) {
 	b, _ := NewInjector(Config{CrashRate: 0.2, Seed: 2})
 	same := 0
 	for inc := uint64(0); inc < 32; inc++ {
-		if a.CrashAfter(inc) == b.CrashAfter(inc) {
+		if a.crashAfter(inc) == b.crashAfter(inc) {
 			same++
 		}
 	}
@@ -128,9 +128,9 @@ func TestCrashAfterExponentialMean(t *testing.T) {
 	const n = 20000
 	var sum float64
 	for inc := uint64(0); inc < n; inc++ {
-		life := in.CrashAfter(inc)
+		life := in.crashAfter(inc)
 		if life <= 0 || math.IsInf(life, 1) {
-			t.Fatalf("CrashAfter(%d) = %v", inc, life)
+			t.Fatalf("crashAfter(%d) = %v", inc, life)
 		}
 		sum += life
 	}
@@ -143,7 +143,7 @@ func TestCrashAfterExponentialMean(t *testing.T) {
 func TestCrashAfterZeroRateNeverCrashes(t *testing.T) {
 	in, _ := NewInjector(Config{TaskFailProb: 0.5})
 	for inc := uint64(0); inc < 100; inc++ {
-		if !math.IsInf(in.CrashAfter(inc), 1) {
+		if !math.IsInf(in.crashAfter(inc), 1) {
 			t.Fatalf("zero-rate injector crashed incarnation %d", inc)
 		}
 	}

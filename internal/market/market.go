@@ -19,7 +19,7 @@
 //
 // Spot capacity composes with internal/fault rather than duplicating it:
 // a preemption is a new crash cause (fault.Config.SpotPreemptRate,
-// Injector.PreemptAfter) with its own hash-derived, order-independent
+// Injector.Losses) with its own hash-derived, order-independent
 // draws and its own reliability counters, distinct from VM crashes.
 package market
 

@@ -9,12 +9,3 @@ func (f *Flight) Len() int {
 	}
 	return f.next
 }
-
-// Quantile answers an upper bound on the q-quantile of this series.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]uint64, len(h.s.buckets))
-	for i := range counts {
-		counts[i] = h.s.buckets[i].Load()
-	}
-	return quantileOf(h.bounds, counts, h.s.count.Load(), q)
-}

@@ -1,9 +1,9 @@
 // Package obs is the repository's unified telemetry layer: structured
 // lifecycle events for the discrete-event simulator and the online
-// harness, a labeled metrics registry with Prometheus text exposition,
-// request traces and the daemon's flight recorder, and exporters (NDJSON,
-// Chrome trace-event/Perfetto JSON) that turn an event stream into an
-// explorable execution timeline.
+// harness, request traces and the daemon's flight recorder, and exporters
+// (NDJSON, Chrome trace-event/Perfetto JSON) that turn an event stream
+// into an explorable execution timeline. The daemon's metrics are not
+// here: internal/service keeps its fixed set of series itself.
 //
 // The layer is built for a hot path that almost never records: every
 // emission site guards on a nil Recorder, the Event struct is a flat

@@ -62,8 +62,6 @@ type Config struct {
 	// the paper's homogeneous experiments).
 	Type   cloud.InstanceType
 	Region cloud.Region
-	// Platform supplies execution times; nil selects the default.
-	Platform *cloud.Platform
 	// MinVMs VMs are kept alive even when idle; the pool never exceeds
 	// MaxVMs.
 	MinVMs, MaxVMs int
@@ -469,7 +467,7 @@ func (r *runner) arrive(i int) error {
 	inst := &r.instances[slot]
 	inst.arrivedAt, inst.remaining = r.now, n
 	totalWork := inst.load(wf, r.rec != nil)
-	instExec := r.cfg.Platform.ExecTime(totalWork, r.cfg.Type)
+	instExec := r.exec(totalWork)
 	if i == 0 {
 		r.ewmaRate = 1 / r.cfg.MeanInterarrival
 		r.ewmaInstWork = instExec
@@ -596,7 +594,7 @@ func (r *runner) startTask(v vmRef, rt readyTask) {
 	if m.readyAt > st {
 		st = m.readyAt // a fresh VM cannot run work before its boot completes
 	}
-	et := r.cfg.Platform.ExecTime(rt.work, r.cfg.Type)
+	et := r.exec(rt.work)
 	m.cur, m.curStart, m.curExec = rt, st, et
 	if r.rec != nil {
 		r.rec.Record(obs.Event{Kind: obs.KindTaskStart, T: st, VM: m.id, Task: rt.id,
@@ -678,11 +676,10 @@ func (r *runner) rent() {
 		r.q.Push(m.rentAt+r.unit, event{kind: evUnit, vm: v})
 	}
 	if r.inj != nil {
-		killAt, kind := r.inj.CrashAfter(uint64(v.id)), evCrash
-		if m.lease.IsSpot() {
-			if at := r.inj.PreemptAfter(uint64(v.id)); at < killAt {
-				killAt, kind = at, evPreempt
-			}
+		killAt, preempt := r.inj.Losses(uint64(v.id), m.lease.IsSpot())
+		kind := evCrash
+		if preempt < killAt {
+			killAt, kind = preempt, evPreempt
 		}
 		if !math.IsInf(killAt, 1) {
 			r.q.Push(m.rentAt+killAt, event{kind: kind, vm: v})
@@ -739,9 +736,13 @@ func (r *runner) bill(m *vm, span float64) float64 {
 	return cost
 }
 
+// exec is the execution time of work (reference seconds on Small) on the
+// pool's instance type, cloud.Platform.ExecTime's formula.
+func (r *runner) exec(work float64) float64 { return work / r.cfg.Type.Speedup() }
+
 func (r *runner) pushReady(rt readyTask) {
 	r.ready.Push(rt)
-	r.queuedWork += r.cfg.Platform.ExecTime(rt.work, r.cfg.Type)
+	r.queuedWork += r.exec(rt.work)
 	if r.rec != nil {
 		r.rec.Record(obs.Event{Kind: obs.KindTaskQueued, T: rt.readyAt, VM: -1, Task: rt.id, Attempt: rt.attempt})
 	}
@@ -749,7 +750,7 @@ func (r *runner) pushReady(rt readyTask) {
 
 func (r *runner) popReady() readyTask {
 	rt := r.ready.Pop()
-	r.queuedWork -= r.cfg.Platform.ExecTime(rt.work, r.cfg.Type)
+	r.queuedWork -= r.exec(rt.work)
 	if r.ready.Len() == 0 {
 		r.queuedWork = 0 // shed float drift at every drain
 	}
@@ -794,9 +795,6 @@ func checkConfig(cfg *Config) error {
 		if err := cfg.Faults.Fill().Validate(); err != nil {
 			return err
 		}
-	}
-	if cfg.Platform == nil {
-		cfg.Platform = cloud.NewPlatform()
 	}
 	if cfg.Scaler == nil {
 		cfg.Scaler = Reactive{}

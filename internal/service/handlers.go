@@ -40,7 +40,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	if code != http.StatusTooManyRequests {
-		s.met.errors.Inc()
+		s.met.errors.Add(1)
 	}
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
@@ -73,12 +73,12 @@ type problem interface {
 // planner builds a planning endpoint's route handler: POST only, a strict
 // decode of the body into a request R (400 on failure), its mapping onto a
 // spec P, validation (422 on failure), then runCached under the spec's
-// key. Building it creates the endpoint's latency series, so the series
+// key. Building it adds the endpoint's latency series, so the series
 // exists from the first scrape.
 func planner[R any, P problem](toSpec func(*R) (P, error),
 	plan func(*Server, context.Context, P) (any, error)) func(*Server, string) http.HandlerFunc {
 	return func(s *Server, endpoint string) http.HandlerFunc {
-		s.met.latency.With(endpoint)
+		latency := s.met.addLatency(endpoint)
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost {
 				s.writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -96,7 +96,7 @@ func planner[R any, P problem](toSpec func(*R) (P, error),
 				s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
 				return
 			}
-			s.runCached(w, r, endpoint, p.Key(), func(ctx context.Context) (any, error) {
+			s.runCached(w, r, latency, p.Key(), func(ctx context.Context) (any, error) {
 				return plan(s, ctx, p)
 			})
 		}
@@ -114,27 +114,25 @@ func method(h func(*Server, http.ResponseWriter, *http.Request)) func(*Server, s
 // answer from the cache, or admit the planning job to the pool and cache
 // its compact JSON; writeCached indents either on the way out. A hit
 // builds nothing: the spec's workflow, if any, is built by the planning
-// job, on a pool worker. The endpoint name labels the latency series.
-// Each stage marks a span on the request trace — cache_lookup (result
-// hit or miss), then queue_wait covering admission and queue time
-// (admission admitted or rejected), then plan covering the worker's
-// planning run — and a cache miss's latency observation carries the trace
-// ID as an exemplar, linking /metrics histogram buckets back to
-// /debug/flight.
-func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint string, key spec.Key,
+// job, on a pool worker. A planned miss observes its latency in the
+// endpoint's series. Each stage marks a span on the request trace —
+// cache_lookup (result hit or miss), then queue_wait covering admission
+// and queue time (admission admitted or rejected), then plan covering the
+// worker's planning run.
+func (s *Server) runCached(w http.ResponseWriter, r *http.Request, latency *histogram, key spec.Key,
 	plan func(context.Context) (any, error)) {
 	look, _ := obs.StartSpanCtx(r.Context(), "cache_lookup")
 	body, ok := s.cache.Get(key)
 	if ok {
 		look.SetAttr("result", "hit")
 		look.End()
-		s.met.cacheHits.Inc()
+		s.met.cacheHits.Add(1)
 		writeCached(w, body, true)
 		return
 	}
 	look.SetAttr("result", "miss")
 	look.End()
-	s.met.cacheMisses.Inc()
+	s.met.cacheMisses.Add(1)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -156,13 +154,13 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 	case errors.Is(err, errQueueFull):
 		wait.SetAttr("admission", "rejected")
 		wait.End()
-		s.met.rejected.Inc()
+		s.met.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests, "submission queue full, retry later")
 		return
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		wait.End()
-		s.met.timeouts.Inc()
+		s.met.timeouts.Add(1)
 		s.writeError(w, http.StatusServiceUnavailable, "request timed out after %v", s.cfg.RequestTimeout)
 		return
 	case errors.As(err, &pe):
@@ -188,12 +186,7 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, endpoint stri
 		return
 	}
 	s.cache.Put(key, body)
-	dur := time.Since(started).Seconds()
-	if tid := obs.TraceFrom(r.Context()).ID(); !tid.IsZero() {
-		s.met.latency.With(endpoint).ObserveExemplar(dur, tid.String())
-	} else {
-		s.met.latency.With(endpoint).Observe(dur)
-	}
+	latency.observe(time.Since(started).Seconds())
 	writeCached(w, body, false)
 }
 
@@ -400,7 +393,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	s.met.reg.WritePrometheus(w) //nolint:errcheck // the connection is gone; nothing to do
+	s.writePrometheus(w) //nolint:errcheck // the connection is gone; nothing to do
 }
 
 // handleFlight serves GET /debug/flight: the flight recorder's retained

@@ -1,184 +1,211 @@
 package service
 
 import (
+	"fmt"
+	"io"
+	"math"
 	"runtime"
+	"sort"
+	"strconv"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sla"
 )
 
-// latencyBuckets are the planning-latency histogram bounds: geometric from
-// 10µs doubling for 28 buckets (≈ 22 min), plenty of headroom for the
-// slowest catalog sweep while keeping memory constant under load.
-var latencyBuckets = obs.ExponentialBuckets(10e-6, 2, 28)
-
-// endpointOf maps a request path to its label in routes, or "other".
-func endpointOf(path string) string {
-	for _, rt := range routes {
-		if rt.path == path {
-			return rt.label
-		}
-	}
-	return "other"
-}
-
-// serviceMetrics is the daemon's operational instrumentation, built on the
-// obs.Registry so that one set of series backs three views: the Prometheus
-// text exposition of GET /metrics, the expvar bridge under /debug/vars,
-// and the legacy JSON snapshot (GET /metrics?format=json). All series are
-// materialized at construction, so a fresh server already exposes its full
-// schema.
+// serviceMetrics is the daemon's operational instrumentation: a fixed set
+// of series, each an atomic cell on this struct, with every label value
+// known when New runs. Two views read the same cells: the Prometheus text
+// of GET /metrics (writePrometheus) and the JSON snapshot of GET
+// /metrics?format=json (Metrics). A request updates a cell with one
+// atomic add: no lock, no lookup.
 type serviceMetrics struct {
 	start time.Time
-	reg   *obs.Registry
 
-	requests    *obs.CounterVec // wfservd_requests_total{endpoint}
-	rejected    *obs.Counter    // wfservd_rejected_total
-	timeouts    *obs.Counter    // wfservd_timeouts_total
-	panics      *obs.Counter    // wfservd_panics_total
-	errors      *obs.Counter    // wfservd_errors_total
-	cacheReq    *obs.CounterVec // wfservd_cache_requests_total{result}
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	inflight    *obs.Gauge        // wfservd_inflight
-	latency     *obs.HistogramVec // wfservd_plan_duration_seconds{endpoint}
-	drainDone   *obs.Counter      // wfservd_drain_completed_total
-	simReplays  *obs.Counter      // wfservd_sim_replays_total
-	simOutcomes *obs.CounterVec   // wfservd_sim_outcomes_total{kind}
+	// endpoints are the route labels in route order, then "other": the
+	// label values of requests, which endpointOf indexes.
+	endpoints []string
+	requests  []atomic.Uint64 // wfservd_requests_total{endpoint}
+	// latency is wfservd_plan_duration_seconds{endpoint}: one histogram
+	// per planning route, in route order, added by planner as New builds
+	// the routes.
+	latency []*histogram
+
+	cacheHits   atomic.Uint64 // wfservd_cache_requests_total{result="hit"}
+	cacheMisses atomic.Uint64 // wfservd_cache_requests_total{result="miss"}
+	rejected    atomic.Uint64 // wfservd_rejected_total
+	timeouts    atomic.Uint64 // wfservd_timeouts_total
+	panics      atomic.Uint64 // wfservd_panics_total
+	errors      atomic.Uint64 // wfservd_errors_total
+	drainDone   atomic.Uint64 // wfservd_drain_completed_total
+	inflight    atomic.Int64  // wfservd_inflight
+
+	simReplays  atomic.Uint64                       // wfservd_sim_replays_total
+	simOutcomes [len(simOutcomeKinds)]atomic.Uint64 // wfservd_sim_outcomes_total{kind}
 
 	// SLA search progress: searches by verdict, portfolio candidates by
 	// fate, total sampled instances, and the distribution of per-candidate
 	// meet probabilities.
-	slaSearches   *obs.CounterVec   // wfservd_sla_searches_total{outcome}
-	slaCandidates *obs.CounterVec   // wfservd_sla_candidates_total{fate}
-	slaInstances  *obs.Counter      // wfservd_sla_instances_total
-	slaMeetProb   *obs.HistogramVec // wfservd_sla_meet_probability
+	slaMet, slaMissed     atomic.Uint64 // wfservd_sla_searches_total{outcome}
+	slaSampled, slaPruned atomic.Uint64 // wfservd_sla_candidates_total{fate}
+	slaInstances          atomic.Uint64 // wfservd_sla_instances_total
+	slaMeetProb           *histogram    // wfservd_sla_meet_probability
 }
 
 // simOutcomeKinds are the label values of wfservd_sim_outcomes_total.
-var simOutcomeKinds = []string{"event", "transfer", "vm_crash", "task_failure", "retry", "resubmit"}
+var simOutcomeKinds = [...]string{"event", "transfer", "vm_crash", "task_failure", "retry", "resubmit"}
+
+// latencyBounds are the planning-latency histogram bounds: geometric from
+// 10µs doubling for 28 buckets (≈ 22 min), plenty of headroom for the
+// slowest catalog sweep while keeping memory constant under load.
+var latencyBounds = func() []float64 {
+	out := make([]float64, 28)
+	b := 10e-6
+	for i := range out {
+		out[i] = b
+		b *= 2
+	}
+	return out
+}()
+
+// meetProbBounds cover [0, 1] in 0.05 steps: meet probabilities live on
+// the unit interval, so linear resolution beats the latency histograms'
+// geometric spacing.
+var meetProbBounds = func() []float64 {
+	out := make([]float64, 20)
+	for i := range out {
+		out[i] = float64(i+1) * 0.05
+	}
+	return out
+}()
 
 func newServiceMetrics() *serviceMetrics {
-	reg := obs.NewRegistry()
-	m := &serviceMetrics{start: time.Now(), reg: reg}
-
-	m.requests = reg.Counter("wfservd_requests_total",
-		"HTTP requests seen, by endpoint.", "endpoint")
-	// Every label exists from the first scrape.
+	m := &serviceMetrics{start: time.Now(), slaMeetProb: newHistogram(meetProbBounds, "")}
 	for _, rt := range routes {
-		m.requests.With(rt.label)
+		m.endpoints = append(m.endpoints, rt.label)
 	}
-	m.requests.With("other")
-	m.rejected = reg.Counter("wfservd_rejected_total",
-		"Requests refused by admission control (429).").With()
-	m.timeouts = reg.Counter("wfservd_timeouts_total",
-		"Planning requests that exceeded their deadline.").With()
-	m.panics = reg.Counter("wfservd_panics_total",
-		"Planning jobs that panicked, recovered by their worker.").With()
-	m.errors = reg.Counter("wfservd_errors_total",
-		"Requests answered 4xx/5xx, excluding 429 rejections.").With()
-	m.cacheReq = reg.Counter("wfservd_cache_requests_total",
-		"Result-cache lookups, by outcome.", "result")
-	m.cacheHits = m.cacheReq.With("hit")
-	m.cacheMisses = m.cacheReq.With("miss")
-	m.inflight = reg.Gauge("wfservd_inflight",
-		"Planning jobs currently admitted to the pool.").With()
-	m.latency = reg.Histogram("wfservd_plan_duration_seconds",
-		"End-to-end planning latency of cache misses, by endpoint.",
-		latencyBuckets, "endpoint")
-	m.drainDone = reg.Counter("wfservd_drain_completed_total",
-		"Requests that completed after draining began.").With()
-	m.simReplays = reg.Counter("wfservd_sim_replays_total",
-		"Discrete-event simulator replays run for requests.").With()
-	m.simOutcomes = reg.Counter("wfservd_sim_outcomes_total",
-		"Simulator replay outcomes, by kind.", "kind")
-	for _, k := range simOutcomeKinds {
-		m.simOutcomes.With(k)
-	}
-	m.slaSearches = reg.Counter("wfservd_sla_searches_total",
-		"SLA portfolio searches run, by verdict.", "outcome")
-	m.slaSearches.With("met")
-	m.slaSearches.With("missed")
-	m.slaCandidates = reg.Counter("wfservd_sla_candidates_total",
-		"SLA portfolio candidates considered, by fate.", "fate")
-	m.slaCandidates.With("sampled")
-	m.slaCandidates.With("pruned")
-	m.slaInstances = reg.Counter("wfservd_sla_instances_total",
-		"Template instances sampled and scheduled by SLA searches.").With()
-	m.slaMeetProb = reg.Histogram("wfservd_sla_meet_probability",
-		"Per-candidate empirical deadline-meet probabilities.",
-		meetProbBuckets())
-	m.slaMeetProb.With()
+	m.endpoints = append(m.endpoints, "other")
+	m.requests = make([]atomic.Uint64, len(m.endpoints))
 	return m
 }
 
-// meetProbBuckets covers [0, 1] in 0.05 steps — meet probabilities live on
-// the unit interval, so linear resolution beats the latency histograms'
-// geometric spacing.
-func meetProbBuckets() []float64 {
-	out := make([]float64, 0, 20)
-	for i := 1; i <= 20; i++ {
-		out = append(out, float64(i)*0.05)
+// endpointOf maps a request path to its route's index in endpoints, or to
+// the index of "other".
+func endpointOf(path string) int {
+	for i, rt := range routes {
+		if rt.path == path {
+			return i
+		}
 	}
-	return out
+	return len(routes)
 }
 
-// registerRuntime adds the gauge functions that read live server state
-// (queue geometry, cache size, uptime). Split from newServiceMetrics
-// because the pool and cache do not exist yet when the metrics do.
-func (m *serviceMetrics) registerRuntime(s *Server) {
-	m.reg.GaugeFunc("wfservd_uptime_seconds",
-		"Seconds since the server started.",
-		func() float64 { return time.Since(m.start).Seconds() })
-	m.reg.GaugeFunc("wfservd_goroutines",
-		"Goroutines live in the process.",
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	m.reg.GaugeFunc("wfservd_queue_depth",
-		"Jobs waiting in the submission queue.",
-		func() float64 { return float64(s.pool.Depth()) })
-	m.reg.GaugeFunc("wfservd_queue_capacity",
-		"Submission-queue capacity.",
-		func() float64 { return float64(s.cfg.QueueDepth) })
-	m.reg.GaugeFunc("wfservd_workers",
-		"Worker-pool size.",
-		func() float64 { return float64(s.cfg.Workers) })
-	m.reg.GaugeFunc("wfservd_cache_entries",
-		"Entries in the result cache.",
-		func() float64 { return float64(s.cache.Len()) })
+// addLatency adds the planning-latency histogram of one endpoint.
+func (m *serviceMetrics) addLatency(endpoint string) *histogram {
+	h := newHistogram(latencyBounds, labelPair("endpoint", endpoint))
+	m.latency = append(m.latency, h)
+	return h
 }
 
 // recordSLA feeds one portfolio search's progress counters into the
 // wfservd_sla_* families.
 func (m *serviceMetrics) recordSLA(met bool, sr *sla.SearchResult) {
 	if met {
-		m.slaSearches.With("met").Inc()
+		m.slaMet.Add(1)
 	} else {
-		m.slaSearches.With("missed").Inc()
+		m.slaMissed.Add(1)
 	}
-	m.slaCandidates.With("sampled").Add(float64(len(sr.Results)))
-	m.slaCandidates.With("pruned").Add(float64(len(sr.Pruned)))
-	m.slaInstances.Add(float64(sr.Sampled))
+	m.slaSampled.Add(uint64(len(sr.Results)))
+	m.slaPruned.Add(uint64(len(sr.Pruned)))
+	m.slaInstances.Add(uint64(sr.Sampled))
 	for i := range sr.Results {
-		m.slaMeetProb.With().Observe(sr.Results[i].MeetProbability)
+		m.slaMeetProb.observe(sr.Results[i].MeetProbability)
 	}
 }
 
-// recordSim feeds one simulator replay's outcome counts into the
-// wfservd_sim_* families.
+// recordSim feeds one simulator replay's outcome counts, in
+// simOutcomeKinds order, into the wfservd_sim_* families.
 func (m *serviceMetrics) recordSim(events, transfers, crashes, failures, retries, resubmits int) {
-	m.simReplays.Inc()
-	m.simOutcomes.With("event").Add(float64(events))
-	m.simOutcomes.With("transfer").Add(float64(transfers))
-	m.simOutcomes.With("vm_crash").Add(float64(crashes))
-	m.simOutcomes.With("task_failure").Add(float64(failures))
-	m.simOutcomes.With("retry").Add(float64(retries))
-	m.simOutcomes.With("resubmit").Add(float64(resubmits))
+	m.simReplays.Add(1)
+	for i, n := range [...]int{events, transfers, crashes, failures, retries, resubmits} {
+		m.simOutcomes[i].Add(uint64(n))
+	}
 }
 
-// MetricsSnapshot is the JSON document served by GET /metrics?format=json —
-// the pre-registry schema, kept for scripted consumers, now answered from
-// the registry's series.
+// histogram is one fixed-bucket distribution series.
+type histogram struct {
+	labels  string // its rendered label pairs, "" for none
+	bounds  []float64
+	buckets []atomic.Uint64 // per bucket, not cumulative; the last is +Inf
+	count   atomic.Uint64
+	sum     atomic.Uint64 // float64 bits
+}
+
+func newHistogram(bounds []float64, labels string) *histogram {
+	return &histogram{labels: labels, bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
+}
+
+// observe records one sample in the first bucket whose bound is at least v.
+func (h *histogram) observe(v float64) {
+	h.buckets[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	h.count.Add(1)
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
+
+// quantile answers an upper bound on the q-quantile pooled across hs,
+// which share their bounds: the bucket edge holding the q·N-th
+// observation, the top finite edge for one past it. With no observations
+// it returns 0.
+func quantile(hs []*histogram, q float64) float64 {
+	var total uint64
+	for _, h := range hs {
+		total += h.count.Load()
+	}
+	if total == 0 {
+		return 0
+	}
+	// Clamp the rank to [1, total]: q = 0 would otherwise ask for rank 0
+	// (no observation) and q ≥ 1, or float error in ceil(q·total), for a
+	// rank past the last observation. Clamp the low side before
+	// converting: a negative float wraps when cast to uint64.
+	r := math.Max(math.Ceil(q*float64(total)), 1)
+	rank := min(uint64(r), total)
+	bounds := hs[0].bounds
+	var cum uint64
+	for i := range bounds {
+		for _, h := range hs {
+			cum += h.buckets[i].Load()
+		}
+		if cum >= rank {
+			return bounds[i]
+		}
+	}
+	return bounds[len(bounds)-1]
+}
+
+// mean returns the mean pooled across hs, summed in their order (0 when
+// empty).
+func mean(hs []*histogram) float64 {
+	var sum float64
+	var n uint64
+	for _, h := range hs {
+		sum += math.Float64frombits(h.sum.Load())
+		n += h.count.Load()
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// MetricsSnapshot is the JSON document served by GET /metrics?format=json,
+// kept for scripted consumers and read from the same cells as the
+// Prometheus text.
 type MetricsSnapshot struct {
 	UptimeSeconds    float64 `json:"uptime_seconds"`
 	RequestsTotal    uint64  `json:"requests_total"`
@@ -201,31 +228,153 @@ type MetricsSnapshot struct {
 	LatencyP99S      float64 `json:"latency_p99_seconds"`
 }
 
-func (m *serviceMetrics) snapshot(queueDepth, queueCap, workers, cacheLen int) MetricsSnapshot {
-	hits, misses := m.cacheHits.Value(), m.cacheMisses.Value()
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = hits / (hits + misses)
+// Metrics returns a point-in-time snapshot of the operational counters,
+// the document GET /metrics?format=json serves.
+func (s *Server) Metrics() MetricsSnapshot {
+	m := s.met
+	snap := MetricsSnapshot{
+		UptimeSeconds: time.Since(m.start).Seconds(),
+		RejectedTotal: m.rejected.Load(),
+		TimeoutsTotal: m.timeouts.Load(),
+		ErrorsTotal:   m.errors.Load(),
+		CacheHits:     m.cacheHits.Load(),
+		CacheMisses:   m.cacheMisses.Load(),
+		CacheEntries:  s.cache.Len(),
+		QueueDepth:    s.pool.Depth(),
+		QueueCapacity: s.cfg.QueueDepth,
+		Workers:       s.cfg.Workers,
+		Inflight:      m.inflight.Load(),
+		LatencyMeanS:  mean(m.latency),
+		LatencyP50S:   quantile(m.latency, 0.50),
+		LatencyP95S:   quantile(m.latency, 0.95),
+		LatencyP99S:   quantile(m.latency, 0.99),
 	}
-	return MetricsSnapshot{
-		UptimeSeconds:    time.Since(m.start).Seconds(),
-		RequestsTotal:    uint64(m.requests.Total()),
-		ScheduleRequests: uint64(m.requests.With("schedule").Value()),
-		CompareRequests:  uint64(m.requests.With("compare").Value()),
-		RejectedTotal:    uint64(m.rejected.Value()),
-		TimeoutsTotal:    uint64(m.timeouts.Value()),
-		ErrorsTotal:      uint64(m.errors.Value()),
-		CacheHits:        uint64(hits),
-		CacheMisses:      uint64(misses),
-		CacheHitRatio:    ratio,
-		CacheEntries:     cacheLen,
-		QueueDepth:       queueDepth,
-		QueueCapacity:    queueCap,
-		Workers:          workers,
-		Inflight:         int64(m.inflight.Value()),
-		LatencyMeanS:     m.latency.Mean(),
-		LatencyP50S:      m.latency.Quantile(0.50),
-		LatencyP95S:      m.latency.Quantile(0.95),
-		LatencyP99S:      m.latency.Quantile(0.99),
+	for i, ep := range m.endpoints {
+		n := m.requests[i].Load()
+		snap.RequestsTotal += n
+		switch ep {
+		case "schedule":
+			snap.ScheduleRequests = n
+		case "compare":
+			snap.CompareRequests = n
+		}
 	}
+	if looked := snap.CacheHits + snap.CacheMisses; looked > 0 {
+		snap.CacheHitRatio = float64(snap.CacheHits) / float64(looked)
+	}
+	return snap
 }
+
+// writePrometheus renders every series in the Prometheus text exposition
+// format, version 0.0.4: families sorted by name, series in label order
+// (routes in route order), and nothing after a sample's value.
+func (s *Server) writePrometheus(w io.Writer) error {
+	m := s.met
+	var e expo
+	e.gauge("wfservd_cache_entries", "Entries in the result cache.", float64(s.cache.Len()))
+	e.head("wfservd_cache_requests_total", "Result-cache lookups, by outcome.", "counter")
+	e.sample("wfservd_cache_requests_total", `result="hit"`, float64(m.cacheHits.Load()))
+	e.sample("wfservd_cache_requests_total", `result="miss"`, float64(m.cacheMisses.Load()))
+	e.counter("wfservd_drain_completed_total", "Requests that completed after draining began.", &m.drainDone)
+	e.counter("wfservd_errors_total", "Requests answered 4xx/5xx, excluding 429 rejections.", &m.errors)
+	e.gauge("wfservd_goroutines", "Goroutines live in the process.", float64(runtime.NumGoroutine()))
+	e.gauge("wfservd_inflight", "Planning jobs currently admitted to the pool.", float64(m.inflight.Load()))
+	e.counter("wfservd_panics_total", "Planning jobs that panicked, recovered by their worker.", &m.panics)
+	e.head("wfservd_plan_duration_seconds", "End-to-end planning latency of cache misses, by endpoint.", "histogram")
+	for _, h := range m.latency {
+		e.histogram("wfservd_plan_duration_seconds", h)
+	}
+	e.gauge("wfservd_queue_capacity", "Submission-queue capacity.", float64(s.cfg.QueueDepth))
+	e.gauge("wfservd_queue_depth", "Jobs waiting in the submission queue.", float64(s.pool.Depth()))
+	e.counter("wfservd_rejected_total", "Requests refused by admission control (429).", &m.rejected)
+	e.head("wfservd_requests_total", "HTTP requests seen, by endpoint.", "counter")
+	for i, ep := range m.endpoints {
+		e.sample("wfservd_requests_total", labelPair("endpoint", ep), float64(m.requests[i].Load()))
+	}
+	e.head("wfservd_sim_outcomes_total", "Simulator replay outcomes, by kind.", "counter")
+	for i, k := range simOutcomeKinds {
+		e.sample("wfservd_sim_outcomes_total", labelPair("kind", k), float64(m.simOutcomes[i].Load()))
+	}
+	e.counter("wfservd_sim_replays_total", "Discrete-event simulator replays run for requests.", &m.simReplays)
+	e.head("wfservd_sla_candidates_total", "SLA portfolio candidates considered, by fate.", "counter")
+	e.sample("wfservd_sla_candidates_total", `fate="sampled"`, float64(m.slaSampled.Load()))
+	e.sample("wfservd_sla_candidates_total", `fate="pruned"`, float64(m.slaPruned.Load()))
+	e.counter("wfservd_sla_instances_total", "Template instances sampled and scheduled by SLA searches.", &m.slaInstances)
+	e.head("wfservd_sla_meet_probability", "Per-candidate empirical deadline-meet probabilities.", "histogram")
+	e.histogram("wfservd_sla_meet_probability", m.slaMeetProb)
+	e.head("wfservd_sla_searches_total", "SLA portfolio searches run, by verdict.", "counter")
+	e.sample("wfservd_sla_searches_total", `outcome="met"`, float64(m.slaMet.Load()))
+	e.sample("wfservd_sla_searches_total", `outcome="missed"`, float64(m.slaMissed.Load()))
+	e.counter("wfservd_timeouts_total", "Planning requests that exceeded their deadline.", &m.timeouts)
+	e.gauge("wfservd_uptime_seconds", "Seconds since the server started.", time.Since(m.start).Seconds())
+	e.gauge("wfservd_workers", "Worker-pool size.", float64(s.cfg.Workers))
+	_, err := w.Write(e)
+	return err
+}
+
+// expo accumulates Prometheus text exposition.
+type expo []byte
+
+// head opens a family with its HELP and TYPE lines.
+func (e *expo) head(name, help, typ string) {
+	*e = fmt.Appendf(*e, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// series appends a sample's name, its {labels} when there are any, and
+// the space before the value.
+func (e *expo) series(name, labels string) {
+	*e = append(*e, name...)
+	if labels != "" {
+		*e = append(append(append(*e, '{'), labels...), '}')
+	}
+	*e = append(*e, ' ')
+}
+
+// sample appends one sample with a float value.
+func (e *expo) sample(name, labels string, v float64) {
+	e.series(name, labels)
+	*e = append(strconv.AppendFloat(*e, v, 'g', -1, 64), '\n')
+}
+
+// count appends one sample with an integer value: a histogram's bucket or
+// count.
+func (e *expo) count(name, labels string, n uint64) {
+	e.series(name, labels)
+	*e = append(strconv.AppendUint(*e, n, 10), '\n')
+}
+
+// counter appends a label-less counter family.
+func (e *expo) counter(name, help string, c *atomic.Uint64) {
+	e.head(name, help, "counter")
+	e.sample(name, "", float64(c.Load()))
+}
+
+// gauge appends a label-less gauge family.
+func (e *expo) gauge(name, help string, v float64) {
+	e.head(name, help, "gauge")
+	e.sample(name, "", v)
+}
+
+// histogram appends one histogram series: its cumulative buckets, its sum
+// and its count.
+func (e *expo) histogram(name string, h *histogram) {
+	prefix := h.labels
+	if prefix != "" {
+		prefix += ","
+	}
+	var cum uint64
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = strconv.FormatFloat(h.bounds[i], 'g', -1, 64)
+		}
+		e.count(name+"_bucket", prefix+labelPair("le", le), cum)
+	}
+	e.sample(name+"_sum", h.labels, math.Float64frombits(h.sum.Load()))
+	e.count(name+"_count", h.labels, h.count.Load())
+}
+
+// labelPair renders one label pair, its value quoted and escaped the way
+// the text format wants.
+func labelPair(name, value string) string { return name + "=" + strconv.Quote(value) }

@@ -53,14 +53,14 @@ func TestOnlineRunsAndCaches(t *testing.T) {
 	}
 	// Both requests count under their own endpoint label, and the miss
 	// observed its latency under it.
-	if got := s.met.requests.With("online").Value(); got != 2 {
+	if got := s.met.requests[endpointOf("/v1/online")].Load(); got != 2 {
 		t.Errorf("wfservd_requests_total{endpoint=\"online\"} = %v, want 2", got)
 	}
-	if got := s.met.requests.With("other").Value(); got != 0 {
+	if got := s.met.requests[endpointOf("/")].Load(); got != 0 {
 		t.Errorf("wfservd_requests_total{endpoint=\"other\"} = %v, want 0", got)
 	}
 	var expo strings.Builder
-	if err := s.met.reg.WritePrometheus(&expo); err != nil {
+	if err := s.writePrometheus(&expo); err != nil {
 		t.Fatal(err)
 	}
 	if want := `wfservd_plan_duration_seconds_count{endpoint="online"} 1`; !strings.Contains(expo.String(), want) {

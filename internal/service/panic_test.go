@@ -19,7 +19,7 @@ import (
 func TestPanickingPlanKeepsItsWorker(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	s.mux.HandleFunc("/test/panic", func(w http.ResponseWriter, r *http.Request) {
-		s.runCached(w, r, "schedule", spec.Key{1}, func(context.Context) (any, error) {
+		s.runCached(w, r, s.met.latency[0], spec.Key{1}, func(context.Context) (any, error) {
 			panic("planner bug")
 		})
 	})
@@ -29,7 +29,7 @@ func TestPanickingPlanKeepsItsWorker(t *testing.T) {
 	if w.Code != http.StatusInternalServerError || strings.Contains(w.Body.String(), "planner bug") {
 		t.Fatalf("panicking plan: status %d, body %s", w.Code, w.Body)
 	}
-	if got := s.met.panics.Value(); got != 1 {
+	if got := s.met.panics.Load(); got != 1 {
 		t.Errorf("wfservd_panics_total = %v, want 1", got)
 	}
 	recs := s.flight.Records()

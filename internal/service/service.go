@@ -10,14 +10,14 @@
 //     describe the same problem are answered without re-planning,
 //     byte-for-byte identically;
 //   - per-request timeouts and context cancellation;
-//   - operational introspection via internal/obs: GET /metrics serves the
-//     full labeled series set in Prometheus text format (request/cache/
-//     queue counters plus a planning-latency histogram per endpoint);
-//     ?format=json keeps the legacy snapshot document. The same registry
-//     feeds an expvar bridge, structured request logs flow through
-//     log/slog with per-request IDs, and every request's trace (cache
-//     lookup, queue wait, plan) lands in the flight recorder behind
-//     GET /debug/flight.
+//   - operational introspection: GET /metrics serves a fixed set of
+//     series in Prometheus text format (request/cache/queue counters plus
+//     a planning-latency histogram per endpoint), each an atomic cell
+//     with every label value known at New; ?format=json keeps the legacy
+//     snapshot document, read from the same cells. Structured request
+//     logs flow through log/slog with per-request IDs, and every
+//     request's trace (cache lookup, queue wait, plan) lands in the
+//     internal/obs flight recorder behind GET /debug/flight.
 //
 // Endpoints: POST /v1/schedule (one workflow, one strategy), POST
 // /v1/compare (one workflow, the whole 19-strategy catalog via
@@ -107,8 +107,7 @@ func New(cfg Config) *Server {
 		flight: obs.NewFlight(cfg.FlightSize),
 		logger: cfg.Logger,
 	}
-	s.pool = newPool(cfg.Workers, cfg.QueueDepth, func(*panicError) { s.met.panics.Inc() })
-	s.met.registerRuntime(s)
+	s.pool = newPool(cfg.Workers, cfg.QueueDepth, func(*panicError) { s.met.panics.Add(1) })
 	for _, rt := range routes {
 		s.mux.HandleFunc(rt.path, rt.handler(s, rt.label))
 	}
@@ -178,8 +177,9 @@ func (s *Server) Handler() http.Handler {
 		root := trace.StartSpan(r.Method+" "+r.URL.Path, obs.SpanID{})
 		root.SetAttr("request_id", id)
 
-		route := endpointOf(r.URL.Path)
-		s.met.requests.With(route).Inc()
+		ep := endpointOf(r.URL.Path)
+		s.met.requests[ep].Add(1)
+		route := s.met.endpoints[ep]
 		s.active.Add(1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
@@ -203,7 +203,7 @@ func (s *Server) Handler() http.Handler {
 		if s.Draining() {
 			// A request that finishes after SIGTERM is a drain success:
 			// the daemon reports these against the aborted remainder.
-			s.met.drainDone.Inc()
+			s.met.drainDone.Add(1)
 		}
 		if s.logger != nil {
 			s.logger.Info("request",
@@ -251,18 +251,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) Active() int64 { return s.active.Load() }
 
 // DrainCompleted returns how many requests finished after draining began.
-func (s *Server) DrainCompleted() uint64 { return uint64(s.met.drainDone.Value()) }
+func (s *Server) DrainCompleted() uint64 { return s.met.drainDone.Load() }
 
 // Close drains the worker pool and releases the server's resources. Call
 // after the HTTP listener has shut down.
 func (s *Server) Close() { s.pool.Close() }
-
-// Metrics returns a point-in-time snapshot of the operational counters —
-// the document GET /metrics?format=json serves.
-func (s *Server) Metrics() MetricsSnapshot {
-	return s.met.snapshot(s.pool.Depth(), s.cfg.QueueDepth, s.cfg.Workers, s.cache.Len())
-}
-
-// Registry exposes the server's metrics registry, so the daemon can mount
-// the expvar bridge (and tests can scrape series directly).
-func (s *Server) Registry() *obs.Registry { return s.met.reg }

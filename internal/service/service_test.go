@@ -374,7 +374,7 @@ func TestPlanOutlivingTimeoutDrains(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1, RequestTimeout: 20 * time.Millisecond})
 	release := make(chan struct{})
 	s.mux.HandleFunc("/v1/slow", func(w http.ResponseWriter, r *http.Request) {
-		s.runCached(w, r, "slow", spec.Key{}, func(ctx context.Context) (any, error) {
+		s.runCached(w, r, s.met.latency[0], spec.Key{}, func(ctx context.Context) (any, error) {
 			sp, _ := obs.StartSpanCtx(ctx, "schedule")
 			<-release
 			sp.SetAttr("strategy", "late")

@@ -193,15 +193,14 @@ func TestSLAMetricsProgress(t *testing.T) {
 	body := `{"template_name":"order","deadline_s":500,"samples":5,` +
 		`"strategies":["OneVMperTask-s","AllParExceed-l"]}`
 	postJSON(t, ts.URL+"/v1/sla", body)
-	if got := s.met.slaSearches.With("missed").Value(); got != 1 {
+	if got := s.met.slaMissed.Load(); got != 1 {
 		t.Fatalf("missed searches = %v, want 1", got)
 	}
-	sampled := s.met.slaCandidates.With("sampled").Value()
-	pruned := s.met.slaCandidates.With("pruned").Value()
+	sampled, pruned := s.met.slaSampled.Load(), s.met.slaPruned.Load()
 	if sampled+pruned != 2 || pruned < 1 {
 		t.Fatalf("candidate counters: sampled %v, pruned %v", sampled, pruned)
 	}
-	if got := s.met.slaInstances.Value(); got != sampled*5 {
+	if got := s.met.slaInstances.Load(); got != sampled*5 {
 		t.Fatalf("instance counter %v, want %v", got, sampled*5)
 	}
 }

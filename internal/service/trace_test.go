@@ -367,36 +367,3 @@ func TestSLATraceDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestLatencyExemplars checks that a cache-miss latency observation links
-// its histogram bucket to the request's trace ID in the exposition.
-func TestLatencyExemplars(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
-	resp, body := postJSON(t, ts.URL+"/v1/sla", slaTraceBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body %s", resp.StatusCode, body)
-	}
-	traceID, _, _ := obs.ParseTraceparent(resp.Header.Get("traceparent"))
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	text, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `# {trace_id="` + traceID.String() + `"}`
-	if !strings.Contains(string(text), want) {
-		t.Errorf("exposition lacks exemplar %q", want)
-	}
-	for _, line := range strings.Split(string(text), "\n") {
-		if !strings.Contains(line, "# {trace_id=") {
-			continue
-		}
-		if !strings.Contains(line, "wfservd_plan_duration_seconds_bucket{") {
-			t.Errorf("exemplar outside a latency bucket: %q", line)
-		}
-	}
-}

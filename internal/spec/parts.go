@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 
@@ -100,8 +101,8 @@ func (w *Workflow) Label() string {
 }
 
 // WorkflowArg maps a command-line workflow argument onto a Workflow: a
-// registry name when the registry knows it or no such file exists, else a
-// file path.
+// registry name when the registry knows it, else a file path when isFile
+// says so, else a registry name, whose error lists the valid ones.
 func WorkflowArg(arg string) Workflow {
 	if isFile(arg, core.ParseWorkflowName) {
 		return Workflow{File: arg}
@@ -444,11 +445,20 @@ func readFile[T any](path string, decode func(io.Reader) (T, error)) (T, error) 
 	return v, nil
 }
 
-// isFile reports whether a command-line argument the registry rejects
-// names an existing file.
+// isFile reports whether a command-line argument the registry rejects is
+// a file: one that exists, or one spelled as a path, with a path
+// separator or a .json, .xml or .dax extension, whose open error then
+// says what is wrong better than an unknown name would.
 func isFile[T any](arg string, named func(string) (T, error)) bool {
 	if _, err := named(arg); err == nil {
 		return false
+	}
+	if strings.ContainsAny(arg, "/"+string(filepath.Separator)) {
+		return true
+	}
+	switch strings.ToLower(filepath.Ext(arg)) {
+	case ".json", ".xml", ".dax":
+		return true
 	}
 	_, err := os.Stat(arg)
 	return err == nil
