@@ -171,14 +171,39 @@ type Sweep struct {
 	// span per evaluated cell, tagged with the worker that ran it. Only
 	// populated when Config.Recorder was set; ordered by grid index.
 	CellSpans []obs.WallSpan
-	results   map[Key]Result
+	// results holds every cell in grid order: workflow-major, then
+	// scenario, then strategy, as the config lists them.
+	results []Result
+}
+
+// pane is one (workflow, scenario) pane of the grid: the realized
+// workload every cell of the pane schedules, and its baseline.
+type pane struct {
+	wfName string
+	sc     workload.Scenario
+	scName string
+	w      *dag.Workflow
+	base   *plan.Schedule
+	// baseTotals bills the baseline once for all the pane's cells.
+	baseTotals plan.Totals
+	err        error
+	// ready is done once the pane is realized or has failed.
+	ready sync.WaitGroup
+}
+
+// cellName names a cell of the pane "workflow/scenario/strategy".
+func (p *pane) cellName(strategy string) string {
+	return p.wfName + "/" + p.scName + "/" + strategy
 }
 
 // Run executes the sweep. With cfg.Paranoid set it cross-checks every
-// schedule against the validator and the discrete-event simulator. Cells
-// are evaluated concurrently (see Config.Workers); the result is
-// bit-identical to a serial run because every cell derives its inputs
-// from its own key.
+// schedule against the validator and the discrete-event simulator. Panes
+// and cells are evaluated on one worker pool (see Config.Workers): each
+// worker realizes panes until none are left, then evaluates cells. The
+// result is bit-identical to a serial run because every pane and cell
+// derives its inputs from its own key. On failure Run returns the error
+// of the first failing pane in grid order, or else of the first failing
+// cell.
 func Run(cfg Config) (*Sweep, error) {
 	cfg = cfg.Fill()
 	if cfg.Faults != nil {
@@ -191,76 +216,58 @@ func Run(cfg Config) (*Sweep, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	s := &Sweep{Config: cfg, results: map[Key]Result{}}
+	s := &Sweep{Config: cfg}
 	for _, alg := range cfg.Strategies {
 		s.Strategies = append(s.Strategies, alg.Name())
 	}
 	opts := sched.Options{Platform: cfg.Platform, Region: cfg.Region, Market: cfg.Market}
-	baseline := sched.Baseline()
 
-	// Phase 1 (serial, cheap): realize the workloads and their baselines.
-	type pane struct {
-		wfName string
-		sc     workload.Scenario
-		scName string
-		w      *dag.Workflow
-		base   *plan.Schedule
+	// Phase 1 (on the pool): realize each pane's workload and baseline.
+	panes := make([]pane, len(cfg.WorkflowOrder)*len(cfg.Scenarios))
+	for i := range panes {
+		p := &panes[i]
+		p.wfName = cfg.WorkflowOrder[i/len(cfg.Scenarios)]
+		p.sc = cfg.Scenarios[i%len(cfg.Scenarios)]
+		p.scName = p.sc.String()
+		p.ready.Add(1)
 	}
-	var panes []pane
-	oracle := validate.NewScratch()
-	for _, wfName := range cfg.WorkflowOrder {
-		structural, ok := cfg.Workflows[wfName]
+	prepare := func(p *pane, oracle *validate.Scratch) error {
+		structural, ok := cfg.Workflows[p.wfName]
 		if !ok {
-			return nil, fmt.Errorf("core: workflow %q not in config", wfName)
+			return fmt.Errorf("core: workflow %q not in config", p.wfName)
 		}
-		for _, sc := range cfg.Scenarios {
-			// Apply returns a frozen workflow; from here on it is an immutable
-			// snapshot every cell of the pane shares read-only.
-			w := sc.Apply(structural, cfg.Seed)
-			base, err := baseline.Schedule(w, opts)
-			if err != nil {
-				return nil, fmt.Errorf("core: baseline on %s/%v: %w", wfName, sc, err)
-			}
-			if cfg.Paranoid {
-				if err := oracle.PlanSim(base); err != nil {
-					return nil, fmt.Errorf("core: baseline on %s/%v: %w", wfName, sc, err)
-				}
-			}
-			panes = append(panes, pane{wfName: wfName, sc: sc, scName: sc.String(), w: w, base: base})
+		// Apply returns a frozen workflow; from here on it is an immutable
+		// snapshot every cell of the pane shares read-only.
+		p.w = p.sc.Apply(structural, cfg.Seed)
+		base, err := sched.Baseline().Schedule(p.w, opts)
+		if err != nil {
+			return fmt.Errorf("core: baseline on %s/%v: %w", p.wfName, p.sc, err)
 		}
+		if cfg.Paranoid {
+			if err := oracle.PlanSim(base); err != nil {
+				return fmt.Errorf("core: baseline on %s/%v: %w", p.wfName, p.sc, err)
+			}
+		}
+		p.base, p.baseTotals = base, base.Totals()
+		return nil
 	}
 
-	// Phase 2 (parallel): one job per (pane, strategy) cell. Every cell of
-	// a pane shares the pane's frozen workflow snapshot read-only — the
-	// schedulers never mutate a frozen workflow, and the rank memo the
-	// catalog shares per pane is internally synchronized.
-	type job struct {
-		p   pane
-		alg sched.Algorithm
-		// algName and cellName are precomputed once per job: Name() calls
-		// and the "wf/scenario/strategy" joins showed up in cell-loop
-		// profiles when paid per cell.
-		algName  string
-		cellName string
-	}
-	jobs := make([]job, 0, len(panes)*len(cfg.Strategies))
-	for _, p := range panes {
-		for k, alg := range cfg.Strategies {
-			name := s.Strategies[k]
-			jobs = append(jobs, job{p: p, alg: alg, algName: name,
-				cellName: p.wfName + "/" + p.scName + "/" + name})
-		}
-	}
-	results := make([]Result, len(jobs))
-	errs := make([]error, len(jobs))
+	// Phase 2 (on the pool): one cell per (pane, strategy), pane-major.
+	// Every cell of a pane shares the pane's frozen workflow snapshot
+	// read-only — the schedulers never mutate a frozen workflow, and the
+	// rank memo the catalog shares per pane is internally synchronized.
+	nstrat := len(cfg.Strategies)
+	ncells := len(panes) * nstrat
+	results := make([]Result, ncells)
+	errs := make([]error, ncells)
 	// Per-cell event streams and wall spans, collected independently and
 	// merged in grid order after the join so that the recorded stream is
 	// identical at any worker count.
 	var cellEvents [][]obs.Event
 	var spans []obs.WallSpan
 	if cfg.Recorder != nil {
-		cellEvents = make([][]obs.Event, len(jobs))
-		spans = make([]obs.WallSpan, len(jobs))
+		cellEvents = make([][]obs.Event, ncells)
+		spans = make([]obs.WallSpan, ncells)
 	}
 	runStart := time.Now()
 
@@ -268,13 +275,13 @@ func Run(cfg Config) (*Sweep, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > ncells {
+		workers = ncells
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	var next int64 = -1
+	var nextPane, nextCell int64 = -1, -1
 	var done int64
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
@@ -285,7 +292,7 @@ func Run(cfg Config) (*Sweep, error) {
 			// simulator's arenas and result, and an event collector — all
 			// reset per cell, reallocated never. The batch shares the pane's
 			// baseline and replay scratch across the strategies this worker
-			// evaluates on the pane; jobs are pane-major, so each worker sees
+			// evaluates on the pane; cells are pane-major, so each worker sees
 			// every pane as one contiguous run of cells.
 			oracle := validate.NewScratch()
 			var simSc sim.Scratch
@@ -293,37 +300,58 @@ func Run(cfg Config) (*Sweep, error) {
 			var reCol obs.Collector
 			var batch *sched.Batch
 			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(jobs) {
+				i := int(atomic.AddInt64(&nextPane, 1))
+				if i >= len(panes) {
+					break
+				}
+				p := &panes[i]
+				p.err = prepare(p, oracle)
+				p.ready.Done()
+			}
+			for {
+				i := int(atomic.AddInt64(&nextCell, 1))
+				if i >= ncells {
 					return
 				}
-				j := jobs[i]
-				if batch == nil || batch.Workflow() != j.p.w {
-					batch = sched.NewBatchWithBaseline(j.p.w, opts, j.p.base)
+				p := &panes[i/nstrat]
+				p.ready.Wait()
+				if p.err != nil {
+					continue // Run reports the pane's error
 				}
-				t0 := time.Since(runStart)
-				cellSpan := cfg.Trace.StartSpan("cell "+j.cellName, cfg.TraceSpan)
-				sch, err := batch.Schedule(j.alg)
+				alg, algName := cfg.Strategies[i%nstrat], s.Strategies[i%nstrat]
+				if batch == nil || batch.Workflow() != p.w {
+					batch = sched.NewBatchWithBaseline(p.w, opts, p.base)
+				}
+				var t0 time.Duration
+				if cfg.Recorder != nil {
+					t0 = time.Since(runStart)
+				}
+				// The cell's name is built only for the telemetry that shows it.
+				var cellSpan obs.SpanHandle
+				if cfg.Trace != nil {
+					cellSpan = cfg.Trace.StartSpan("cell "+p.cellName(algName), cfg.TraceSpan)
+				}
+				sch, err := batch.Schedule(alg)
 				if err != nil {
-					errs[i] = fmt.Errorf("core: %s on %s/%v: %w", j.alg.Name(), j.p.wfName, j.p.sc, err)
+					errs[i] = fmt.Errorf("core: %s on %s/%v: %w", alg.Name(), p.wfName, p.sc, err)
 					cellSpan.End()
 					continue
 				}
 				if cfg.Paranoid {
 					if err := oracle.PlanSim(sch); err != nil {
-						errs[i] = fmt.Errorf("core: %s on %s/%v: %w", j.alg.Name(), j.p.wfName, j.p.sc, err)
+						errs[i] = fmt.Errorf("core: %s on %s/%v: %w", alg.Name(), p.wfName, p.sc, err)
 						cellSpan.End()
 						continue
 					}
 				}
-				point := metrics.Compare(j.algName, sch, j.p.base)
+				point := metrics.CompareTotals(algName, sch.Totals(), p.baseTotals)
 				recovered, _ := metrics.CoRent(sch, coRentRate)
 				results[i] = Result{
-					Key:              Key{Workflow: j.p.wfName, Scenario: j.p.sc, Strategy: j.algName},
+					Key:              Key{Workflow: p.wfName, Scenario: p.sc, Strategy: algName},
 					Point:            point,
 					Category:         metrics.Classify(point),
-					BaselineMakespan: j.p.base.Makespan(),
-					BaselineCost:     j.p.base.TotalCost(),
+					BaselineMakespan: p.baseTotals.Makespan,
+					BaselineCost:     p.baseTotals.Cost(),
 					Energy:           metrics.DefaultEnergyModel().Energy(sch),
 					CoRentRecovered:  recovered,
 				}
@@ -335,9 +363,9 @@ func Run(cfg Config) (*Sweep, error) {
 					if cfg.Faults.Active() {
 						// Each cell replays under its own derived fault seed:
 						// deterministic, and independent of the order workers
-						// pick up jobs.
+						// pick up cells.
 						fc := *cfg.Faults
-						fc.Seed = fault.CellSeed(fc.Seed, j.p.wfName, j.p.scName, j.algName)
+						fc.Seed = fault.CellSeed(fc.Seed, p.wfName, p.scName, algName)
 						sc.Faults = &fc
 					}
 					var col *obs.Collector
@@ -358,7 +386,7 @@ func Run(cfg Config) (*Sweep, error) {
 					fres := &simRes
 					if err := simSc.Run(sch, sc, fres); err != nil {
 						errs[i] = fmt.Errorf("core: replay of %s on %s/%v: %w",
-							j.alg.Name(), j.p.wfName, j.p.sc, err)
+							alg.Name(), p.wfName, p.sc, err)
 						cellSpan.End()
 						continue
 					}
@@ -371,7 +399,7 @@ func Run(cfg Config) (*Sweep, error) {
 						}
 						if err != nil {
 							errs[i] = fmt.Errorf("core: fault oracle on %s of %s/%v: %w",
-								j.alg.Name(), j.p.wfName, j.p.sc, err)
+								alg.Name(), p.wfName, p.sc, err)
 							cellSpan.End()
 							continue
 						}
@@ -386,7 +414,7 @@ func Run(cfg Config) (*Sweep, error) {
 				}
 				if cfg.Recorder != nil {
 					spans[i] = obs.WallSpan{
-						Name:   j.cellName,
+						Name:   p.cellName(algName),
 						Worker: wkr,
 						Start:  t0,
 						End:    time.Since(runStart),
@@ -394,29 +422,34 @@ func Run(cfg Config) (*Sweep, error) {
 				}
 				cellSpan.End()
 				if cfg.Progress != nil {
-					cfg.Progress(int(atomic.AddInt64(&done, 1)), len(jobs))
+					cfg.Progress(int(atomic.AddInt64(&done, 1)), ncells)
 				}
 			}
 		}(wkr)
 	}
 	wg.Wait()
 
-	for i, err := range errs {
+	for i := range panes {
+		if err := panes[i].err; err != nil {
+			return nil, err
+		}
+	}
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		s.results[results[i].Key] = results[i]
 	}
+	s.results = results
 	// Replay the per-cell streams into the recorder in grid order, each
 	// behind its marker: the stream's bytes depend only on the grid and the
 	// seeds, never on worker interleaving.
 	if cfg.Recorder != nil {
-		for i, j := range jobs {
+		for i, events := range cellEvents {
 			cfg.Recorder.Record(obs.Event{
 				Kind: obs.KindCellStart, VM: -1, Task: -1,
-				Label: j.cellName,
+				Label: panes[i/nstrat].cellName(s.Strategies[i%nstrat]),
 			})
-			for _, ev := range cellEvents[i] {
+			for _, ev := range events {
 				cfg.Recorder.Record(ev)
 			}
 		}
@@ -429,10 +462,47 @@ func Run(cfg Config) (*Sweep, error) {
 // VM time, as a fraction of the on-demand price.
 const coRentRate = 0.3
 
-// Get returns one cell.
+// Get returns one cell. When an axis of the config lists a name twice,
+// the last of its cells in grid order answers.
 func (s *Sweep) Get(wf string, sc workload.Scenario, strategy string) (Result, bool) {
-	r, ok := s.results[Key{Workflow: wf, Scenario: sc, Strategy: strategy}]
-	return r, ok
+	i := s.paneIndex(wf, sc)
+	k := lastIndex(s.Strategies, strategy)
+	if i < 0 || k < 0 {
+		return Result{}, false
+	}
+	return s.results[i*len(s.Strategies)+k], true
+}
+
+// paneIndex returns the grid index of a workflow/scenario pane, -1 when the
+// sweep has none.
+func (s *Sweep) paneIndex(wf string, sc workload.Scenario) int {
+	w := lastIndex(s.Config.WorkflowOrder, wf)
+	c := lastIndex(s.Config.Scenarios, sc)
+	if w < 0 || c < 0 {
+		return -1
+	}
+	return w*len(s.Config.Scenarios) + c
+}
+
+// lastIndex returns the index of the last occurrence of v in xs, or -1.
+func lastIndex[T comparable](xs []T, v T) int {
+	for i := len(xs) - 1; i >= 0; i-- {
+		if xs[i] == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// distinct counts the distinct values of xs.
+func distinct[T comparable](xs []T) int {
+	n := 0
+	for i, x := range xs {
+		if lastIndex(xs, x) == i {
+			n++
+		}
+	}
+	return n
 }
 
 // MustGet returns one cell and panics when it is absent — for analysis
@@ -448,11 +518,14 @@ func (s *Sweep) MustGet(wf string, sc workload.Scenario, strategy string) Result
 // Points returns the cells of one workflow/scenario pane in catalog order —
 // one pane of Fig. 4 (gain/loss) or Fig. 5 (idle).
 func (s *Sweep) Points(wf string, sc workload.Scenario) []Result {
-	out := make([]Result, 0, len(s.Strategies))
-	for _, name := range s.Strategies {
-		if r, ok := s.Get(wf, sc, name); ok {
-			out = append(out, r)
-		}
+	i := s.paneIndex(wf, sc)
+	if i < 0 {
+		return []Result{}
+	}
+	cells := s.results[i*len(s.Strategies) : (i+1)*len(s.Strategies)]
+	out := make([]Result, len(s.Strategies))
+	for k, name := range s.Strategies {
+		out[k] = cells[lastIndex(s.Strategies, name)]
 	}
 	return out
 }
@@ -463,5 +536,8 @@ func (s *Sweep) Workflows() []string { return s.Config.WorkflowOrder }
 // Scenarios returns the scenario axis.
 func (s *Sweep) Scenarios() []workload.Scenario { return s.Config.Scenarios }
 
-// Len returns the number of evaluated cells.
-func (s *Sweep) Len() int { return len(s.results) }
+// Len returns the number of distinct cells: a name an axis lists twice
+// addresses one cell.
+func (s *Sweep) Len() int {
+	return distinct(s.Config.WorkflowOrder) * distinct(s.Config.Scenarios) * distinct(s.Strategies)
+}

@@ -127,7 +127,7 @@ func TestRecorderChangesNoResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[Key]Result
+	var want []Result
 	for _, workers := range []int{1, 4} {
 		for _, record := range []bool{false, true} {
 			cfg := Config{Seed: 5, Paranoid: true, Faults: &fc, Market: m, Workers: workers}
@@ -149,10 +149,10 @@ func TestRecorderChangesNoResult(t *testing.T) {
 			if len(s.results) != len(want) {
 				t.Fatalf("%d workers, recording %v: %d cells, want %d", workers, record, len(s.results), len(want))
 			}
-			for k, r := range s.results {
-				if !reflect.DeepEqual(r, want[k]) {
-					t.Fatalf("%d workers, recording %v: %v differs:\n got %+v\nwant %+v",
-						workers, record, k, r, want[k])
+			for i, r := range s.results {
+				if !reflect.DeepEqual(r, want[i]) {
+					t.Fatalf("%d workers, recording %v: cell %d (%v) differs:\n got %+v\nwant %+v",
+						workers, record, i, want[i].Key, r, want[i])
 				}
 			}
 		}

@@ -325,7 +325,8 @@ func (c Case) Run() error {
 	}
 	// Re-derive the wasted-BTU-seconds premium from the event ledger alone
 	// and cross-check the metrics-layer accounting.
-	wasted := acc.IdleSeconds + acc.WastedSeconds - s.IdleTime()
+	planned := s.Totals()
+	wasted := acc.IdleSeconds + acc.WastedSeconds - planned.Idle
 	if !res.Completed {
 		wasted = acc.IdleSeconds + acc.WastedSeconds + acc.UsefulSeconds
 	}
@@ -333,9 +334,9 @@ func (c Case) Run() error {
 		return fmt.Errorf("fuzzcheck: %v: wasted BTU-seconds: metrics %v, events %v",
 			c, rel.WastedBTUSeconds, wasted)
 	}
-	if !validate.Close(rel.AddedCost, acc.RentalCost-s.RentalCost()) {
+	if !validate.Close(rel.AddedCost, acc.RentalCost-planned.Rental) {
 		return fmt.Errorf("fuzzcheck: %v: added cost: metrics %v, events %v",
-			c, rel.AddedCost, acc.RentalCost-s.RentalCost())
+			c, rel.AddedCost, acc.RentalCost-planned.Rental)
 	}
 	if rel.VMCrashes != acc.Crashes || rel.TaskFailures != acc.Failures ||
 		rel.Retries != acc.Retries || rel.Resubmits != acc.Resubmits {

@@ -192,33 +192,38 @@ func (l *Lease) Units(span float64) int {
 
 // PaidSeconds returns the billed lease length for a span: Units rounded
 // up, times the billing unit. For a nil lease this is the legacy
-// BTUs·3600.
+// BTUs·3600. It prices nothing, so a question about the paid boundary
+// alone never walks a spot trace.
 func (l *Lease) PaidSeconds(span float64) float64 {
 	return float64(l.Units(span)) * l.Granularity().Unit()
 }
 
-// Cost returns the rental price of a lease held for span seconds starting
-// at absolute time start. On-demand leases pay cloud.PriceAt per BTU
-// (prorated to the granularity); spot leases pay the discounted base
-// scaled by the trace multiplier in effect at each billing interval's
-// start — a lease spanning a price change pays each interval at its own
-// rate. A nil lease reproduces cloud.LeaseCost exactly.
-func (l *Lease) Cost(start, span float64, t cloud.InstanceType, r cloud.Region) float64 {
-	if l == nil || (l.Market == OnDemand && l.Gran == PerBTU) {
-		// The legacy bill, bit-for-bit (no prorating round-trip error).
-		return cloud.LeaseCost(span, t, r)
-	}
-	unit := l.Gran.Unit()
+// Bill returns the paid seconds and the rental price of a lease held for
+// span seconds starting at absolute time start, both from one Units
+// rounding; paid is PaidSeconds(span). On-demand leases pay
+// cloud.PriceAt per BTU (prorated to the granularity); spot leases pay
+// the discounted base scaled by the trace multiplier in effect at each
+// billing interval's start — a lease spanning a price change pays each
+// interval at its own rate. A nil lease's cost is cloud.LeaseCost's,
+// bit for bit.
+func (l *Lease) Bill(start, span float64, t cloud.InstanceType, r cloud.Region) (paid, cost float64) {
+	unit := l.Granularity().Unit()
 	n := l.Units(span)
+	paid = float64(n) * unit
+	if l == nil || (l.Market == OnDemand && l.Gran == PerBTU) {
+		// The legacy bill, cloud.LeaseCost's product (no prorating
+		// round-trip error).
+		return paid, float64(n) * r.Price(t)
+	}
 	perUnit := cloud.PriceAt(t, r, start) * unit / cloud.BTU
 	if l.Market != Spot {
-		return float64(n) * perUnit
+		return paid, float64(n) * perUnit
 	}
 	perUnit *= l.discount()
 	if l.Trace == nil {
-		return float64(n) * perUnit
+		return paid, float64(n) * perUnit
 	}
-	return perUnit * l.Trace.SumAt(start, n, unit)
+	return paid, perUnit * l.Trace.SumAt(start, n, unit)
 }
 
 // Replacement returns the terms a crash/resubmit replacement of this

@@ -56,11 +56,14 @@ func TestNilLeaseIsLegacy(t *testing.T) {
 	// The nil bill must be bit-identical to the legacy one.
 	for _, span := range []float64{0, 1, 3599.5, 3600, 7201} {
 		want := cloud.LeaseCost(span, cloud.Large, cloud.USEastVirginia)
-		if got := l.Cost(500, span, cloud.Large, cloud.USEastVirginia); got != want {
+		if got := costOf(l, 500, span, cloud.Large, cloud.USEastVirginia); got != want {
 			t.Errorf("nil lease cost(%v) = %v, want %v", span, got, want)
 		}
 		if l.PaidSeconds(span) != float64(cloud.BTUs(span))*cloud.BTU {
 			t.Errorf("nil lease paid seconds(%v) = %v", span, l.PaidSeconds(span))
+		}
+		if paid, _ := l.Bill(500, span, cloud.Large, cloud.USEastVirginia); paid != l.PaidSeconds(span) {
+			t.Errorf("nil lease billed paid seconds(%v) = %v, want %v", span, paid, l.PaidSeconds(span))
 		}
 	}
 }
@@ -78,7 +81,7 @@ func TestZeroLengthLeaseBillsOneUnit(t *testing.T) {
 			t.Errorf("%v: zero-length paid seconds %v, want %v", g, got, g.Unit())
 		}
 		base := cloud.PriceAt(cloud.Medium, cloud.EUDublin, 0) * g.Unit() / cloud.BTU
-		if got, want := l.Cost(0, 0, cloud.Medium, cloud.EUDublin), 0.5*base; !close(got, want) {
+		if got, want := costOf(l, 0, 0, cloud.Medium, cloud.EUDublin), 0.5*base; !close(got, want) {
 			t.Errorf("%v: zero-length spot cost %v, want %v", g, got, want)
 		}
 	}
@@ -120,21 +123,21 @@ func TestSpotCostUsesDiscountAndTrace(t *testing.T) {
 	// A price change mid-lease: two minutes spanning the t=60 step pay
 	// each interval at its own multiplier (1x then 2x).
 	l := &Lease{Market: Spot, Gran: PerMinute, Discount: 0.4, Trace: tr}
-	if got, want := l.Cost(0, 120, cloud.Small, cloud.USEastVirginia), 0.4*perMin*(1+2); !close(got, want) {
+	if got, want := costOf(l, 0, 120, cloud.Small, cloud.USEastVirginia), 0.4*perMin*(1+2); !close(got, want) {
 		t.Errorf("mid-lease price change: cost %v, want %v", got, want)
 	}
 	// Starting after the change, both minutes pay 2x.
-	if got, want := l.Cost(60, 120, cloud.Small, cloud.USEastVirginia), 0.4*perMin*(2+2); !close(got, want) {
+	if got, want := costOf(l, 60, 120, cloud.Small, cloud.USEastVirginia), 0.4*perMin*(2+2); !close(got, want) {
 		t.Errorf("post-change start: cost %v, want %v", got, want)
 	}
 	// No trace: flat discounted price; zero discount falls back to the default.
 	flat := &Lease{Market: Spot, Gran: PerMinute}
-	if got, want := flat.Cost(0, 120, cloud.Small, cloud.USEastVirginia), DefaultSpotDiscount*perMin*2; !close(got, want) {
+	if got, want := costOf(flat, 0, 120, cloud.Small, cloud.USEastVirginia), DefaultSpotDiscount*perMin*2; !close(got, want) {
 		t.Errorf("flat spot cost %v, want %v", got, want)
 	}
 	// On-demand at a finer granularity prorates the BTU price.
 	od := &Lease{Gran: PerSecond}
-	if got, want := od.Cost(0, 90, cloud.Small, cloud.USEastVirginia), 90*base/cloud.BTU; !close(got, want) {
+	if got, want := costOf(od, 0, 90, cloud.Small, cloud.USEastVirginia), 90*base/cloud.BTU; !close(got, want) {
 		t.Errorf("per-second on-demand cost %v, want %v", got, want)
 	}
 }
@@ -183,4 +186,10 @@ func TestLeaseLabelRoundTrip(t *testing.T) {
 
 func close(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// costOf is the cost half of a lease's bill.
+func costOf(l *Lease, start, span float64, t cloud.InstanceType, r cloud.Region) float64 {
+	_, cost := l.Bill(start, span, t, r)
+	return cost
 }

@@ -35,8 +35,9 @@ type Energy struct {
 	WastedFraction float64
 }
 
-// Energy computes the schedule's energy split. Each VM contributes its
-// core count times busy/idle durations at the model's powers.
+// Energy computes the schedule's energy split. Each VM that ran a task
+// contributes its core count times busy/idle durations at the model's
+// powers, from one Bill.
 func (m EnergyModel) Energy(s *plan.Schedule) Energy {
 	var e Energy
 	for _, vm := range s.VMs {
@@ -44,8 +45,9 @@ func (m EnergyModel) Energy(s *plan.Schedule) Energy {
 			continue
 		}
 		cores := float64(vm.Type.Cores())
-		e.BusyJ += m.BusyWattsPerCore * cores * vm.Busy()
-		e.IdleJ += m.IdleWattsPerCore * cores * vm.Idle()
+		b := vm.Bill()
+		e.BusyJ += m.BusyWattsPerCore * cores * b.Busy
+		e.IdleJ += m.IdleWattsPerCore * cores * b.Idle
 	}
 	e.TotalJ = e.BusyJ + e.IdleJ
 	if e.TotalJ > 0 {
@@ -64,18 +66,21 @@ func (e Energy) String() string {
 // CoRent estimates the money recovered by sub-leasing idle VM time at
 // rate times the VM's own per-second price (rate in [0, 1]; Amazon's spot
 // market historically cleared around 0.3-0.4 of on-demand). It returns the
-// recovered amount and the effective cost after reimbursement. It panics
-// on rates outside [0, 1].
+// recovered amount and the effective cost after reimbursement, billing
+// each VM once. It panics on rates outside [0, 1].
 func CoRent(s *plan.Schedule, rate float64) (recovered, effectiveCost float64) {
 	if rate < 0 || rate > 1 {
 		panic(fmt.Sprintf("metrics: co-rent rate %v outside [0, 1]", rate))
 	}
+	var rental float64
 	for _, vm := range s.VMs {
+		b := vm.Bill()
+		rental += b.Cost
 		if len(vm.Slots) == 0 {
 			continue
 		}
 		perSecond := vm.Region.Price(vm.Type) / 3600
-		recovered += rate * vm.Idle() * perSecond
+		recovered += rate * b.Idle * perSecond
 	}
-	return recovered, s.TotalCost() - recovered
+	return recovered, rental + s.TransferCost() - recovered
 }

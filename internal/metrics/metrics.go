@@ -49,21 +49,29 @@ func (p Point) String() string {
 }
 
 // Compare evaluates a schedule against the baseline schedule and returns
-// its Fig. 4 point. It panics if the baseline has zero makespan or cost
-// (impossible for non-empty workflows with positive work).
+// its Fig. 4 point, billing each VM of either schedule once. It panics if
+// the baseline has zero makespan or cost (impossible for non-empty
+// workflows with positive work).
 func Compare(strategy string, s, baseline *plan.Schedule) Point {
-	baseMk, baseCost := baseline.Makespan(), baseline.TotalCost()
+	return CompareTotals(strategy, s.Totals(), baseline.Totals())
+}
+
+// CompareTotals is Compare on totals already billed — how the sweep
+// driver bills each pane's baseline once for all its cells.
+func CompareTotals(strategy string, s, baseline plan.Totals) Point {
+	baseMk, baseCost := baseline.Makespan, baseline.Cost()
 	if baseMk <= 0 || baseCost <= 0 {
 		panic(fmt.Sprintf("metrics: degenerate baseline (makespan %v, cost %v)", baseMk, baseCost))
 	}
+	cost := s.Cost()
 	return Point{
 		Strategy: strategy,
-		GainPct:  100 * (baseMk - s.Makespan()) / baseMk,
-		LossPct:  100 * (s.TotalCost() - baseCost) / baseCost,
-		Makespan: s.Makespan(),
-		Cost:     s.TotalCost(),
-		IdleTime: s.IdleTime(),
-		VMCount:  s.VMCount(),
+		GainPct:  100 * (baseMk - s.Makespan) / baseMk,
+		LossPct:  100 * (cost - baseCost) / baseCost,
+		Makespan: s.Makespan,
+		Cost:     cost,
+		IdleTime: s.Idle,
+		VMCount:  s.VMs,
 	}
 }
 

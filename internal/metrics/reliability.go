@@ -47,14 +47,15 @@ type Reliability struct {
 }
 
 // ReliabilityOf derives the reliability point of one faulty replay,
-// anchored at the fault-free plan the replay executed.
+// anchored at the fault-free plan the replay executed, billed once.
 func ReliabilityOf(s *plan.Schedule, res *sim.Result) Reliability {
 	n := s.Workflow.Len()
 	frac := 1.0
 	if n > 0 {
 		frac = float64(res.CompletedTasks) / float64(n)
 	}
-	wasted := res.IdleTime + res.WastedSeconds - s.IdleTime()
+	planned := s.Totals()
+	wasted := res.IdleTime + res.WastedSeconds - planned.Idle
 	if !res.Completed {
 		// Nothing was delivered: the whole paid time (idle + useful-looking
 		// execution + burned attempts) is sunk.
@@ -79,8 +80,8 @@ func ReliabilityOf(s *plan.Schedule, res *sim.Result) Reliability {
 		FallbackPremium:   res.FallbackPremium,
 		WarmIdleSeconds:   res.WarmIdleSeconds,
 		WastedBTUSeconds:  wasted,
-		AddedMakespan:     res.Makespan - s.Makespan(),
-		AddedCost:         res.RentalCost - s.RentalCost(),
+		AddedMakespan:     res.Makespan - planned.Makespan,
+		AddedCost:         res.RentalCost - planned.Rental,
 	}
 }
 

@@ -729,9 +729,9 @@ func byID(v vmRef, id int32) int { return cmp.Compare(v.id, id) }
 // bill closes the books on m's lease held for span seconds and returns
 // the lease cost.
 func (r *runner) bill(m *vm, span float64) float64 {
-	cost := m.lease.Cost(m.rentAt, span, r.cfg.Type, r.cfg.Region)
+	paid, cost := m.lease.Bill(m.rentAt, span, r.cfg.Type, r.cfg.Region)
 	r.res.TotalCost += cost
-	r.res.PaidSeconds += m.lease.PaidSeconds(span)
+	r.res.PaidSeconds += paid
 	r.res.BusySeconds += m.busySum
 	return cost
 }

@@ -114,49 +114,52 @@ func (vm *VM) Span() float64 { return vm.LeaseEnd() - vm.LeaseStart() }
 // was reserved for a nonzero duration.
 func (vm *VM) leased() bool { return len(vm.Slots) > 0 || vm.Held > 0 }
 
-// PaidSeconds returns the billed lease length: Span rounded up to whole
-// billing units of the lease's granularity (whole BTUs for legacy
-// leases). An unleased or prepaid VM bills nothing; a held-but-idle lease
-// bills like any other (the minimum one unit).
-func (vm *VM) PaidSeconds() float64 {
-	if !vm.leased() || vm.Prepaid {
-		return 0
-	}
-	return vm.Lease.PaidSeconds(vm.Span())
+// Bill is one VM's lease, billed once: the quantities the paper's cost
+// and idle figures read, all from one eps-guarded rounding of the span.
+type Bill struct {
+	// Start and End delimit the lease: LeaseStart and LeaseEnd.
+	Start, End float64
+	// Busy is the summed duration of the VM's slots.
+	Busy float64
+	// Paid is the billed lease length, the span rounded up to whole
+	// billing units of the lease's granularity (whole BTUs for legacy
+	// leases); Cost is its rental price in USD; Idle is the paid-but-unused
+	// time, Paid − Busy — the quantity of the paper's Fig. 5. An unleased
+	// or prepaid VM bills nothing: all three are zero. A held-but-idle lease
+	// bills like any other (the minimum one unit).
+	Paid, Cost, Idle float64
 }
 
-// Idle returns the paid-but-unused time: gaps between slots plus the tail
-// up to the BTU boundary. This is the quantity of the paper's Fig. 5.
-// Prepaid VMs report zero (nothing was paid).
-func (vm *VM) Idle() float64 {
-	if !vm.leased() || vm.Prepaid {
-		return 0
+// Bill bills the lease once. Market leases bill under their own
+// granularity and the spot price in effect per interval
+// (market.Lease.Bill); legacy leases bill the paper's whole-BTU model.
+func (vm *VM) Bill() Bill {
+	b := Bill{Start: vm.LeaseStart(), Busy: vm.Busy()}
+	// LeaseEnd, from the start already at hand.
+	b.End = b.Start + vm.Held
+	if n := len(vm.Slots); n > 0 && vm.Slots[n-1].End > b.End {
+		b.End = vm.Slots[n-1].End
 	}
-	return vm.PaidSeconds() - vm.Busy()
-}
-
-// Cost returns the rental price of the lease in USD; zero for prepaid
-// VMs. Market leases bill under their own granularity and the spot price
-// in effect per interval (market.Lease.Cost); legacy leases bill the
-// paper's whole-BTU model.
-func (vm *VM) Cost() float64 {
 	if !vm.leased() || vm.Prepaid {
-		return 0
+		return b
 	}
-	return vm.Lease.Cost(vm.LeaseStart(), vm.Span(), vm.Type, vm.Region)
+	b.Paid, b.Cost = vm.Lease.Bill(b.Start, b.End-b.Start, vm.Type, vm.Region)
+	b.Idle = b.Paid - b.Busy
+	return b
 }
 
 // PaidBoundary returns the absolute time up to which the current lease is
-// already paid: LeaseStart + PaidSeconds (whole billing units of the
-// lease's granularity). For an unleased or prepaid VM
-// it returns +Inf (the first task may start anywhere; prepaid capacity has
-// no billing boundary). The *NotExceed provisioning policies refuse reuses
-// that would push a task past this boundary.
+// already paid: LeaseStart + Bill().Paid (whole billing units of the
+// lease's granularity), without pricing the lease. For an unleased or
+// prepaid VM it returns +Inf (the first task may start anywhere; prepaid
+// capacity has no billing boundary). The *NotExceed provisioning policies
+// refuse reuses that would push a task past this boundary.
 func (vm *VM) PaidBoundary() float64 {
 	if !vm.leased() || vm.Prepaid {
 		return math.Inf(1)
 	}
-	return vm.LeaseStart() + vm.PaidSeconds()
+	start := vm.LeaseStart()
+	return start + vm.Lease.PaidSeconds(vm.LeaseEnd()-start)
 }
 
 // Avail returns the earliest time a new task may start on this VM: the end
@@ -188,15 +191,6 @@ func (s *Schedule) Makespan() float64 {
 	return m
 }
 
-// RentalCost returns the total VM rental price in USD.
-func (s *Schedule) RentalCost() float64 {
-	var c float64
-	for _, vm := range s.VMs {
-		c += vm.Cost()
-	}
-	return c
-}
-
 // TransferCost returns the total inter-region data transfer price in USD.
 // It is zero for the paper's single-region experiments.
 func (s *Schedule) TransferCost() float64 {
@@ -216,36 +210,59 @@ func transferCost(wf *dag.Workflow, p *cloud.Platform, vms []*VM, vmOf []VMID) f
 	return c
 }
 
-// TotalCost returns rental plus transfer cost.
-func (s *Schedule) TotalCost() float64 { return s.RentalCost() + s.TransferCost() }
-
-// IdleTime returns the summed paid-but-unused VM time in seconds (Fig. 5).
-func (s *Schedule) IdleTime() float64 {
-	var idle float64
-	for _, vm := range s.VMs {
-		idle += vm.Idle()
-	}
-	return idle
+// Totals is a schedule's outcome in the paper's quantities, with every VM
+// billed once.
+type Totals struct {
+	// Makespan is the completion time of the last task.
+	Makespan float64
+	// Rental is the summed VM rental price in USD; Transfer is the
+	// inter-region data transfer price, zero for the paper's single-region
+	// experiments.
+	Rental, Transfer float64
+	// Idle is the summed paid-but-unused VM time in seconds (Fig. 5).
+	Idle float64
+	// VMs counts the VMs that actually ran at least one task.
+	VMs int
 }
 
-// VMCount returns the number of VMs that actually ran at least one task.
-func (s *Schedule) VMCount() int {
-	n := 0
+// Cost returns rental plus transfer cost.
+func (t Totals) Cost() float64 { return t.Rental + t.Transfer }
+
+// Totals bills the schedule: one pass over its VMs in VM order, one Bill
+// each.
+func (s *Schedule) Totals() Totals {
+	t := Totals{Makespan: s.Makespan(), Transfer: s.TransferCost()}
 	for _, vm := range s.VMs {
+		b := vm.Bill()
+		t.Rental += b.Cost
+		t.Idle += b.Idle
 		if len(vm.Slots) > 0 {
-			n++
+			t.VMs++
 		}
 	}
-	return n
+	return t
 }
+
+// RentalCost returns Totals().Rental.
+func (s *Schedule) RentalCost() float64 { return s.Totals().Rental }
+
+// TotalCost returns Totals().Cost(): rental plus transfer cost.
+func (s *Schedule) TotalCost() float64 { return s.Totals().Cost() }
+
+// IdleTime returns Totals().Idle.
+func (s *Schedule) IdleTime() float64 { return s.Totals().Idle }
+
+// VMCount returns Totals().VMs.
+func (s *Schedule) VMCount() int { return s.Totals().VMs }
 
 // TaskVM returns the VM hosting a task.
 func (s *Schedule) TaskVM(t dag.TaskID) *VM { return s.VMs[s.Placement[t]] }
 
 // String summarizes the schedule.
 func (s *Schedule) String() string {
+	t := s.Totals()
 	return fmt.Sprintf("schedule{vms: %d, makespan: %.1fs, cost: $%.3f, idle: %.1fs}",
-		s.VMCount(), s.Makespan(), s.TotalCost(), s.IdleTime())
+		t.VMs, t.Makespan, t.Cost(), t.Idle)
 }
 
 // Builder incrementally constructs a Schedule. Planners create VMs, query
@@ -489,7 +506,8 @@ func (b *Builder) FitsBTU(t dag.TaskID, vm *VM) bool {
 		return true
 	}
 	end := b.StartOn(t, vm) + b.ExecTime(t, vm.Type)
-	return end <= vm.PaidBoundary() || cloud.Close(end, vm.PaidBoundary())
+	paid := vm.PaidBoundary()
+	return end <= paid || cloud.Close(end, paid)
 }
 
 // PlaceOn schedules task t on vm at the earliest feasible time and returns
@@ -515,12 +533,13 @@ func (b *Builder) PlaceOn(t dag.TaskID, vm *VM) Slot {
 // the largest execution time is chosen" rule of the StartPar* policies.
 func (b *Builder) BusiestVM(keep func(*VM) bool) *VM {
 	var best *VM
+	var bestBusy float64
 	for _, vm := range b.vms {
 		if keep != nil && !keep(vm) {
 			continue
 		}
-		if best == nil || vm.Busy() > best.Busy() {
-			best = vm
+		if busy := vm.Busy(); best == nil || busy > bestBusy {
+			best, bestBusy = vm, busy
 		}
 	}
 	return best

@@ -259,7 +259,7 @@ func (r *Replayer) Load(a Assignment) (float64, error) {
 	r.bills = resize(r.bills, len(b.vms))
 	var rental float64
 	for i, vm := range b.vms {
-		r.bills[i] = vm.Cost()
+		r.bills[i] = vm.Bill().Cost
 		rental += r.bills[i]
 	}
 	// A retype moves no task and changes no region, so no trial changes
@@ -321,7 +321,7 @@ func (r *Replayer) Retype(vm int, typ cloud.InstanceType) float64 {
 			}
 			r.log = append(r.log, change{task: x, start: old.Start, end: old.End, bill: r.bills[xvm.ID]})
 			b.start[x], b.end[x] = start, end
-			r.bills[xvm.ID] = xvm.Cost()
+			r.bills[xvm.ID] = xvm.Bill().Cost
 			if end != old.End {
 				for _, s := range b.wf.Succ(x) {
 					r.markDirty(s)

@@ -209,7 +209,8 @@ func (s *Server) planSchedule(ctx context.Context, sp *spec.Schedule) (any, erro
 	if err != nil {
 		return nil, fmt.Errorf("baseline on %s: %w", wfName, err)
 	}
-	point := metrics.Compare(alg.Name(), sch, base)
+	planned, baseline := sch.Totals(), base.Totals()
+	point := metrics.CompareTotals(alg.Name(), planned, baseline)
 
 	out := &ScheduleResponse{
 		Workflow:         wfName,
@@ -218,15 +219,15 @@ func (s *Server) planSchedule(ctx context.Context, sp *spec.Schedule) (any, erro
 		Strategy:         alg.Name(),
 		Region:           string(sp.Region),
 		Seed:             sp.Seed,
-		Makespan:         sch.Makespan(),
-		Cost:             sch.TotalCost(),
-		IdleTime:         sch.IdleTime(),
-		VMCount:          sch.VMCount(),
+		Makespan:         planned.Makespan,
+		Cost:             planned.Cost(),
+		IdleTime:         planned.Idle,
+		VMCount:          planned.VMs,
 		GainPct:          point.GainPct,
 		LossPct:          point.LossPct,
 		Category:         metrics.Classify(point).String(),
-		BaselineMakespan: base.Makespan(),
-		BaselineCost:     base.TotalCost(),
+		BaselineMakespan: baseline.Makespan,
+		BaselineCost:     baseline.Cost(),
 	}
 	if sp.Market.Preset != "none" {
 		out.Market = sp.Market.Preset

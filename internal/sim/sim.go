@@ -762,9 +762,8 @@ func (r *runner) teardown() {
 			end = st.leaseAt + held
 		}
 		span := end - st.leaseAt
-		cost := st.vm.Lease.Cost(st.leaseAt, span, st.vm.Type, st.vm.Region)
+		paid, cost := st.vm.Lease.Bill(st.leaseAt, span, st.vm.Type, st.vm.Region)
 		res.RentalCost += cost
-		paid := st.vm.Lease.PaidSeconds(span)
 		res.IdleTime += paid - st.busySum
 		if st.vm.Lease.IsWarm() {
 			res.WarmIdleSeconds += paid - st.busySum
@@ -772,7 +771,8 @@ func (r *runner) teardown() {
 		if st.fb != nil {
 			// An on-demand fallback lease: the premium is what it billed
 			// over the preempted spot terms for the same span.
-			premium := cost - st.fb.Cost(st.leaseAt, span, st.vm.Type, st.vm.Region)
+			_, spot := st.fb.Bill(st.leaseAt, span, st.vm.Type, st.vm.Region)
+			premium := cost - spot
 			res.FallbackPremium += premium
 			if r.rec != nil {
 				r.rec.Record(obs.Event{Kind: obs.KindVMFallback, T: end,
@@ -788,7 +788,7 @@ func (r *runner) teardown() {
 			// marker per unit; the oracle derives their paid units from the
 			// span instead.
 			if st.vm.Lease.BTUBilled() {
-				for k := 1; k < cloud.BTUs(span); k++ {
+				for k, n := 1, cloud.BTUs(span); k < n; k++ {
 					r.rec.Record(obs.Event{Kind: obs.KindVMBTURollover,
 						T: st.leaseAt + float64(k)*cloud.BTU, VM: int32(vi), Task: -1})
 				}

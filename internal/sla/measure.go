@@ -230,14 +230,16 @@ func (wk *worker) instance(t ndwf.Checked, probes []probe, cfg Config, i int, ou
 		}
 		o := &out[c]
 		if sc.Faults == nil {
-			o.makespans[i], o.costs[i], o.completed[i] = s.Makespan(), s.TotalCost(), true
+			t := s.Totals()
+			o.makespans[i], o.costs[i], o.completed[i] = t.Makespan, t.Cost(), true
 			continue
 		}
 		quiet := screen.Quiet(s)
 		if quiet && !cfg.Paranoid {
 			// The replay reports rental cost only, so a quiet sample
-			// takes RentalCost, not TotalCost.
-			o.makespans[i], o.costs[i], o.completed[i] = s.Makespan(), s.RentalCost(), true
+			// takes the rental, not the total cost.
+			t := s.Totals()
+			o.makespans[i], o.costs[i], o.completed[i] = t.Makespan, t.Rental, true
 			continue
 		}
 		if err := wk.sim.Run(s, sc, &wk.res); err != nil {

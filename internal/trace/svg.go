@@ -29,7 +29,8 @@ func SVG(w io.Writer, s *plan.Schedule) error {
 			continue
 		}
 		lanes++
-		if end := vm.LeaseStart() + vm.PaidSeconds(); end > horizon {
+		bill := vm.Bill()
+		if end := bill.Start + bill.Paid; end > horizon {
 			horizon = end
 		}
 	}
@@ -40,11 +41,12 @@ func SVG(w io.Writer, s *plan.Schedule) error {
 	x := func(t float64) float64 { return leftPad + t/horizon*chartW }
 	height := topPad + float64(lanes)*(laneH+laneGap) + 30
 
+	tot := s.Totals()
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" font-family="sans-serif" font-size="11">`+"\n",
 		leftPad+chartW+20, height)
 	fmt.Fprintf(&b, `<text x="%0.f" y="20" font-size="14">%s — makespan %.0fs, cost $%.3f, idle %.0fs</text>`+"\n",
-		leftPad, escapeXML(s.Workflow.Name), s.Makespan(), s.TotalCost(), s.IdleTime())
+		leftPad, escapeXML(s.Workflow.Name), tot.Makespan, tot.Cost(), tot.Idle)
 
 	lane := 0
 	for _, vm := range s.VMs {
@@ -53,10 +55,12 @@ func SVG(w io.Writer, s *plan.Schedule) error {
 		}
 		y := topPad + float64(lane)*(laneH+laneGap)
 		lane++
+		bill := vm.Bill()
+		paidEnd := bill.Start + bill.Paid
 		fmt.Fprintf(&b, `<text x="8" y="%.0f">vm%d (%s)</text>`+"\n", y+laneH-9, vm.ID, vm.Type)
 		// Paid lease background (idle shows through as light grey).
 		fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.0f" fill="#e8e8e8"/>`+"\n",
-			x(vm.LeaseStart()), y, x(vm.LeaseStart()+vm.PaidSeconds())-x(vm.LeaseStart()), laneH)
+			x(bill.Start), y, x(paidEnd)-x(bill.Start), laneH)
 		// Task blocks.
 		for _, slot := range vm.Slots {
 			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.0f" fill="#4a90d9" stroke="#2a5a92"/>`+"\n",
@@ -65,7 +69,7 @@ func SVG(w io.Writer, s *plan.Schedule) error {
 				x(slot.Start)+3, y+laneH-9, escapeXML(s.Workflow.Task(slot.Task).Name))
 		}
 		// BTU boundary ticks.
-		for t := vm.LeaseStart() + cloud.BTU; t <= vm.LeaseStart()+vm.PaidSeconds()+1e-9; t += cloud.BTU {
+		for t := bill.Start + cloud.BTU; t <= paidEnd+1e-9; t += cloud.BTU {
 			fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#c00" stroke-dasharray="3,3"/>`+"\n",
 				x(t), y-2, x(t), y+laneH+2)
 		}

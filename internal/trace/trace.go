@@ -26,10 +26,11 @@ func Gantt(s *plan.Schedule, width int) string {
 	// the horizon — paid-but-idle capacity must be visible.
 	horizon := s.Makespan()
 	for _, vm := range s.VMs {
-		if vm.PaidSeconds() == 0 {
+		bill := vm.Bill()
+		if bill.Paid == 0 {
 			continue
 		}
-		if end := vm.LeaseStart() + vm.PaidSeconds(); end > horizon {
+		if end := bill.Start + bill.Paid; end > horizon {
 			horizon = end
 		}
 	}
@@ -44,11 +45,13 @@ func Gantt(s *plan.Schedule, width int) string {
 		return c
 	}
 
+	tot := s.Totals()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  makespan %.0fs  cost $%.3f  idle %.0fs\n",
-		s.Workflow.Name, s.Makespan(), s.TotalCost(), s.IdleTime())
+		s.Workflow.Name, tot.Makespan, tot.Cost(), tot.Idle)
 	for _, vm := range s.VMs {
-		if len(vm.Slots) == 0 && vm.PaidSeconds() == 0 {
+		bill := vm.Bill()
+		if len(vm.Slots) == 0 && bill.Paid == 0 {
 			continue
 		}
 		row := make([]rune, width)
@@ -56,7 +59,7 @@ func Gantt(s *plan.Schedule, width int) string {
 			row[i] = ' '
 		}
 		// Paid lease background: idle is 'i'.
-		start, paidEnd := vm.LeaseStart(), vm.LeaseStart()+vm.PaidSeconds()
+		start, paidEnd := bill.Start, bill.Start+bill.Paid
 		for c := col(start); c < col(paidEnd) && c < width; c++ {
 			row[c] = 'i'
 		}

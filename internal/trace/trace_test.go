@@ -81,7 +81,7 @@ func TestGanttHeldIdleLeaseRenders(t *testing.T) {
 		Workflow: dagtest.Chain(1, 100),
 		VMs:      []*plan.VM{{ID: 0, Type: cloud.Small, Held: 10}},
 	}
-	if got := s.VMs[0].PaidSeconds(); got != cloud.BTU {
+	if got := s.VMs[0].Bill().Paid; got != cloud.BTU {
 		t.Fatalf("held lease PaidSeconds = %g, want one BTU (%g)", got, cloud.BTU)
 	}
 	out := Gantt(s, 40)

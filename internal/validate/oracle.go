@@ -397,7 +397,8 @@ var planSimPool = sync.Pool{New: func() any { return NewScratch() }}
 // reused collector, simulator arenas and ledger — the hot-loop form of the
 // package-level PlanSim.
 func (sc *Scratch) PlanSim(s *plan.Schedule) error {
-	if err := Schedule(s); err != nil {
+	planned, err := schedule(s)
+	if err != nil {
 		return err
 	}
 	sc.col.Events = sc.col.Events[:0]
@@ -418,20 +419,25 @@ func (sc *Scratch) PlanSim(s *plan.Schedule) error {
 				id, res.TaskEnd[id], s.End[id])
 		}
 	}
-	if !Close(res.Makespan, s.Makespan()) {
-		return fmt.Errorf("oracle: makespan: simulated %v, planned %v", res.Makespan, s.Makespan())
+	if !Close(res.Makespan, planned.Makespan) {
+		return fmt.Errorf("oracle: makespan: simulated %v, planned %v", res.Makespan, planned.Makespan)
 	}
-	if !Close(res.RentalCost, s.RentalCost()) {
-		return fmt.Errorf("oracle: rental cost: simulated %v, planned %v", res.RentalCost, s.RentalCost())
+	if !Close(res.RentalCost, planned.Rental) {
+		return fmt.Errorf("oracle: rental cost: simulated %v, planned %v", res.RentalCost, planned.Rental)
 	}
-	if !Close(res.IdleTime, s.IdleTime()) {
-		return fmt.Errorf("oracle: idle time: simulated %v, planned %v", res.IdleTime, s.IdleTime())
+	if !Close(res.IdleTime, planned.Idle) {
+		return fmt.Errorf("oracle: idle time: simulated %v, planned %v", res.IdleTime, planned.Idle)
 	}
 
 	acc, err := sc.Account(sc.col.Events)
 	if err != nil {
 		return err
 	}
+	// Warm-pool idle is the third-checked standing cost of the WarmPool
+	// hedge: the planner sums Idle over warm leases, the simulator
+	// accumulates it at teardown, and the ledger re-derives it from
+	// labeled lease events.
+	var planWarm float64
 	for vi, vm := range s.VMs {
 		leased := len(vm.Slots) > 0 || vm.Held > 0
 		l := acc.Lease(vi)
@@ -444,11 +450,12 @@ func (sc *Scratch) PlanSim(s *plan.Schedule) error {
 		if l == nil {
 			return fmt.Errorf("oracle: leased VM %d emitted no lease events", vi)
 		}
-		if !Close(l.Start, vm.LeaseStart()) {
-			return fmt.Errorf("oracle: VM %d lease start: events %v, planned %v", vi, l.Start, vm.LeaseStart())
+		b := vm.Bill()
+		if !Close(l.Start, b.Start) {
+			return fmt.Errorf("oracle: VM %d lease start: events %v, planned %v", vi, l.Start, b.Start)
 		}
-		if !Close(l.End, vm.LeaseEnd()) {
-			return fmt.Errorf("oracle: VM %d lease end: events %v, planned %v", vi, l.End, vm.LeaseEnd())
+		if !Close(l.End, b.End) {
+			return fmt.Errorf("oracle: VM %d lease end: events %v, planned %v", vi, l.End, b.End)
 		}
 		if l.Prepaid != vm.Prepaid {
 			return fmt.Errorf("oracle: VM %d prepaid: events %v, planned %v", vi, l.Prepaid, vm.Prepaid)
@@ -464,29 +471,31 @@ func (sc *Scratch) PlanSim(s *plan.Schedule) error {
 				vm.Lease.Granularity(), vm.Lease.IsSpot(), vm.Lease.IsWarm())
 		}
 		if vm.Lease.BTUBilled() {
-			if want := cloud.BTUs(vm.Span()); l.BTUs != want {
+			if want := cloud.BTUs(b.End - b.Start); l.BTUs != want {
 				return fmt.Errorf("oracle: VM %d BTUs: events %d, planned %d", vi, l.BTUs, want)
 			}
 		}
-		if !Close(l.Paid, vm.PaidSeconds()) {
-			return fmt.Errorf("oracle: VM %d paid seconds: events %v, planned %v",
-				vi, l.Paid, vm.PaidSeconds())
+		if !Close(l.Paid, b.Paid) {
+			return fmt.Errorf("oracle: VM %d paid seconds: events %v, planned %v", vi, l.Paid, b.Paid)
 		}
-		if !Close(l.Cost, vm.Cost()) {
-			return fmt.Errorf("oracle: VM %d cost: events %v, planned %v", vi, l.Cost, vm.Cost())
+		if !Close(l.Cost, b.Cost) {
+			return fmt.Errorf("oracle: VM %d cost: events %v, planned %v", vi, l.Cost, b.Cost)
 		}
-		if !Close(l.Busy, vm.Busy()) {
-			return fmt.Errorf("oracle: VM %d busy: events %v, planned %v", vi, l.Busy, vm.Busy())
+		if !Close(l.Busy, b.Busy) {
+			return fmt.Errorf("oracle: VM %d busy: events %v, planned %v", vi, l.Busy, b.Busy)
+		}
+		if vm.Lease.IsWarm() {
+			planWarm += b.Idle
 		}
 	}
 	if acc.NumLeases() > len(s.VMs) {
 		return fmt.Errorf("oracle: %d leases in events, %d VMs planned", acc.NumLeases(), len(s.VMs))
 	}
-	if !Close(acc.RentalCost, s.RentalCost()) {
-		return fmt.Errorf("oracle: rental cost: events %v, planned %v", acc.RentalCost, s.RentalCost())
+	if !Close(acc.RentalCost, planned.Rental) {
+		return fmt.Errorf("oracle: rental cost: events %v, planned %v", acc.RentalCost, planned.Rental)
 	}
-	if !Close(acc.IdleSeconds, s.IdleTime()) {
-		return fmt.Errorf("oracle: idle time: events %v, planned %v", acc.IdleSeconds, s.IdleTime())
+	if !Close(acc.IdleSeconds, planned.Idle) {
+		return fmt.Errorf("oracle: idle time: events %v, planned %v", acc.IdleSeconds, planned.Idle)
 	}
 	if acc.CompletedTasks != s.Workflow.Len() {
 		return fmt.Errorf("oracle: %d task finishes in events, %d tasks planned",
@@ -495,16 +504,6 @@ func (sc *Scratch) PlanSim(s *plan.Schedule) error {
 	if acc.Crashes != 0 || acc.Failures != 0 || acc.Preempts != 0 || acc.FallbackVMs != 0 {
 		return fmt.Errorf("oracle: fault events (%d crashes, %d failures, %d preemptions, %d fallbacks) in a fault-free replay",
 			acc.Crashes, acc.Failures, acc.Preempts, acc.FallbackVMs)
-	}
-	// Warm-pool idle is the third-checked standing cost of the WarmPool
-	// hedge: the planner sums Idle over warm leases, the simulator
-	// accumulates it at teardown, and the ledger re-derives it from
-	// labeled lease events.
-	var planWarm float64
-	for _, vm := range s.VMs {
-		if vm.Lease.IsWarm() {
-			planWarm += vm.Idle()
-		}
 	}
 	if !Close(res.WarmIdleSeconds, planWarm) {
 		return fmt.Errorf("oracle: warm idle: simulated %v, planned %v", res.WarmIdleSeconds, planWarm)
@@ -594,18 +593,19 @@ func CrossCheck(res *sim.Result, acc *Accounting) error {
 // preemption, a completed run, and the plan's own makespan and rental
 // cost, bit for bit — the values a caller takes in place of the replay.
 func QuietReplay(s *plan.Schedule, res *sim.Result) error {
+	planned := s.Totals()
 	switch {
 	case res.VMCrashes != 0 || res.TaskFailures != 0 || res.SpotPreemptions != 0:
 		return fmt.Errorf("oracle: screened quiet, but the replay saw %d crashes, %d task failures, %d preemptions",
 			res.VMCrashes, res.TaskFailures, res.SpotPreemptions)
 	case !res.Completed:
 		return fmt.Errorf("oracle: screened quiet, but the replay did not complete: %s", res.FailReason)
-	case res.Makespan != s.Makespan():
+	case res.Makespan != planned.Makespan:
 		return fmt.Errorf("oracle: screened quiet, but the replay's makespan %v is not the plan's %v",
-			res.Makespan, s.Makespan())
-	case res.RentalCost != s.RentalCost():
+			res.Makespan, planned.Makespan)
+	case res.RentalCost != planned.Rental:
 		return fmt.Errorf("oracle: screened quiet, but the replay's rental cost %v is not the plan's %v",
-			res.RentalCost, s.RentalCost())
+			res.RentalCost, planned.Rental)
 	}
 	return nil
 }

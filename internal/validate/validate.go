@@ -49,14 +49,21 @@ func lt(a, b float64) bool { return a < b && !Close(a, b) }
 // Schedule verifies all invariants and returns the first violation found,
 // or nil when the schedule is sound.
 func Schedule(s *plan.Schedule) error {
+	_, err := schedule(s)
+	return err
+}
+
+// schedule is Schedule returning the totals its billing check computed,
+// so the oracle compares them without billing the schedule again.
+func schedule(s *plan.Schedule) (plan.Totals, error) {
 	if err := placement(s); err != nil {
-		return err
+		return plan.Totals{}, err
 	}
 	if err := precedence(s); err != nil {
-		return err
+		return plan.Totals{}, err
 	}
 	if err := exclusivity(s); err != nil {
-		return err
+		return plan.Totals{}, err
 	}
 	return billing(s)
 }
@@ -136,9 +143,11 @@ func exclusivity(s *plan.Schedule) error {
 	return nil
 }
 
-// billing checks the BTU accounting. Held-but-idle leases (plan.VM.Held
-// with no slots) are paid leases like any other and are included.
-func billing(s *plan.Schedule) error {
+// billing checks the BTU accounting and returns the schedule's totals.
+// Held-but-idle leases (plan.VM.Held with no slots) are paid leases like
+// any other and are included. Each VM is billed once here and once more
+// by Totals, whose sums the per-VM bills must match.
+func billing(s *plan.Schedule) (plan.Totals, error) {
 	var cost, idle float64
 	for _, vm := range s.VMs {
 		if len(vm.Slots) == 0 && vm.Held <= 0 {
@@ -146,39 +155,41 @@ func billing(s *plan.Schedule) error {
 		}
 		span := vm.Span()
 		if span < -Eps {
-			return fmt.Errorf("validate: VM %d has negative lease span %v", vm.ID, span)
+			return plan.Totals{}, fmt.Errorf("validate: VM %d has negative lease span %v", vm.ID, span)
 		}
+		b := vm.Bill()
 		if vm.Prepaid {
 			// Private-cloud capacity: no bill, no BTU accounting.
-			if vm.Cost() != 0 || vm.Idle() != 0 {
-				return fmt.Errorf("validate: prepaid VM %d bills cost %v, idle %v",
-					vm.ID, vm.Cost(), vm.Idle())
+			if b.Cost != 0 || b.Idle != 0 {
+				return plan.Totals{}, fmt.Errorf("validate: prepaid VM %d bills cost %v, idle %v",
+					vm.ID, b.Cost, b.Idle)
 			}
 			continue
 		}
 		// Market leases bill under their own terms (granularity, spot
-		// price per interval); a nil lease is the legacy BTU bill. Both
-		// wantCost and paid go through the single eps-guarded rounding in
-		// cloud.Units, so a span on a billing boundary decides the same
-		// way here as in the planner and the simulator.
-		wantCost := vm.Lease.Cost(vm.LeaseStart(), span, vm.Type, vm.Region)
-		if !Close(vm.Cost(), wantCost) {
-			return fmt.Errorf("validate: VM %d cost %v, want %v", vm.ID, vm.Cost(), wantCost)
+		// price per interval); a nil lease is the legacy BTU bill. The
+		// terms price the span LeaseStart and Span give through the single
+		// eps-guarded rounding in cloud.Units, so a span on a billing
+		// boundary decides the same way here as in the planner and the
+		// simulator.
+		paid, wantCost := vm.Lease.Bill(vm.LeaseStart(), span, vm.Type, vm.Region)
+		if !Close(b.Cost, wantCost) {
+			return plan.Totals{}, fmt.Errorf("validate: VM %d cost %v, want %v", vm.ID, b.Cost, wantCost)
 		}
-		paid := vm.Lease.PaidSeconds(span)
-		if lt(paid, vm.Busy()) {
-			return fmt.Errorf("validate: VM %d busy %v exceeds paid %v", vm.ID, vm.Busy(), paid)
+		if lt(paid, b.Busy) {
+			return plan.Totals{}, fmt.Errorf("validate: VM %d busy %v exceeds paid %v", vm.ID, b.Busy, paid)
 		}
-		cost += vm.Cost()
-		idle += vm.Idle()
+		cost += b.Cost
+		idle += b.Idle
 	}
-	if !Close(cost, s.RentalCost()) {
-		return fmt.Errorf("validate: rental cost %v, VMs sum to %v", s.RentalCost(), cost)
+	t := s.Totals()
+	if !Close(cost, t.Rental) {
+		return plan.Totals{}, fmt.Errorf("validate: rental cost %v, VMs sum to %v", t.Rental, cost)
 	}
-	if !Close(idle, s.IdleTime()) {
-		return fmt.Errorf("validate: idle %v, VMs sum to %v", s.IdleTime(), idle)
+	if !Close(idle, t.Idle) {
+		return plan.Totals{}, fmt.Errorf("validate: idle %v, VMs sum to %v", t.Idle, idle)
 	}
-	return nil
+	return t, nil
 }
 
 // NotExceedLease verifies the defining property of the *NotExceed
