@@ -566,9 +566,11 @@ func BenchmarkSLASearch(b *testing.B) {
 
 // BenchmarkServiceScheduleCold times a full uncached POST /v1/schedule
 // round trip — admission, planning, baseline comparison, encoding —
-// varying the seed each iteration so every request misses the cache.
+// varying the seed each iteration so every request misses the cache. The
+// cache has room for about one of these 13.5 KB bodies a shard, so each
+// miss is stored and evicts an earlier one.
 func BenchmarkServiceScheduleCold(b *testing.B) {
-	svc := service.New(service.Config{CacheSize: 1})
+	svc := service.New(service.Config{CacheBytes: 256 << 10})
 	defer svc.Close()
 	h := svc.Handler()
 	b.ReportAllocs()

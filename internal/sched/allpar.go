@@ -29,7 +29,7 @@ func NewAllPar(p provision.Kind, typ cloud.InstanceType) AllPar {
 
 // Name returns e.g. "AllParExceed-s".
 func (a AllPar) Name() string {
-	return fmt.Sprintf("%s-%s", a.Provisioning, a.Type.Suffix())
+	return a.Provisioning.String() + "-" + a.Type.Suffix()
 }
 
 // Schedule implements Algorithm.

@@ -39,7 +39,7 @@ func NewHEFT(p provision.Kind, typ cloud.InstanceType) HEFT {
 // Name returns e.g. "StartParExceed-m": the paper labels the homogeneous
 // strategies by provisioning policy and instance-type suffix.
 func (h HEFT) Name() string {
-	return fmt.Sprintf("%s-%s", h.Provisioning, h.Type.Suffix())
+	return h.Provisioning.String() + "-" + h.Type.Suffix()
 }
 
 // Schedule implements Algorithm.

@@ -50,7 +50,7 @@ func maskedSample(line string) bool {
 // fields zeroed. Any drift means a series, a label, a family's order or
 // a counter changed; re-record with -update only when that is the intent.
 func TestMetricsGolden(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	s := New(Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 	defer s.Close()
 	h := s.Handler()
 	do := func(method, path, body string, status int) []byte {

@@ -111,14 +111,14 @@ func method(h func(*Server, http.ResponseWriter, *http.Request)) func(*Server, s
 }
 
 // runCached is the shared serve path of the planning endpoints:
-// answer from the cache, or admit the planning job to the pool and cache
-// its compact JSON; writeCached indents either on the way out. A hit
-// builds nothing: the spec's workflow, if any, is built by the planning
-// job, on a pool worker. A planned miss observes its latency in the
-// endpoint's series. Each stage marks a span on the request trace —
-// cache_lookup (result hit or miss), then queue_wait covering admission
-// and queue time (admission admitted or rejected), then plan covering the
-// worker's planning run.
+// answer from the cache, or admit the planning job to the pool, encode
+// its answer once and cache the bytes written. A hit builds and encodes
+// nothing: the spec's workflow, if any, is built by the planning job, on
+// a pool worker, and the cached slice is written as it is. A planned
+// miss observes its latency in the endpoint's series. Each stage marks a
+// span on the request trace — cache_lookup (result hit or miss), then
+// queue_wait covering admission and queue time (admission admitted or
+// rejected), then plan covering the worker's planning run.
 func (s *Server) runCached(w http.ResponseWriter, r *http.Request, latency *histogram, key spec.Key,
 	plan func(context.Context) (any, error)) {
 	look, _ := obs.StartSpanCtx(r.Context(), "cache_lookup")
@@ -180,7 +180,7 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, latency *hist
 		s.writeError(w, http.StatusInternalServerError, "planning failed: %v", err)
 		return
 	}
-	body, merr := json.Marshal(out)
+	body, merr := encodeBody(out)
 	if merr != nil {
 		s.writeError(w, http.StatusInternalServerError, "encoding response: %v", merr)
 		return

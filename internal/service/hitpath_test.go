@@ -41,10 +41,10 @@ func TestTrailingDataRejected(t *testing.T) {
 	}
 }
 
-// TestMissAndHitBytesAreIndentedJSON checks the compact cache's output
-// format on every endpoint: a miss and its hit answer the same bytes,
-// and those are exactly what json.MarshalIndent writes for the decoded
-// response, plus a newline.
+// TestMissAndHitBytesAreIndentedJSON checks the response format on every
+// endpoint: a miss and its hit answer the same bytes, and those are
+// exactly what json.MarshalIndent writes for the decoded response, plus a
+// newline.
 func TestMissAndHitBytesAreIndentedJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	for _, e := range endpointRequests {
@@ -85,9 +85,11 @@ func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 
 // TestScheduleHitAllocs pins the cost of a /v1/schedule cache hit: decode,
-// validate (names checked, no DAG built), key, lookup and indent, with
-// the request built once outside the measured loop. Building the workflow
-// on every hit, as the handler once did, cost about 1,600 allocations.
+// validate (names checked, no DAG built), key, lookup and one write of
+// the cached bytes, with the request built once outside the measured
+// loop. Building the workflow on every hit, as the handler once did, cost
+// about 1,600 allocations; indenting the body on every hit and building
+// the spec's workflow memo, 55.
 func TestScheduleHitAllocs(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Close()
@@ -106,13 +108,18 @@ func TestScheduleHitAllocs(t *testing.T) {
 	if w.code != http.StatusOK || w.header.Get("X-Cache") != "MISS" {
 		t.Fatalf("first request: status %d, X-Cache %q", w.code, w.header.Get("X-Cache"))
 	}
-	const ceiling = 75
+	// Under the race detector the pools behind fmt.Sprintf and
+	// json.Marshal drop items at random, which costs a few more.
+	ceiling := 43.0
+	if raceEnabled {
+		ceiling = 50
+	}
 	allocs := testing.AllocsPerRun(200, serve)
 	if w.code != http.StatusOK || w.header.Get("X-Cache") != "HIT" {
 		t.Fatalf("repeat request: status %d, X-Cache %q", w.code, w.header.Get("X-Cache"))
 	}
 	if allocs > ceiling {
-		t.Errorf("a cache hit costs %.0f allocations, ceiling %d", allocs, ceiling)
+		t.Errorf("a cache hit costs %.0f allocations, ceiling %.0f", allocs, ceiling)
 	}
 	t.Logf("%.0f allocations per hit", allocs)
 }

@@ -1,31 +1,58 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"sync"
 )
 
-// The cache holds response bodies compact, as json.Marshal writes them,
-// at about half the size of the indented form; writeCached indents them
-// on the way out, in one pass into a pooled buffer.
+// The cache holds each response as the bytes it writes: the value's
+// json.Marshal encoding, indented as json.MarshalIndent indents it, and a
+// newline. A miss encodes its response once, with encodeBody, and a hit
+// writes the cached slice as it is.
 
-// indentPool recycles the buffers writeCached indents bodies into.
-var indentPool = sync.Pool{New: func() any { return new([]byte) }}
+// encodeBufs are one encodeBody call's scratch buffers, pooled: the
+// compact encoding and its indented form.
+type encodeBufs struct {
+	compact  bytes.Buffer
+	indented []byte
+}
 
-// writeCached emits a response body produced (now or earlier) by the
-// planners, indented, tagging cache status in the X-Cache header.
+var encodePool = sync.Pool{New: func() any { return new(encodeBufs) }}
+
+// encodeBody returns the response bytes of v: what json.MarshalIndent(v,
+// "", "  ") writes plus a newline. It encodes v compact into a pooled
+// buffer, indents that in one pass into another (several times faster
+// than json.Indent) and returns a copy, which the cache may keep for as
+// long as the entry lives. The copy's capacity is the size class the
+// runtime allocated for it, so the cache, which counts an entry by its
+// body's capacity, counts all the memory the body holds.
+func encodeBody(v any) ([]byte, error) {
+	b := encodePool.Get().(*encodeBufs)
+	defer encodePool.Put(b)
+	b.compact.Reset()
+	// Encode writes json.Marshal's bytes and a newline, which appendIndent
+	// copies through.
+	if err := json.NewEncoder(&b.compact).Encode(v); err != nil {
+		return nil, err
+	}
+	b.indented = appendIndent(b.indented[:0], b.compact.Bytes())
+	return bytes.Clone(b.indented), nil
+}
+
+// writeCached writes a response body encodeBody produced, now or for an
+// earlier request, tagging cache status in the X-Cache header.
 func writeCached(w http.ResponseWriter, body []byte, hit bool) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
 	if hit {
-		w.Header().Set("X-Cache", "HIT")
+		h.Set("X-Cache", "HIT")
 	} else {
-		w.Header().Set("X-Cache", "MISS")
+		h.Set("X-Cache", "MISS")
 	}
 	w.WriteHeader(http.StatusOK)
-	buf := indentPool.Get().(*[]byte)
-	*buf = append(appendIndent((*buf)[:0], body), '\n')
-	w.Write(*buf) //nolint:errcheck // the connection is gone; nothing to do
-	indentPool.Put(buf)
+	w.Write(body) //nolint:errcheck // the connection is gone; nothing to do
 }
 
 // newlines is a newline followed by the indentation of the first levels.

@@ -13,8 +13,8 @@ import (
 // second half of json.MarshalIndent, on compact JSON: the json.Marshal
 // encoding of whatever value the input decodes to, and the input itself
 // compacted, which keeps its own escapes and number spellings. The seeds
-// are one response of each planning endpoint, compacted as the cache
-// holds them.
+// are one response of each planning endpoint, compacted as a miss
+// encodes it before indenting.
 func FuzzIndent(f *testing.F) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Close()

@@ -39,7 +39,7 @@ func TestCacheKeepsNames(t *testing.T) {
 			inline(`{"name":"w","work":600},{"name":"x","work":1200},{"name":"y","work":900},{"name":"z","work":300}`),
 			"diamond", "w"},
 	} {
-		_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+		_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 		if code, cache, b := post(t, ts.URL+"/v1/schedule", c.first); code != http.StatusOK || cache != "MISS" {
 			t.Fatalf("%s: status %d, X-Cache %q, body %s", c.first, code, cache, b)
 		}
@@ -61,7 +61,7 @@ func TestCacheKeepsNames(t *testing.T) {
 				}
 			}
 		}
-		_, fresh := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+		_, fresh := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 		if _, _, want := post(t, fresh.URL+"/v1/schedule", c.second); !bytes.Equal(b, want) {
 			t.Errorf("%s: body differs from a fresh server's", c.second)
 		}
@@ -72,7 +72,7 @@ func TestCacheKeepsNames(t *testing.T) {
 // repeats that fold to one name sample one candidate and share the cache
 // entry of the plain spelling.
 func TestSLAPortfolioDedupe(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	const repeated = `{"template_name":"order","deadline_s":4000,"samples":10,` +
 		`"strategies":["GAIN","gain","Gain"],"markets":["spot","Spot"]}`
 	code, cache, b := post(t, ts.URL+"/v1/sla", repeated)
@@ -117,7 +117,7 @@ func TestCanonicalEqualRequestsShareBytes(t *testing.T) {
 			`{"mix":[{"template_name":"order","weight":1}],"interarrival_s":300,"instances":20,"seed":4,` +
 				`"max_vms":32,"instance":"small","scaler":"Reactive","dispatch":"FIFO","market":"NONE","fault_seed":8}`},
 	} {
-		_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+		_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 		codeA, _, bodyA := post(t, ts.URL+p.path, p.a)
 		codeB, cache, bodyB := post(t, ts.URL+p.path, p.b)
 		if codeA != http.StatusOK || codeB != http.StatusOK {
@@ -126,7 +126,7 @@ func TestCanonicalEqualRequestsShareBytes(t *testing.T) {
 		if cache != "HIT" || !bytes.Equal(bodyA, bodyB) {
 			t.Errorf("%s %s: X-Cache %q after its canonical twin, same bytes %v", p.path, p.b, cache, bytes.Equal(bodyA, bodyB))
 		}
-		_, fresh := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+		_, fresh := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 		if code, _, b := post(t, fresh.URL+p.path, p.b); code != http.StatusOK || !bytes.Equal(b, bodyA) {
 			t.Errorf("%s %s: a fresh server answers different bytes", p.path, p.b)
 		}

@@ -218,6 +218,7 @@ type MetricsSnapshot struct {
 	CacheMisses      uint64  `json:"cache_misses"`
 	CacheHitRatio    float64 `json:"cache_hit_ratio"`
 	CacheEntries     int     `json:"cache_entries"`
+	CacheBytes       int     `json:"cache_bytes"`
 	QueueDepth       int     `json:"queue_depth"`
 	QueueCapacity    int     `json:"queue_capacity"`
 	Workers          int     `json:"workers"`
@@ -232,6 +233,7 @@ type MetricsSnapshot struct {
 // the document GET /metrics?format=json serves.
 func (s *Server) Metrics() MetricsSnapshot {
 	m := s.met
+	entries, bytes := s.cache.Size()
 	snap := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		RejectedTotal: m.rejected.Load(),
@@ -239,7 +241,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 		ErrorsTotal:   m.errors.Load(),
 		CacheHits:     m.cacheHits.Load(),
 		CacheMisses:   m.cacheMisses.Load(),
-		CacheEntries:  s.cache.Len(),
+		CacheEntries:  entries,
+		CacheBytes:    bytes,
 		QueueDepth:    s.pool.Depth(),
 		QueueCapacity: s.cfg.QueueDepth,
 		Workers:       s.cfg.Workers,
@@ -271,7 +274,9 @@ func (s *Server) Metrics() MetricsSnapshot {
 func (s *Server) writePrometheus(w io.Writer) error {
 	m := s.met
 	var e expo
-	e.gauge("wfservd_cache_entries", "Entries in the result cache.", float64(s.cache.Len()))
+	entries, bytes := s.cache.Size()
+	e.gauge("wfservd_cache_bytes", "Bytes the result cache retains: its bodies plus a fixed overhead per entry.", float64(bytes))
+	e.gauge("wfservd_cache_entries", "Entries in the result cache.", float64(entries))
 	e.head("wfservd_cache_requests_total", "Result-cache lookups, by outcome.", "counter")
 	e.sample("wfservd_cache_requests_total", `result="hit"`, float64(m.cacheHits.Load()))
 	e.sample("wfservd_cache_requests_total", `result="miss"`, float64(m.cacheMisses.Load()))

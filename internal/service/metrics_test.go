@@ -460,7 +460,7 @@ func TestWritePrometheusParses(t *testing.T) {
 // (parsePrometheusText fails otherwise), and the process gauges — uptime
 // and goroutine count — are present and sane.
 func TestMetricsEndpointHygiene(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 	// Exercise a planning path first so a latency histogram has samples
 	// in the exposition.
 	if resp, body := postJSON(t, ts.URL+"/v1/sla", slaTraceBody); resp.StatusCode != 200 {

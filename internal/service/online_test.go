@@ -14,7 +14,7 @@ const onlineBody = `{"template_name":"order","interarrival_s":300,"instances":40
 	`"scaler":"deadline","deadline_s":6000,"market":"ondemand-sec","seed":7}`
 
 func TestOnlineRunsAndCaches(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 
 	resp1, b1 := postJSON(t, ts.URL+"/v1/online", onlineBody)
 	if resp1.StatusCode != http.StatusOK {
@@ -76,7 +76,7 @@ func TestOnlineRunsAndCaches(t *testing.T) {
 	}
 
 	// Bit-identical across a fresh server too.
-	_, ts2 := newTestServer(t, Config{Workers: 4, QueueDepth: 8, CacheSize: 64})
+	_, ts2 := newTestServer(t, Config{Workers: 4, QueueDepth: 8, CacheBytes: 4 << 20})
 	resp3, b3 := postJSON(t, ts2.URL+"/v1/online", onlineBody)
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("fresh server status %d", resp3.StatusCode)
@@ -92,7 +92,7 @@ func TestOnlineRunsAndCaches(t *testing.T) {
 }
 
 func TestOnlineMixAndInlineTemplateCanonicalization(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 	tight := `{"mix":[{"template_name":"order","weight":3},` +
 		`{"template":{"name":"tiny","root":{"task":{"name":"a","work":100}}}}],` +
 		`"interarrival_s":200,"instances":20,"seed":4}`
@@ -114,7 +114,7 @@ func TestOnlineMixAndInlineTemplateCanonicalization(t *testing.T) {
 }
 
 func TestOnlineSpotFaults(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 	body := `{"template_name":"order","interarrival_s":300,"instances":30,` +
 		`"market":"spot","preempt_rate":2,"fault_seed":11,"seed":7}`
 	resp, b := postJSON(t, ts.URL+"/v1/online", body)
@@ -134,7 +134,7 @@ func TestOnlineSpotFaults(t *testing.T) {
 }
 
 func TestOnlineValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	cases := []struct {
 		name, body string
 		wantCode   int
@@ -188,7 +188,7 @@ func TestOnlineValidation(t *testing.T) {
 }
 
 func TestCatalogListsScalers(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	resp, err := http.Get(ts.URL + "/v1/catalog")
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,8 @@
 //   - a sharded LRU result cache keyed by spec.Key, the SHA-256 of the
 //     request's validated internal/spec problem, so submissions that
 //     describe the same problem are answered without re-planning,
-//     byte-for-byte identically;
+//     byte-for-byte identically: it holds each answer as the bytes the
+//     response writes, and is bounded by the bytes it retains;
 //   - per-request timeouts and context cancellation;
 //   - operational introspection: GET /metrics serves a fixed set of
 //     series in Prometheus text format (request/cache/queue counters plus
@@ -43,8 +44,12 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds the submission queue; 0 selects 4x Workers.
 	QueueDepth int
-	// CacheSize bounds the result cache (entries); 0 selects 4096.
-	CacheSize int
+	// CacheBytes bounds the bytes the result cache retains, each entry
+	// counted as its body plus a fixed overhead and the budget split
+	// evenly over the cache's shards; a body larger than a shard's share
+	// is answered but not stored. 0 selects 20 MiB, about what 4,096
+	// compact bodies of the wfbench service mix took.
+	CacheBytes int64
 	// RequestTimeout bounds one planning request end to end; 0 selects
 	// 30 seconds.
 	RequestTimeout time.Duration
@@ -67,8 +72,8 @@ func (c Config) Fill() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 4096
+	if c.CacheBytes <= 0 {
+		c.CacheBytes = 20 << 20
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -101,7 +106,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.Fill()
 	s := &Server{
 		cfg:    cfg,
-		cache:  newCache(cfg.CacheSize),
+		cache:  newCache(cfg.CacheBytes),
 		met:    newServiceMetrics(),
 		mux:    http.NewServeMux(),
 		flight: obs.NewFlight(cfg.FlightSize),
@@ -163,11 +168,14 @@ func (w *statusWriter) WriteHeader(code int) {
 // outcome.
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
+		// Header keys are spelled canonically, so that Get and Set need
+		// not canonicalize them, which allocates; the wire bytes are the
+		// same.
+		id := r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = fmt.Sprintf("req-%06d", s.reqSeq.Add(1))
 		}
-		traceID, remote, ok := obs.ParseTraceparent(r.Header.Get("traceparent"))
+		traceID, remote, ok := obs.ParseTraceparent(r.Header.Get("Traceparent"))
 		if !ok {
 			traceID = obs.DeriveTraceID("wfservd", id)
 		}
@@ -183,8 +191,8 @@ func (s *Server) Handler() http.Handler {
 		s.active.Add(1)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		w.Header().Set("X-Request-ID", id)
-		w.Header().Set("traceparent", obs.Traceparent(traceID, root.ID()))
+		w.Header().Set("X-Request-Id", id)
+		w.Header().Set("Traceparent", obs.Traceparent(traceID, root.ID()))
 		ctx := obs.ContextWithTrace(r.Context(), trace)
 		ctx = obs.ContextWithSpan(ctx, root.ID())
 		r = r.WithContext(ctx)

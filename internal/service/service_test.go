@@ -59,7 +59,7 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 }
 
 func TestScheduleAndCacheHit(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 	body := `{"workflow_name":"montage24","strategy":"AllParExceed-m","scenario":"Pareto","seed":7}`
 
 	resp1, b1 := postJSON(t, ts.URL+"/v1/schedule", body)
@@ -165,7 +165,7 @@ func TestScheduleInlineWorkflowWithSimulation(t *testing.T) {
 }
 
 func TestScheduleDebugRunsOracle(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	resp, b := postJSON(t, ts.URL+"/v1/schedule",
 		`{"workflow_name":"montage24","strategy":"GAIN","scenario":"Pareto","seed":3,"debug":true}`)
 	if resp.StatusCode != http.StatusOK {
@@ -479,7 +479,7 @@ func TestCatalogEndpoint(t *testing.T) {
 }
 
 func TestScheduleWithFaults(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 	body := `{"workflow_name":"montage24","strategy":"OneVMperTask-s","scenario":"Pareto","seed":7,
 		"simulate":true,"fault_rate":1.0,"task_fail_prob":0.05,"recovery":"resubmit","fault_seed":3}`
 
@@ -522,7 +522,7 @@ func TestScheduleWithFaults(t *testing.T) {
 }
 
 func TestScheduleWithMarket(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 	body := `{"workflow_name":"montage24","strategy":"SpotFallback","scenario":"Pareto","seed":7,
 		"simulate":true,"market":"spot-fallback","preempt_rate":1.5,"recovery":"retry","fault_seed":3}`
 

@@ -13,7 +13,7 @@ const slaBody = `{"template_name":"montage","deadline_s":40000,"confidence":0.95
 	`"samples":25,"seed":9,"strategies":["OneVMperTask-s","AllParExceed-m","AllParExceed-l"]}`
 
 func TestSLAFindsCheapestAndCaches(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 
 	resp1, b1 := postJSON(t, ts.URL+"/v1/sla", slaBody)
 	if resp1.StatusCode != http.StatusOK {
@@ -67,7 +67,7 @@ func TestSLAFindsCheapestAndCaches(t *testing.T) {
 	}
 
 	// Bit-identical across a fresh server too (no hidden process state).
-	_, ts2 := newTestServer(t, Config{Workers: 4, QueueDepth: 8, CacheSize: 64})
+	_, ts2 := newTestServer(t, Config{Workers: 4, QueueDepth: 8, CacheBytes: 4 << 20})
 	resp3, b3 := postJSON(t, ts2.URL+"/v1/sla", slaBody)
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("fresh server status %d", resp3.StatusCode)
@@ -83,7 +83,7 @@ func TestSLAFindsCheapestAndCaches(t *testing.T) {
 }
 
 func TestSLAPrunesAndReportsMiss(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	// A deadline below the small-instance analytic bound: small-typed
 	// strategies are pruned; the survivors sample but cannot meet.
 	body := `{"template_name":"order","deadline_s":500,"confidence":0.99,"samples":10,` +
@@ -113,7 +113,7 @@ func TestSLAPrunesAndReportsMiss(t *testing.T) {
 }
 
 func TestSLAInlineTemplateAndCacheCanonicalization(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	tpl := `{"name":"tiny","root":{"seq":[` +
 		`{"task":{"name":"a","work":100}},{"task":{"name":"b","work":200}}]}}`
 	body := `{"template":` + tpl + `,"deadline_s":5000,"samples":5,"strategies":["OneVMperTask-s"]}`
@@ -138,7 +138,7 @@ func TestSLAInlineTemplateAndCacheCanonicalization(t *testing.T) {
 }
 
 func TestSLAWithFaults(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	body := `{"template_name":"order","deadline_s":100000,"confidence":0.5,"samples":15,` +
 		`"strategies":["OneVMperTask-s"],"task_fail_prob":0.4,"recovery":"fail","fault_seed":3}`
 	resp, b := postJSON(t, ts.URL+"/v1/sla", body)
@@ -162,7 +162,7 @@ func TestSLAWithFaults(t *testing.T) {
 }
 
 func TestSLAValidationErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	cases := []struct {
 		name string
 		body string
@@ -189,7 +189,7 @@ func TestSLAValidationErrors(t *testing.T) {
 }
 
 func TestSLAMetricsProgress(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheSize: 16})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheBytes: 1 << 20})
 	body := `{"template_name":"order","deadline_s":500,"samples":5,` +
 		`"strategies":["OneVMperTask-s","AllParExceed-l"]}`
 	postJSON(t, ts.URL+"/v1/sla", body)

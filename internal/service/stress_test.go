@@ -16,7 +16,7 @@ import (
 // exactly. Run under -race this doubles as the data-race proof for the
 // pool, cache, and metrics paths.
 func TestConcurrentStress(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8, CacheSize: 1024})
+	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8, CacheBytes: 16 << 20})
 
 	const n = 160
 	workflows := []string{"Sequential", "sequential6", "mapreduce4x2", "Fig1"}

@@ -24,7 +24,7 @@ const slaTraceBody = `{"template_name":"order","deadline_s":4000,"confidence":0.
 // inbound traceparent's trace ID is continued, and without one the trace
 // ID derives deterministically from the request ID.
 func TestRequestTracePropagation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64})
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20})
 
 	// No inbound context: trace ID must derive from the request ID.
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/healthz", nil)
@@ -161,7 +161,7 @@ func spanAttr(spans []obs.Span, name, key string) string {
 // it as NDJSON and as a Chrome-trace request track, and the response's
 // explain block accounts for the whole portfolio.
 func TestSLAFlightAndExplain(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheSize: 64, FlightSize: 16})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, CacheBytes: 4 << 20, FlightSize: 16})
 
 	resp, body := postJSON(t, ts.URL+"/v1/sla", slaTraceBody)
 	if resp.StatusCode != http.StatusOK {
@@ -334,7 +334,7 @@ func TestSLATraceDeterministic(t *testing.T) {
 		Name, ID, Parent string
 	}
 	capture := func() []skeleton {
-		s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheSize: 64, FlightSize: 4})
+		s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, CacheBytes: 4 << 20, FlightSize: 4})
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sla", strings.NewReader(slaTraceBody))
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Request-ID", "req-pinned")

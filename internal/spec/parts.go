@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
@@ -37,9 +36,11 @@ type Workflow struct {
 	File    string
 	Builder string
 	N, M, R int
-	// wf returns the workflow. For a Name it builds on first use, so a
-	// request answered from a cache never builds its DAG.
-	wf func() *dag.Workflow
+	// build is a Name's constructor, which Value calls on first use, so
+	// a request answered from a cache never builds its DAG; wf is the
+	// workflow once built.
+	build func() *dag.Workflow
+	wf    *dag.Workflow
 }
 
 // Validate parses, defaults and checks the part, rewriting it into its
@@ -51,10 +52,9 @@ func (w *Workflow) Validate() error {
 		return errors.New("workflow: set exactly one of a name, an inline document, a file or a builder")
 	}
 	if w.Name != "" {
-		build, err := core.ParseWorkflowName(w.Name)
-		if err == nil {
-			w.wf = sync.OnceValue(build)
-		}
+		var err error
+		w.build, err = core.ParseWorkflowName(w.Name)
+		w.wf = nil
 		return err
 	}
 	var wf *dag.Workflow
@@ -81,15 +81,18 @@ func (w *Workflow) Validate() error {
 	default:
 		wf, err = core.GenerateWorkflow(w.Builder, w.N, w.M)
 	}
-	if err == nil {
-		w.wf = func() *dag.Workflow { return wf }
-	}
+	w.wf = wf
 	return err
 }
 
 // Value returns the workflow a validated part names, building a registry
-// workflow on first use.
-func (w *Workflow) Value() *dag.Workflow { return w.wf() }
+// workflow on its first call, which must not race another call.
+func (w *Workflow) Value() *dag.Workflow {
+	if w.wf == nil {
+		w.wf = w.build()
+	}
+	return w.wf
+}
 
 // Label is the name a report gives the workflow: the registry name as
 // spelled, else the document's own name, else "custom".
@@ -97,7 +100,7 @@ func (w *Workflow) Label() string {
 	if w.Name != "" {
 		return w.Name
 	}
-	return cmp.Or(w.wf().Name, "custom")
+	return cmp.Or(w.Value().Name, "custom")
 }
 
 // WorkflowArg maps a command-line workflow argument onto a Workflow: a
